@@ -29,7 +29,7 @@ from .errors import (
     FlatnessTooLarge,
     NonpositiveSigma,
 )
-from .lattice import DEFAULT_POINT_CAP, Lattice, enumerate_ball
+from .lattice import DEFAULT_POINT_CAP, Diag, Lattice, enumerate_ball
 
 X_START = 50.0        # initial exponent cut: first radius puts e^{-X} at the rim
 GROW = 1.25           # radius growth factor while the tail is not certified
@@ -316,8 +316,8 @@ def _axis_sums(d: float, ci: float, sigma0: float) -> tuple:
 
 
 def _diag_axes(lat: Lattice) -> np.ndarray | None:
-    if lat.structure is not None and lat.structure[0] == "diag":
-        return np.asarray(lat.structure[1], dtype=float)
+    if isinstance(lat.structure, Diag):
+        return lat.structure.steps
     return None
 
 

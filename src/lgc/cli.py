@@ -115,16 +115,20 @@ def _as_float(raw: dict, key: str, default=None, positive=False,
     return v
 
 
+def _parse_int(name: str, text: str, minimum=None) -> int:
+    try:
+        v = int(text)
+    except ValueError:
+        raise ConfigError(f"{name} must be an integer, got '{text}'") from None
+    if minimum is not None and v < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}, got {v}")
+    return v
+
+
 def _as_int(raw: dict, key: str, default=None, minimum=None):
     if key not in raw:
         return default
-    try:
-        v = int(raw[key])
-    except ValueError:
-        raise ConfigError(f"key '{key}' must be an integer, got '{raw[key]}'")
-    if minimum is not None and v < minimum:
-        raise ConfigError(f"key '{key}' must be >= {minimum}, got {v}")
-    return v
+    return _parse_int(f"key '{key}'", raw[key], minimum)
 
 
 def resolve_lattice(value: str):
@@ -365,8 +369,8 @@ def main(argv=None) -> int:
     parser.add_argument("--config")
     parser.add_argument("--out")
     parser.add_argument("--seed", type=int)
-    parser.add_argument("--trials", type=int)
-    parser.add_argument("--threads", type=int)
+    parser.add_argument("--trials")
+    parser.add_argument("--threads")
     t_start = time.time()
     try:
         args = parser.parse_args(argv)
@@ -381,12 +385,17 @@ def main(argv=None) -> int:
         master = args.seed if args.seed is not None else \
             _as_int(raw, "seed", default=0, minimum=0)
         seed = RngSeed(master)
-        trials = args.trials if args.trials is not None else \
-            _as_int(raw, "trials", default=10000, minimum=1)
-        threads = args.threads if args.threads is not None else \
-            _as_int(raw, "threads", default=None, minimum=1)
-        if threads is None:
-            threads = int(os.environ.get("LGC_THREADS", "1"))
+        if args.trials is not None:
+            trials = _parse_int("--trials", args.trials, minimum=1)
+        else:
+            trials = _as_int(raw, "trials", default=10000, minimum=1)
+        if args.threads is not None:
+            threads = _parse_int("--threads", args.threads, minimum=1)
+        elif "threads" in raw:
+            threads = _as_int(raw, "threads", minimum=1)
+        else:
+            threads = _parse_int("LGC_THREADS",
+                                 os.environ.get("LGC_THREADS", "1"), minimum=1)
         out = args.out or raw.get("out") or f"{args.command}.csv"
         header, rows, extra = _RUNNERS[args.command](raw, seed, trials,
                                                      threads)

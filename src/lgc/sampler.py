@@ -33,7 +33,14 @@ from .errors import (
     RandomnessExhausted,
 )
 from .analytics import _ball_volume, _tail_bound, flatness
-from .lattice import DEFAULT_POINT_CAP, Lattice, LatticePoint, enumerate_ball
+from .lattice import (
+    DEFAULT_POINT_CAP,
+    Checkerboard,
+    Diag,
+    Lattice,
+    LatticePoint,
+    enumerate_ball,
+)
 from .rng import RngSeed, stream
 
 TABLE_CAP = 4_000_000
@@ -154,9 +161,9 @@ def build_spec(lat: Lattice, sigma0: float, c,
     est = _ball_volume(n, radius) / vol
     if est <= table_cap:
         return _build_table(lat, sigma0, c, radius, point_cap)
-    if lat.structure is not None and lat.structure[0] == "diag":
+    if isinstance(lat.structure, Diag):
         return _build_product(lat, sigma0, c)
-    if lat.structure is not None and lat.structure[0] == "parity":
+    if isinstance(lat.structure, Checkerboard):
         return _build_parity(lat, sigma0, c)
     raise BudgetExceeded(
         f"support ~{est:.2e} points exceeds the table budget ({table_cap}) "
@@ -189,7 +196,7 @@ def _build_table(lat, sigma0, c, radius, point_cap):
 
 
 def _build_product(lat, sigma0, c):
-    diag = np.asarray(lat.structure[1], dtype=float)
+    diag = lat.structure.steps
     n = lat.n
     tables = []
     rel = 0.0
@@ -213,7 +220,7 @@ def _alt_sum(ks, probs) -> float:
 
 
 def _build_parity(lat, sigma0, c):
-    _, scale, with_half = lat.structure
+    scale, with_half = lat.structure.step, lat.structure.half
     n = lat.n
     coset_offsets = (0.0, 0.5 * scale) if with_half else (0.0,)
     all_tables = []
@@ -356,7 +363,7 @@ def tail_event_rate(spec: DiscreteGaussianSpec,
         mass = float(np.sum(spec.table_probs[norms > r2]))
         return bound, mass
     if spec.backend == "product":
-        diag = np.asarray(lat.structure[1], dtype=float)
+        diag = lat.structure.steps
         if np.all(spec.shift == 0.0) and np.all(diag == diag[0]):
             step = float(diag[0])
             dist = None

@@ -308,6 +308,29 @@ def test_snr_conflicts_with_sigmas(tmp_path, capsys):
     assert "either snr or sigma0/sigma" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags,env,message", [
+    (["--threads", "-3"], None, "--threads must be >= 1, got -3"),
+    (["--threads", "0"], None, "--threads must be >= 1, got 0"),
+    (["--trials", "0"], None, "--trials must be >= 1, got 0"),
+    ([], "abc", "LGC_THREADS must be an integer, got 'abc'"),
+    ([], "0", "LGC_THREADS must be >= 1, got 0"),
+])
+def test_run_size_flags_validated(tmp_path, capsys, monkeypatch, flags, env,
+                                  message):
+    if env is not None:
+        monkeypatch.setenv("LGC_THREADS", env)
+    cfg = _write_config(tmp_path, """
+        lattice = Zn:2
+        sigma0 = 2.0
+        sigma = 1.0
+        trials = 64
+    """)
+    out = tmp_path / "s.csv"
+    assert main(["simulate", "--config", cfg, "--out", str(out), *flags]) == 2
+    assert capsys.readouterr().err == f"config: {message}\n"
+    assert not out.exists()
+
+
 def test_command_mismatch_rejected(tmp_path):
     cfg = _write_config(tmp_path, "command = rate\nsigma = 1.0\nlattice = Zn:2\n")
     assert main(["flatness", "--config", cfg]) == 2

@@ -13,8 +13,11 @@ from lgc.errors import (
     SingularBasis,
     UnknownName,
 )
+import lgc.lattice as lattice_mod
 from lgc.lattice import (
+    DEFAULT_NODE_CAP,
     Lattice,
+    _enum_nearest,
     closest_point,
     closest_points_batch,
     contains,
@@ -142,6 +145,80 @@ def test_batch_matches_single():
         assert np.array_equal(dec[i], closest_point(e8, ys[i]).coeffs)
 
 
+def _face_rows(lat, holes, rng, k):
+    """k points near Voronoi faces: midpoints to minimal-vector neighbours
+    and the given holes, moved by 0 (the first tenth) up to 1e-4."""
+    u, _ = enumerate_ball(lat, np.zeros(lat.n), lat.lambda1_lb() * (1 + 1e-9))
+    mids = 0.5 * (u[np.any(u != 0, axis=1)] @ lat.basis.T)
+    offsets = np.concatenate([mids, holes])
+    base = rng.integers(-3, 4, size=(k, lat.n)) @ lat.basis.T
+    ys = base + offsets[rng.integers(len(offsets), size=k)]
+    size = 10.0 ** rng.uniform(-16.0, -4.0, size=(k, 1))
+    size[: k // 10] = 0.0
+    return ys + size * rng.normal(size=(k, lat.n)), k // 10
+
+
+_HALF8 = [0.5] * 8
+_E1 = [1.0] + [0.0] * 7
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.37])
+@pytest.mark.parametrize("name,n,holes", [
+    pytest.param("Zn", 8, [_HALF8], id="Z8"),
+    pytest.param("Dn", 4, [_HALF8[:4], _E1[:4]], id="D4"),
+    pytest.param("Dn", 8, [_HALF8, _E1], id="D8"),
+    pytest.param("E8", None, [_E1], id="E8"),
+])
+def test_batch_matches_enum_nearest(name, n, holes, scale, monkeypatch):
+    """Structured decoding equals the exact search's first tie on every row."""
+    lat = standard_lattice(name, n)
+    if scale != 1.0:
+        lat = lat.scale(scale)
+    rng = np.random.default_rng(1302)
+    m = 100_000
+    faces, exact = _face_rows(lat, scale * np.array(holes), rng, m // 5)
+    spread = 3.0 * scale * rng.normal(size=(m - len(faces), lat.n))
+    ys = np.concatenate([faces, spread])
+    _, ok = lat.structure.decode_batch(ys)
+    assert not ok[:exact].any()  # exact ties must take the fallback
+
+    searched = []
+
+    def counting(*args, **kwargs):
+        searched.append(1)
+        return _enum_nearest(*args, **kwargs)
+
+    monkeypatch.setattr(lattice_mod, "_enum_nearest", counting)
+    got = closest_points_batch(lat, ys)
+    print(f"{lat.label}: {int(np.sum(~ok))} of {m} rows failed the guard, "
+          f"{len(searched)} took the exact search")
+
+    q, _ = lat.qr()
+    diag, cols = lat._dfs_tabs()
+    mismatches = sum(
+        _enum_nearest(diag, cols, t, DEFAULT_NODE_CAP)[0][0][0] != tuple(g)
+        for t, g in zip((ys @ q).tolist(), got.tolist()))
+    assert mismatches == 0
+
+
+@pytest.mark.parametrize("name,n,y", [
+    ("Zn", 2, [0.5, 0.5]),
+    ("Zn", 2, [-0.5, 1.5]),
+    ("Dn", 4, [1.0, 0.0, 0.0, 0.0]),
+])
+def test_batch_exact_ties_take_fallback(name, n, y):
+    lat = standard_lattice(name, n)
+    y = np.array(y)
+    _, ok = lat.structure.decode_batch(y[None, :])
+    assert not ok[0]
+    got = closest_points_batch(lat, y[None, :])[0]
+    u, d2 = enumerate_ball(lat, y, 1.0 + 1e-9)
+    nearest = sorted(tuple(v) for v in u[d2 <= d2.min() + 1e-9].tolist())
+    assert len(nearest) > 1
+    assert tuple(got) == nearest[0]
+    assert np.array_equal(got, closest_point(lat, y).coeffs)
+
+
 def test_cvp_tie_lexicographic():
     z1 = standard_lattice("Zn", 1)
     pt = closest_point(z1, np.array([0.5]))
@@ -154,6 +231,10 @@ def test_cvp_validations():
         closest_point(z2, np.array([1.0, 2.0, 3.0]))
     with pytest.raises(DimensionMismatch):
         closest_point(z2, np.array([np.inf, 0.0]))
+    for lat in (z2, make_lattice([[2.0, 1.0], [0.0, 1.0]])):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(DimensionMismatch, match="finite"):
+                closest_points_batch(lat, np.array([[0.3, 0.1], [bad, 0.0]]))
     with pytest.raises(BudgetExceeded):
         closest_point(standard_lattice("E8"), np.full(8, 0.37), node_cap=3)
 
