@@ -15,6 +15,7 @@ where epsilon is small.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, asdict
 from typing import NamedTuple
@@ -113,31 +114,60 @@ def _tail_bound(n: int, lam1: float, tau: float, radius: float) -> float:
     return acc
 
 
+def _check_positive(name: str, value: float) -> None:
+    if not 0.0 < value < math.inf:
+        raise NonpositiveSigma(f"{name} must be finite and positive, got {value}")
+
+
+def _grow_ball(lat: Lattice, center: np.ndarray, tau: float, radius: float,
+               point_cap: int, weigh, what: str, balls: dict | None = None) -> tuple:
+    """Grow a ball around center until its packing tail bound certifies.
+
+    weigh(d2) turns the squared distances inside the current radius into
+    (result, anchor); the radius grows by GROW until the bound on the
+    omitted exp(-pi tau |v|^2) mass drops under TAIL_REL * anchor.  balls,
+    when given, memoizes each enumeration by (lattice, radius), so sums
+    over one lattice around one center enumerate each radius once.
+    Returns (result, tail_bound, radius).
+    """
+    lam1 = lat.lambda1_lb()
+    for _ in range(200):
+        d2 = None if balls is None else balls.get((lat, radius))
+        if d2 is None:
+            _, d2 = enumerate_ball(lat, center, radius, point_cap, coeffs=False)
+            if balls is not None:
+                balls[(lat, radius)] = d2
+        result, anchor = weigh(d2)
+        tail = _tail_bound(lat.n, lam1, tau, radius)
+        if tail < TAIL_REL * anchor:
+            return result, tail, radius
+        radius *= GROW
+    raise BudgetExceeded(f"{what} did not certify its tail")
+
+
 def _gauss_sum(lat: Lattice, center: np.ndarray, tau: float, point_cap: int,
-               skip_zero: bool = False, min_radius: float = 0.0) -> tuple:
+               skip_zero: bool = False, min_radius: float = 0.0,
+               balls: dict | None = None) -> tuple:
     """Truncated sum of exp(-pi tau |v - center|^2) over lattice points v.
 
     Grows the enumeration radius until the packing tail bound drops under
     TAIL_REL of the partial sum (measured against the full sum including
     the zero term even when skip_zero drops it from the returned value, so
-    tiny sums still terminate).  Returns (value, tail_bound, radius).
+    tiny sums still terminate).  balls is passed to _grow_ball.  Returns
+    (value, tail_bound, radius).
     """
-    n = lat.n
-    lam1 = lat.lambda1_lb()
-    radius = max(math.sqrt(X_START / (math.pi * tau)), min_radius)
-    for _ in range(200):
-        _, d2 = enumerate_ball(lat, center, radius, point_cap)
+    zero_cut = (0.5 * lat.lambda1_lb()) ** 2
+
+    def weigh(d2):
         if skip_zero:
-            d2 = d2[d2 > (0.5 * lam1) ** 2]
+            d2 = d2[d2 > zero_cut]
         # ascending weights for a stable, order-fixed summation
-        weights = np.exp(-math.pi * tau * np.sort(d2)[::-1])
-        value = float(np.sum(weights))
-        tail = _tail_bound(n, lam1, tau, radius)
-        anchor = value + 1.0 if skip_zero else value
-        if tail < TAIL_REL * anchor:
-            return value, tail, radius
-        radius *= GROW
-    raise BudgetExceeded("gaussian sum did not certify its tail")
+        value = float(np.sum(np.exp(-math.pi * tau * np.sort(d2)[::-1])))
+        return value, value + 1.0 if skip_zero else value
+
+    radius = max(math.sqrt(X_START / (math.pi * tau)), min_radius)
+    return _grow_ball(lat, center, tau, radius, point_cap, weigh,
+                      "gaussian sum", balls)
 
 
 # ---------------------------------------------------------------------------
@@ -146,17 +176,16 @@ def _gauss_sum(lat: Lattice, center: np.ndarray, tau: float, point_cap: int,
 
 
 def theta(lat: Lattice, tau: float, point_cap: int = DEFAULT_POINT_CAP,
-          primal_pref: int = PRIMAL_PREF) -> ThetaValue:
+          primal_pref: int = PRIMAL_PREF, *, balls: dict | None = None) -> ThetaValue:
     """Theta series sum of exp(-pi tau |v|^2) with certified truncation.
 
     Evaluates on whichever side of the Poisson identity
         Theta_L(tau) = tau^{-n/2} / V * Theta_dual(1/tau)
     needs fewer points, preferring the primal side while it stays under
     primal_pref points.  Raises BudgetExceeded when both sides blow the
-    point cap.
+    point cap.  balls is passed to _grow_ball.
     """
-    if tau <= 0:
-        raise NonpositiveSigma(f"tau must be positive, got {tau}")
+    _check_positive("tau", tau)
     n = lat.n
     vol = lat.volume
     est_primal = _ball_volume(n, math.sqrt(X_START / (math.pi * tau))) / vol
@@ -174,18 +203,18 @@ def theta(lat: Lattice, tau: float, point_cap: int = DEFAULT_POINT_CAP,
             f"points, cap {point_cap:.0e}")
     zero = np.zeros(n)
     if side_primal:
-        value, tail, radius = _gauss_sum(lat, zero, tau, point_cap)
+        value, tail, radius = _gauss_sum(lat, zero, tau, point_cap, balls=balls)
         return ThetaValue(value, tail, radius)
     dual = lat.dual()
-    value, tail, radius = _gauss_sum(dual, zero, 1.0 / tau, point_cap)
+    value, tail, radius = _gauss_sum(dual, zero, 1.0 / tau, point_cap,
+                                     balls=balls)
     factor = tau ** (-n / 2.0) / vol
     return ThetaValue(factor * value, factor * tail, radius)
 
 
 def gsnr(lat: Lattice, sigma: float) -> float:
     """Generalized SNR: V^{2/n} / (2 pi sigma^2)."""
-    if sigma <= 0:
-        raise NonpositiveSigma(f"sigma must be positive, got {sigma}")
+    _check_positive("sigma", sigma)
     return lat.volume ** (2.0 / lat.n) / (2.0 * math.pi * sigma * sigma)
 
 
@@ -197,22 +226,32 @@ def flatness(lat: Lattice, sigma: float,
     regime, cancellation-free) and from the primal product formula
     otherwise; the two agree through Poisson summation.  The attached
     theta value is always taken at tau = 1/(2 pi sigma^2).
+
+    Reports are cached on the lattice by (sigma, point_cap); a raised
+    error is not.  The dual-side theta sum and the epsilon sum share one
+    enumeration per radius.
     """
-    if sigma <= 0:
-        raise NonpositiveSigma(f"sigma must be positive, got {sigma}")
+    _check_positive("sigma", sigma)
+    key = (float(sigma), point_cap)
+    if key in lat._flatness:
+        return lat._flatness[key]
     g = gsnr(lat, sigma)
     n = lat.n
     tau = 1.0 / (2.0 * math.pi * sigma * sigma)
-    tv = theta(lat, tau, point_cap)
+    balls: dict = {}
+    tv = theta(lat, tau, point_cap, balls=balls)
     if g < 1.0:
         dual = lat.dual()
         lam1d = dual.lambda1_lb()
         eps, _, _ = _gauss_sum(dual, np.zeros(n), 1.0 / tau, point_cap,
                                skip_zero=True,
-                               min_radius=lam1d * (1.0 + 1e-9) + 0.25)
+                               min_radius=lam1d * (1.0 + 1e-9) + 0.25,
+                               balls=balls)
     else:
         eps = g ** (n / 2.0) * tv.value - 1.0
-    return FlatnessReport(sigma=sigma, gsnr=g, theta=tv, epsilon=eps)
+    rep = lat._flatness[key] = FlatnessReport(sigma=sigma, gsnr=g, theta=tv,
+                                              epsilon=eps)
+    return rep
 
 
 def flatness_direct(lat: Lattice, sigma: float, grid_points_per_dim: int,
@@ -226,8 +265,7 @@ def flatness_direct(lat: Lattice, sigma: float, grid_points_per_dim: int,
     n = lat.n
     if n > 4:
         raise DimensionTooLarge(f"grid search limited to n <= 4, got {n}")
-    if sigma <= 0:
-        raise NonpositiveSigma(f"sigma must be positive, got {sigma}")
+    _check_positive("sigma", sigma)
     m = int(grid_points_per_dim)
     if m < 1:
         raise DimensionMismatch("need at least one grid point per dimension")
@@ -267,8 +305,7 @@ def partition_sandwich_check(lat: Lattice, sigma: float, c,
     c = np.asarray(c, dtype=float)
     if c.shape != (lat.n,):
         raise DimensionMismatch(f"shift has shape {c.shape}, lattice dim {lat.n}")
-    if sigma <= 0:
-        raise NonpositiveSigma(f"sigma must be positive, got {sigma}")
+    _check_positive("sigma", sigma)
     n = lat.n
     tau = 1.0 / (2.0 * math.pi * sigma * sigma)
     raw, _, _ = _gauss_sum(lat, c, tau, point_cap)
@@ -293,6 +330,7 @@ def partition_sandwich_check(lat: Lattice, sigma: float, c,
 _MP_DPS = 40
 
 
+@functools.lru_cache(maxsize=1024)
 def _axis_sums(d: float, ci: float, sigma0: float) -> tuple:
     """Per-axis partition, second moment, and entropy for points d*k - ci."""
     with mp.workdps(_MP_DPS):
@@ -340,20 +378,19 @@ def _support_stats(lat: Lattice, sigma0: float, c: np.ndarray,
                 ent += h
         return mom, ent
     tau = 1.0 / (2.0 * math.pi * sigma0 * sigma0)
-    lam1 = lat.lambda1_lb()
-    radius = math.sqrt(X_START / (math.pi * tau))
-    for _ in range(200):
-        _, d2 = enumerate_ball(lat, c, radius, point_cap)
+    two_s2 = 2.0 * sigma0 * sigma0
+
+    def weigh(d2):
         d2 = np.sort(d2)[::-1]
-        w = np.exp(-d2 / (2.0 * sigma0 * sigma0))
+        w = np.exp(-d2 / two_s2)
         z = float(np.sum(w))
-        if _tail_bound(n, lam1, tau, radius) < TAIL_REL * z:
-            break
-        radius *= GROW
-    else:
-        raise BudgetExceeded("support sum did not certify its tail")
+        return (d2, w, z), z
+
+    (d2, w, z), _, _ = _grow_ball(lat, c, tau,
+                                  math.sqrt(X_START / (math.pi * tau)),
+                                  point_cap, weigh, "support sum")
     mom = float(np.sum(w * d2)) / z
-    q = d2 / (2.0 * sigma0 * sigma0)
+    q = d2 / two_s2
     ent = math.log(z) + float(np.sum(w * q)) / z
     return mom, ent
 
@@ -377,8 +414,7 @@ def moment_check(lat: Lattice, sigma0: float, c,
     c = np.asarray(c, dtype=float)
     if c.shape != (lat.n,):
         raise DimensionMismatch(f"shift has shape {c.shape}, lattice dim {lat.n}")
-    if sigma0 <= 0:
-        raise NonpositiveSigma(f"sigma0 must be positive, got {sigma0}")
+    _check_positive("sigma0", sigma0)
     if lat.n > 8:
         raise DimensionTooLarge(f"moment check limited to n <= 8, got {lat.n}")
     eps = _require_small_eps(lat, sigma0, point_cap)
@@ -402,8 +438,7 @@ def entropy_check(lat: Lattice, sigma0: float, c,
     c = np.asarray(c, dtype=float)
     if c.shape != (lat.n,):
         raise DimensionMismatch(f"shift has shape {c.shape}, lattice dim {lat.n}")
-    if sigma0 <= 0:
-        raise NonpositiveSigma(f"sigma0 must be positive, got {sigma0}")
+    _check_positive("sigma0", sigma0)
     if lat.n > 8:
         raise DimensionTooLarge(f"entropy check limited to n <= 8, got {lat.n}")
     eps = _require_small_eps(lat, sigma0, point_cap)
@@ -419,6 +454,7 @@ def entropy_check(lat: Lattice, sigma0: float, c,
 def entropy_deviation(lat: Lattice, sigma0: float, c,
                       point_cap: int = DEFAULT_POINT_CAP) -> float:
     """|entropy_rate - reference| computed before any float64 rounding."""
+    _check_positive("sigma0", sigma0)
     c = np.asarray(c, dtype=float)
     _, ent = _support_stats(lat, sigma0, c, point_cap)
     n = lat.n
@@ -430,8 +466,7 @@ def entropy_deviation(lat: Lattice, sigma0: float, c,
 
 def gaussian_density(sigma: float, c, x) -> float:
     """Density of the n-dim Gaussian with deviation sigma centered at c."""
-    if sigma <= 0:
-        raise NonpositiveSigma(f"sigma must be positive, got {sigma}")
+    _check_positive("sigma", sigma)
     c = np.asarray(c, dtype=float)
     x = np.asarray(x, dtype=float)
     if c.shape != x.shape or c.ndim != 1:

@@ -100,14 +100,21 @@ def parse_config(path: str) -> dict:
     return raw
 
 
+def _parse_float(name: str, text) -> float:
+    try:
+        v = float(text)
+    except ValueError:
+        raise ConfigError(f"{name} must be a number, got '{text}'") from None
+    if not math.isfinite(v):
+        raise ConfigError(f"{name} must be finite, got '{text}'")
+    return v
+
+
 def _as_float(raw: dict, key: str, default=None, positive=False,
               nonnegative=False):
     if key not in raw:
         return default
-    try:
-        v = float(raw[key])
-    except ValueError:
-        raise ConfigError(f"key '{key}' must be a number, got '{raw[key]}'")
+    v = _parse_float(f"key '{key}'", raw[key])
     if positive and v <= 0:
         raise ConfigError(f"key '{key}' must be positive, got {v}")
     if nonnegative and v < 0:
@@ -151,11 +158,8 @@ def resolve_lattice(value: str):
 def _parse_shift(raw: dict, n: int) -> np.ndarray:
     if "shift" not in raw:
         return np.zeros(n)
-    parts = [p.strip() for p in raw["shift"].split(",")]
-    try:
-        vals = [float(p) for p in parts]
-    except ValueError:
-        raise ConfigError(f"key 'shift' must be numbers, got '{raw['shift']}'")
+    vals = [_parse_float("key 'shift'", p.strip())
+            for p in raw["shift"].split(",")]
     if len(vals) == 1:
         return np.full(n, vals[0])
     if len(vals) != n:
@@ -178,10 +182,8 @@ def _parse_sweep(raw: dict, command: str):
             f"(allowed: {sorted(_SWEEP_AXES[command]) or 'none'})")
     if "sweep_grid" not in raw:
         raise ConfigError("sweep_axis given without sweep_grid")
-    try:
-        grid = [float(p) for p in raw["sweep_grid"].split(",")]
-    except ValueError:
-        raise ConfigError(f"sweep_grid must be numbers, got '{raw['sweep_grid']}'")
+    grid = [_parse_float("sweep_grid", p.strip())
+            for p in raw["sweep_grid"].split(",")]
     if not grid:
         raise ConfigError("sweep_grid is empty")
     return axis, grid
@@ -217,7 +219,7 @@ def _scaled_to_volume(lat, volume_value, eps_dprime, sigma_tilde):
     if volume_value == "design":
         v = design_volume(sigma_tilde, eps_dprime, lat.n)
     else:
-        v = float(volume_value)
+        v = _parse_float("volume", volume_value)
         if v <= 0:
             raise ConfigError(f"volume must be positive, got {v}")
     return lat.scale((v / lat.volume) ** (1.0 / lat.n))

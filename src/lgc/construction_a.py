@@ -87,21 +87,6 @@ class LinearCode:
         object.__setattr__(self, "generator", g)
 
 
-@dataclass(frozen=True)
-class ModpConfig:
-    """Ensemble parameters: the code family, lattice scale, and bound slack."""
-
-    code: LinearCode
-    scale: float
-    delta: float = 1.0
-
-    def __post_init__(self):
-        if self.scale <= 0:
-            raise ConfigError(f"scale must be positive, got {self.scale}")
-        if self.delta < 0:
-            raise ConfigError(f"delta must be nonnegative, got {self.delta}")
-
-
 def lift(code: LinearCode, scale: float) -> Lattice:
     """Basis of the scaled mod-p lattice a*{v in Z^n : v mod p in C}.
 

@@ -153,6 +153,9 @@ class Lattice:
     _qr: tuple | None = field(default=None, repr=False)
     _inv: np.ndarray | None = field(default=None, repr=False)
     _cols: tuple | None = field(default=None, repr=False)
+    _dual: Lattice | None = field(default=None, repr=False)
+    # analytics.flatness reports, keyed by (float(sigma), point_cap)
+    _flatness: dict = field(default_factory=dict, repr=False)
 
     @property
     def n(self) -> int:
@@ -183,8 +186,10 @@ class Lattice:
         return self._inv
 
     def dual(self) -> "Lattice":
-        """Dual lattice, basis inv(B).T; volume is 1/volume."""
-        return make_lattice(self.inv().T, label=self.label + "*")
+        """Cached dual lattice, basis inv(B).T; volume is 1/volume."""
+        if self._dual is None:
+            self._dual = make_lattice(self.inv().T, label=self.label + "*")
+        return self._dual
 
     def scale(self, a: float) -> "Lattice":
         if a <= 0:
@@ -472,19 +477,22 @@ def contains(lat: Lattice, x, tol: float = 1e-6) -> bool:
 
 
 def enumerate_ball(lat: Lattice, center, radius: float,
-                   point_cap: int = DEFAULT_POINT_CAP) -> tuple:
+                   point_cap: int = DEFAULT_POINT_CAP, coeffs: bool = True) -> tuple:
     """All lattice points with ||B u - center|| <= radius.
 
     Returns (U, d2): integer coefficients, one point per row, plus squared
     distances to the center.  Level-by-level expansion over the triangular
-    factor, vectorized over the surviving prefixes.
+    factor, vectorized over the surviving prefixes.  With coeffs=False, U
+    is None and the per-level coefficient gathers are skipped; d2 is the
+    same array either way.
     """
     center = np.asarray(center, dtype=float)
     n = lat.n
     if center.shape != (n,):
         raise DimensionMismatch(f"center has shape {center.shape}, lattice dim {n}")
+    empty = (np.empty((0, n), dtype=np.int64) if coeffs else None, np.empty(0))
     if radius < 0:
-        return np.empty((0, n), dtype=np.int64), np.empty(0)
+        return empty
     q, r = lat.qr()
     t = center @ q
     rad2 = radius * radius
@@ -502,7 +510,7 @@ def enumerate_ball(lat: Lattice, center, radius: float,
         cnt = np.maximum(hi - lo + 1, 0)
         total = int(cnt.sum())
         if total == 0:
-            return np.empty((0, n), dtype=np.int64), np.empty(0)
+            return empty
         if total > point_cap:
             raise BudgetExceeded(f"ball enumeration passed {point_cap} points")
         rows = np.repeat(np.arange(cnt.size), cnt)
@@ -514,10 +522,13 @@ def enumerate_ball(lat: Lattice, center, radius: float,
         rows = rows[keep]
         uk = uk[keep]
         d2 = nd[keep]
-        ucols = [col[rows] for col in ucols]
-        ucols.append(uk)
+        if coeffs:
+            ucols = [col[rows] for col in ucols]
+            ucols.append(uk)
         if k:
             tau = tau[rows][:, :k] - uk[:, None] * r[:k, k][None, :]
+    if not coeffs:
+        return None, d2
     u = np.stack(ucols[::-1], axis=1).astype(np.int64)
     return u, d2
 

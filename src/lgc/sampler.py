@@ -18,7 +18,6 @@ DiscreteGaussianSpec records the total as its deficit (< 1e-12).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -89,9 +88,6 @@ class DiscreteGaussianSpec:
             "truncation_radius": self.truncation_radius,
             "deficit": self.deficit,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict())
 
 
 # ---------------------------------------------------------------------------

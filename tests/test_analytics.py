@@ -112,6 +112,74 @@ def test_flatness_direct_dimension_guard():
         flatness_direct(Z8, 1.0, 4)
 
 
+# (gsnr, theta value, theta truncation bound, theta radius, epsilon), bit
+# for bit as computed before the sums were memoized and enumerated d2-only
+FLATNESS_PINNED = {
+    ("Z4", 0.45): ("0x1.9268151d00758p-1", "0x1.dec3326ee6534p+0",
+                   "0x1.271b94f7a879fp-58", "0x1.2000000000000p+2",
+                   "0x1.3debe03601143p-3"),
+    ("D4", 0.48): ("0x1.f42cfcb845fb6p-1", "0x1.512c210082ae1p+0",
+                   "0x1.9840465ca4bc7p-60", "0x1.3333333333333p+2",
+                   "0x1.071d64c2da1cfp-2"),
+    # gsnr < 1 with theta on the dual side: both sums share the dual balls
+    ("E8", 0.42): ("0x1.cdf2420879ff2p-1", "0x1.dab8baa90e036p+0",
+                   "0x1.4216f7655bb5bp-74", "0x1.2f26fb55900f6p+2",
+                   "0x1.d49b1141abb94p-3"),
+    ("A2", 0.5): ("0x1.1a47c7ee5a514p-1", "0x1.d43340c2a5e88p+0",
+                  "0x1.33dbfbce5e44bp-65", "0x1.4000000000000p+2",
+                  "0x1.10ef4d493a8d6p-7"),
+    ("lift", 1.0): ("0x1.9ab236b9cf789p-2", "0x1.3ccc74adf2c62p+5",
+                    "0x1.42610eb17db90p-62", "0x1.fd4bbab8b494cp+0",
+                    "0x1.93e26c0864837p-6"),
+}
+
+
+@pytest.mark.parametrize("name,sigma", list(FLATNESS_PINNED))
+def test_flatness_cached_matches_cold_and_pinned(fresh_lattice, name, sigma):
+    lat = fresh_lattice(name)
+    dual = lat.dual()
+    other = flatness(lat, 1.5 * sigma)
+    rep = flatness(lat, sigma)
+    assert flatness(lat, sigma) is rep
+    assert flatness(lat, 1.5 * sigma) is other
+    assert lat.dual() is dual
+    cold = flatness(fresh_lattice(name), sigma)
+    assert cold is not rep
+    assert cold.as_dict() == rep.as_dict()
+    got = (rep.gsnr, rep.theta.value, rep.theta.truncation_bound,
+           rep.theta.radius, rep.epsilon)
+    assert got == tuple(float.fromhex(v) for v in FLATNESS_PINNED[name, sigma])
+
+
+def test_flatness_budget_error_not_cached(fresh_lattice):
+    lat = fresh_lattice("E8")
+    for _ in range(2):
+        with pytest.raises(BudgetExceeded):
+            flatness(lat, 0.42, point_cap=1000)
+    eps = float.fromhex(FLATNESS_PINNED["E8", 0.42][4])
+    assert flatness(lat, 0.42).epsilon == eps
+
+
+_SIGMA_CALLS = {
+    "gsnr": gsnr,
+    "theta": theta,
+    "flatness": flatness,
+    "partition": lambda lat, s: partition_sandwich_check(lat, s, np.zeros(8)),
+    "moment": lambda lat, s: moment_check(lat, s, np.zeros(8)),
+    "entropy": lambda lat, s: entropy_check(lat, s, np.zeros(8)),
+    "entropy_deviation": lambda lat, s: entropy_deviation(lat, s, np.zeros(8)),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0])
+@pytest.mark.parametrize("call", list(_SIGMA_CALLS))
+def test_nonfinite_sigma_rejected(fresh_lattice, call, bad):
+    lat = fresh_lattice("E8")
+    with pytest.raises(NonpositiveSigma, match="must be finite and positive"):
+        _SIGMA_CALLS[call](lat, bad)
+    assert lat._flatness == {}
+
+
 def test_gsnr():
     assert abs(gsnr(Z1, 1.0) - 1.0 / (2 * math.pi)) < 1e-15
     assert abs(gsnr(standard_lattice("Dn", 4).scale(2.0), 0.5)

@@ -331,6 +331,31 @@ def test_run_size_flags_validated(tmp_path, capsys, monkeypatch, flags, env,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,body,message", [
+    ("sandwich", "lattice = Zn:2\nsigma0 = nan\nsigma = 1.0\n",
+     "key 'sigma0' must be finite, got 'nan'"),
+    ("sandwich", "lattice = Zn:2\nsigma0 = inf\nsigma = 1.0\n",
+     "key 'sigma0' must be finite, got 'inf'"),
+    ("flatness", "lattice = E8\nsigma = nan\n",
+     "key 'sigma' must be finite, got 'nan'"),
+    ("flatness", "lattice = E8\nsweep_axis = sigma\nsweep_grid = 0.5, -inf\n",
+     "sweep_grid must be finite, got '-inf'"),
+    ("sample", "lattice = Zn:2\nsigma0 = 1.0\nshift = 0.1, nan\n",
+     "key 'shift' must be finite, got 'nan'"),
+    ("simulate", "lattice = Zn:2\nsigma0 = 2.0\nsigma = 1.0\nvolume = inf\n",
+     "volume must be finite, got 'inf'"),
+    ("simulate", "lattice = Zn:2\nsigma0 = 2.0\nsigma = 1.0\nvolume = abc\n",
+     "volume must be a number, got 'abc'"),
+])
+def test_nonfinite_config_floats_rejected(tmp_path, capsys, command, body,
+                                          message):
+    cfg = _write_config(tmp_path, body)
+    out = tmp_path / "x.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config: {message}\n"
+    assert not out.exists()
+
+
 def test_command_mismatch_rejected(tmp_path):
     cfg = _write_config(tmp_path, "command = rate\nsigma = 1.0\nlattice = Zn:2\n")
     assert main(["flatness", "--config", cfg]) == 2

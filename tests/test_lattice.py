@@ -300,6 +300,32 @@ def test_enumerate_ball_boundary_inclusive():
     assert u.shape[0] == 5
 
 
+@pytest.mark.parametrize("name", ["Z4", "D4", "E8", "A2", "lift"])
+def test_enumerate_ball_d2_only_matches_coeff_mode(fresh_lattice, name):
+    lat = fresh_lattice(name)
+    center = np.random.default_rng(11).uniform(-1.0, 1.0, lat.n) @ lat.basis.T
+    for radius in (-1.0, 1e-3, 1.7, 3.1):
+        u, d2 = enumerate_ball(lat, center, radius)
+        none, d2_only = enumerate_ball(lat, center, radius, coeffs=False)
+        assert none is None
+        assert d2_only.dtype == d2.dtype
+        assert d2_only.tobytes() == d2.tobytes()
+    assert u.shape[0] > 20
+    # smallest cap the coefficient mode accepts; d2-only mode has the same
+    lo, hi = 0, u.shape[0] * 1000
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            enumerate_ball(lat, center, radius, point_cap=mid)
+            hi = mid
+        except BudgetExceeded:
+            lo = mid
+    with pytest.raises(BudgetExceeded):
+        enumerate_ball(lat, center, radius, point_cap=lo, coeffs=False)
+    _, d2_only = enumerate_ball(lat, center, radius, point_cap=hi, coeffs=False)
+    assert d2_only.tobytes() == d2.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
