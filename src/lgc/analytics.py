@@ -426,6 +426,17 @@ def moment_check(lat: Lattice, sigma0: float, c,
     return MomentCheck(second_moment=float(mom), bound=bound, passed=passed)
 
 
+def _entropy_args(lat: Lattice, sigma0: float, c) -> np.ndarray:
+    """The shift as an array, after the checks both entropy functions make."""
+    c = np.asarray(c, dtype=float)
+    if c.shape != (lat.n,):
+        raise DimensionMismatch(f"shift has shape {c.shape}, lattice dim {lat.n}")
+    _check_positive("sigma0", sigma0)
+    if lat.n > 8:
+        raise DimensionTooLarge(f"entropy check limited to n <= 8, got {lat.n}")
+    return c
+
+
 def entropy_check(lat: Lattice, sigma0: float, c,
                   point_cap: int = DEFAULT_POINT_CAP) -> EntropyReport:
     """Entropy rate of D_{L-c,sigma0} with its continuous-Gaussian reference.
@@ -435,12 +446,7 @@ def entropy_check(lat: Lattice, sigma0: float, c,
     report fields are float64; use entropy_deviation for the full-precision
     gap, which at large sigma0 lies below one ulp of the fields.
     """
-    c = np.asarray(c, dtype=float)
-    if c.shape != (lat.n,):
-        raise DimensionMismatch(f"shift has shape {c.shape}, lattice dim {lat.n}")
-    _check_positive("sigma0", sigma0)
-    if lat.n > 8:
-        raise DimensionTooLarge(f"entropy check limited to n <= 8, got {lat.n}")
+    c = _entropy_args(lat, sigma0, c)
     eps = _require_small_eps(lat, sigma0, point_cap)
     n = lat.n
     eps_prime = -math.log1p(-eps) / n + math.pi * eps / (n * (1.0 - eps))
@@ -454,8 +460,7 @@ def entropy_check(lat: Lattice, sigma0: float, c,
 def entropy_deviation(lat: Lattice, sigma0: float, c,
                       point_cap: int = DEFAULT_POINT_CAP) -> float:
     """|entropy_rate - reference| computed before any float64 rounding."""
-    _check_positive("sigma0", sigma0)
-    c = np.asarray(c, dtype=float)
+    c = _entropy_args(lat, sigma0, c)
     _, ent = _support_stats(lat, sigma0, c, point_cap)
     n = lat.n
     with mp.workdps(_MP_DPS):

@@ -364,6 +364,22 @@ _RUNNERS = {
 }
 
 
+def _write_atomic(path: str, write) -> None:
+    """Run write(fh) on a temp file beside path, then move it onto path.
+
+    A failure part-way leaves path as it was and removes the temp file.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def main(argv=None) -> int:
     parser = _Parser(prog="lgc", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -401,10 +417,8 @@ def main(argv=None) -> int:
         out = args.out or raw.get("out") or f"{args.command}.csv"
         header, rows, extra = _RUNNERS[args.command](raw, seed, trials,
                                                      threads)
-        with open(out, "w") as fh:
-            fh.write(header + "\n")
-            for row in rows:
-                fh.write(row + "\n")
+        _write_atomic(out, lambda fh: fh.writelines(
+            line + "\n" for line in (header, *rows)))
         manifest = {
             "command": args.command,
             "version": __version__,
@@ -417,9 +431,8 @@ def main(argv=None) -> int:
             "wall_time_s": time.time() - t_start,
         }
         manifest.update(extra)
-        with open(out + ".manifest.json", "w") as fh:
-            json.dump(manifest, fh, indent=2, default=str)
-            fh.write("\n")
+        _write_atomic(out + ".manifest.json", lambda fh: fh.write(
+            json.dumps(manifest, indent=2, default=str) + "\n"))
     except (ConfigError, MultipleAxes) as exc:
         print(f"config: {exc}", file=sys.stderr)
         return 2

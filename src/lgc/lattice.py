@@ -8,10 +8,13 @@ whose decode_batch runs the closest-point algorithms of Conway & Sloane
 ("Fast quantizing and decoding algorithms for lattice quantizers and
 codes", IEEE Trans. IT 1982) over a whole batch.  The batch decoder
 accepts a structured answer only when every decision margin clears a guard
-at least 1000 times wider than the search's tie band; other rows, and every row of
-an untagged basis, go through Babai's nearest-plane rounding, whose
-half-minimum-distance certificate either proves the answer or sends the
-row to the exact search.
+at least 1000 times wider than the search's tie band; other rows go through
+Babai's nearest-plane rounding, whose half-minimum-distance certificate
+either proves the answer or sends the row to the exact search.  An untagged
+basis is decoded on its cached LLL reduction (Lenstra, Lenstra & Lovasz
+1982): Babai and the exact search run on the reduced basis, where the
+certificate is stronger and the search visits fewer nodes, and the
+unimodular transform maps the coefficients back to the caller's basis.
 """
 
 from __future__ import annotations
@@ -32,6 +35,8 @@ from .errors import (
 
 DEFAULT_NODE_CAP = 10**8
 DEFAULT_POINT_CAP = 20_000_000
+# Lovasz condition parameter of the decoder's basis reduction
+_LLL_DELTA = 0.99
 # rows per structured decode call: keeps its temporaries in cache
 _DECODE_CHUNK = 4096
 
@@ -154,6 +159,7 @@ class Lattice:
     _inv: np.ndarray | None = field(default=None, repr=False)
     _cols: tuple | None = field(default=None, repr=False)
     _dual: Lattice | None = field(default=None, repr=False)
+    _reduced: tuple | None = field(default=None, repr=False)
     # analytics.flatness reports, keyed by (float(sigma), point_cap)
     _flatness: dict = field(default_factory=dict, repr=False)
 
@@ -191,6 +197,28 @@ class Lattice:
             self._dual = make_lattice(self.inv().T, label=self.label + "*")
         return self._dual
 
+    def reduced(self) -> tuple:
+        """Cached (reduced lattice, T): the same lattice on the LLL basis B @ T.
+
+        T is an int64 unimodular matrix, so u = T @ u_red maps reduced
+        coefficients to this basis.  The reduced lattice's lambda1 is the
+        largest of the certified bounds sigma_min(B), sigma_min(B T),
+        min_k |r_kk| of B T, and this lattice's own lambda1 when set; this
+        lattice's lambda1 is left as it is.
+        """
+        if self._reduced is None:
+            t = _lll(self.basis)
+            red = Lattice(self.basis @ t, label=self.label + "~")
+            _, r = red.qr()
+            bounds = [float(np.linalg.svd(b, compute_uv=False)[-1])
+                      for b in (self.basis, red.basis)]
+            bounds.append(float(np.min(np.diag(r))))
+            if self.lambda1 is not None:
+                bounds.append(self.lambda1)
+            red.lambda1 = max(bounds)
+            self._reduced = (red, t)
+        return self._reduced
+
     def scale(self, a: float) -> "Lattice":
         if a <= 0:
             raise SingularBasis("scale factor must be positive")
@@ -216,6 +244,32 @@ class Lattice:
             cols = tuple(tuple(float(r[i, k]) for i in range(k)) for k in range(n))
             self._cols = (diag, cols)
         return self._cols
+
+
+def _lll(basis: np.ndarray) -> np.ndarray:
+    """Unimodular int64 T such that the columns of basis @ T are LLL-reduced.
+
+    Textbook size reduction and Lovasz swaps over the triangular factor of
+    basis @ T, which is QR-factored afresh from the exact integer T at every
+    step, so no rounding accumulates in the basis.
+    """
+    n = basis.shape[1]
+    t = np.eye(n, dtype=np.int64)
+    k = 1
+    while k < n:
+        r = np.linalg.qr(basis @ t, mode="r")
+        for j in range(k - 1, -1, -1):
+            q = round(r[j, k] / r[j, j])
+            if q:
+                t[:, k] -= q * t[:, j]
+                r[:j + 1, k] -= q * r[:j + 1, j]
+        mu = r[k - 1, k] / r[k - 1, k - 1]
+        if r[k, k] ** 2 >= (_LLL_DELTA - mu * mu) * r[k - 1, k - 1] ** 2:
+            k += 1
+        else:
+            t[:, [k - 1, k]] = t[:, [k, k - 1]]
+            k = max(k - 1, 1)
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -392,12 +446,16 @@ def closest_points_batch(lat: Lattice, ys: np.ndarray,
 
     A structured lattice decodes every row with its exact Conway-Sloane
     decoder and maps the points to coefficients in its own basis.  Rows
-    whose decision margin falls inside the tie guard, and all rows of an
-    untagged basis, take Babai's nearest-plane rounding: rows whose residual
-    is inside half the minimum distance are provably optimal, the rest
-    rerun through the exact search.  Output matches closest_point row by
-    row, ties included: every accepted row has a unique nearest point, and
-    the exact search resolves the rest lexicographically.
+    whose decision margin falls inside the tie guard take Babai's
+    nearest-plane rounding: rows whose residual is inside half the minimum
+    distance are provably optimal, the rest rerun through the exact search.
+    An untagged basis takes the same two steps on its LLL reduction
+    (Lattice.reduced), and its coefficients come back through the
+    unimodular transform; a searched row whose reduced search finds a
+    second candidate inside the tie guard is searched again in the caller's
+    basis.  Output matches closest_point row by row, ties included: every
+    accepted row has a unique nearest point, and the exact search in the
+    caller's basis resolves the rest lexicographically.
     """
     ys = np.asarray(ys, dtype=float)
     m, n = ys.shape
@@ -406,7 +464,7 @@ def closest_points_batch(lat: Lattice, ys: np.ndarray,
     if not np.all(np.isfinite(ys)):
         raise DimensionMismatch("point must be finite")
     if lat.structure is None:
-        return _babai_exact(lat, ys, node_cap)
+        return _reduced_exact(lat, ys, node_cap)
     u = np.empty((m, n), dtype=np.int64)
     ok = np.empty(m, dtype=bool)
     to_coeffs = lat.inv().T
@@ -420,8 +478,13 @@ def closest_points_batch(lat: Lattice, ys: np.ndarray,
     return u
 
 
-def _babai_exact(lat: Lattice, ys: np.ndarray, node_cap: int) -> np.ndarray:
-    """Babai rounding, certified by half the minimum distance or searched."""
+def _babai(lat: Lattice, ys: np.ndarray) -> tuple:
+    """(tmat, u, hard) for the rows of ys on lat.
+
+    tmat holds the rows in lat's QR frame, u Babai's nearest-plane
+    coefficients, and hard the rows whose residual is not certified inside
+    half the minimum distance.
+    """
     q, r = lat.qr()
     tmat = ys @ q
     s = tmat.copy()
@@ -435,12 +498,45 @@ def _babai_exact(lat: Lattice, ys: np.ndarray, node_cap: int) -> np.ndarray:
     resid = tmat - u @ r.T
     d2 = np.einsum("ij,ij->i", resid, resid)
     half = 0.5 * lat.lambda1_lb()
-    hard = np.nonzero(d2 >= (half * half) * (1.0 - 1e-9))[0]
+    return tmat, u, np.nonzero(d2 >= (half * half) * (1.0 - 1e-9))[0]
+
+
+def _babai_exact(lat: Lattice, ys: np.ndarray, node_cap: int) -> np.ndarray:
+    """Babai rounding, certified by half the minimum distance or searched."""
+    tmat, u, hard = _babai(lat, ys)
     if hard.size:
         diag, cols = lat._dfs_tabs()
         for i in hard:
             ties, _, _ = _enum_nearest(diag, cols, tmat[i].tolist(), node_cap)
             u[i] = ties[0][0]
+    return u
+
+
+def _reduced_exact(lat: Lattice, ys: np.ndarray, node_cap: int) -> np.ndarray:
+    """_babai_exact on lat's LLL reduction, coefficients in lat's basis.
+
+    A searched row keeps the reduced search's answer only when no other
+    candidate lies inside a band of _GUARD_REL * (1 + |y|^2) * (1 + best),
+    no narrower than the structured decoders' guard, so that its nearest
+    point is unique; otherwise closest_point searches it again in lat's
+    basis and breaks the tie lexicographically in lat's coefficients.
+    """
+    red, t = lat.reduced()
+    tmat, u_red, hard = _babai(red, ys)
+    retry = []
+    if hard.size:
+        diag, cols = red._dfs_tabs()
+        th = tmat[hard]
+        bands = _GUARD_REL * (1.0 + np.einsum("ij,ij->i", th, th))
+        for i, row, band in zip(hard.tolist(), th.tolist(), bands.tolist()):
+            ties, _, _ = _enum_nearest(diag, cols, row, node_cap, tie_rel=band)
+            if len(ties) == 1:
+                u_red[i] = ties[0][0]
+            else:
+                retry.append(i)
+    u = u_red @ t.T
+    for i in retry:
+        u[i] = closest_point(lat, ys[i], node_cap).coeffs
     return u
 
 

@@ -54,6 +54,8 @@ from .sampler import (
 
 Z95 = 1.959963984540054
 BLOCK = 1 << 14
+# table rows scored per step of the exhaustive MAP decoder
+_TABLE_CHUNK = 262144
 CSV_HEADER = ("lattice,label,n,sigma0,sigma,alpha,sigma_tilde,V,mu,"
               "trials,errors,p_hat,ci_low,ci_high,seed")
 
@@ -161,32 +163,31 @@ def map_decode(spec: DiscreteGaussianSpec, params: GaussianParams, y,
 
 
 def _map_table(spec, params, y):
+    """Exhaustive posterior argmax over the table, lowest index among ties.
+
+    One scoring pass keeps every index at or above the running tie floor
+    best - 1e-12 * (1 + |best|).  The floor only rises as best rises, so
+    the indices inside the final band are all among the kept ones.
+    """
     lat = spec.lattice
     c = spec.shift
     two_ssq = 2.0 * params.sigma * params.sigma
     logp = np.log(spec.table_probs)
     best = -math.inf
-    best_idx = -1
-    m = spec.table_coeffs.shape[0]
-    for lo in range(0, m, 262144):
-        emb = spec.table_coeffs[lo:lo + 262144] @ lat.basis.T - c
+    idx = np.empty(0, dtype=np.int64)
+    vals = np.empty(0)
+    for lo in range(0, spec.table_coeffs.shape[0], _TABLE_CHUNK):
+        emb = spec.table_coeffs[lo:lo + _TABLE_CHUNK] @ lat.basis.T - c
         diff = emb - y
-        score = logp[lo:lo + 262144] - np.einsum("ij,ij->i", diff, diff) / two_ssq
-        j = int(np.argmax(score))
-        if score[j] > best:
-            best = float(score[j])
-            best_idx = lo + j
-    # gather ties in a second pass and keep the lexicographically first
-    band = 1e-12 * (1.0 + abs(best))
-    pick = best_idx
-    for lo in range(0, m, 262144):
-        emb = spec.table_coeffs[lo:lo + 262144] @ lat.basis.T - c
-        diff = emb - y
-        score = logp[lo:lo + 262144] - np.einsum("ij,ij->i", diff, diff) / two_ssq
-        for j in np.nonzero(score >= best - band)[0]:
-            if lo + j < pick:
-                pick = lo + int(j)
-    coeffs = spec.table_coeffs[pick].astype(np.int64)
+        score = (logp[lo:lo + _TABLE_CHUNK]
+                 - np.einsum("ij,ij->i", diff, diff) / two_ssq)
+        best = max(best, float(score.max()))
+        floor = best - 1e-12 * (1.0 + abs(best))
+        keep = vals >= floor
+        new = np.nonzero(score >= floor)[0]
+        idx = np.concatenate([idx[keep], lo + new])
+        vals = np.concatenate([vals[keep], score[new]])
+    coeffs = spec.table_coeffs[int(idx.min())].astype(np.int64)
     return LatticePoint(coeffs, lat.basis @ coeffs.astype(float) - c)
 
 
@@ -296,6 +297,14 @@ def _run_blocks(fn, plan, threads: int) -> int:
         return sum(pool.map(lambda bm: fn(*bm), plan))
 
 
+def _warm_decoder(lat: Lattice) -> None:
+    """Build the batch decoder's lazy caches before any worker thread reads them."""
+    lat.qr()
+    lat._dfs_tabs()
+    if lat.structure is None:
+        lat.reduced()[0]._dfs_tabs()
+
+
 def simulate_error(lat: Lattice, c, params: GaussianParams, trials: int,
                    seed: RngSeed, threads: int = 1, label: str = "",
                    spec: DiscreteGaussianSpec | None = None) -> SimResult:
@@ -305,8 +314,7 @@ def simulate_error(lat: Lattice, c, params: GaussianParams, trials: int,
     c = np.asarray(c, dtype=float)
     if spec is None:
         spec = build_spec(lat, params.sigma0, c)
-    lat.qr()
-    lat._dfs_tabs()
+    _warm_decoder(lat)
     basis_t = lat.basis.T.copy()
 
     def run(b: int, m: int) -> int:
@@ -333,8 +341,7 @@ def simulate_poltyrev(lat: Lattice, noise_sigma: float, trials: int,
         raise NonpositiveSigma(f"noise deviation must be positive, got {noise_sigma}")
     if trials < 1:
         raise DimensionMismatch(f"trials must be >= 1, got {trials}")
-    lat.qr()
-    lat._dfs_tabs()
+    _warm_decoder(lat)
 
     def run(b: int, m: int) -> int:
         rng_w = stream(seed, 2 * b + 1)

@@ -237,6 +237,14 @@ def test_moment_check_dimension_guard():
         moment_check(standard_lattice("Zn", 9), 2.0, np.zeros(9))
 
 
+@pytest.mark.parametrize("fn", [entropy_check, entropy_deviation])
+def test_entropy_input_guards(fn):
+    with pytest.raises(DimensionMismatch, match="shift has shape"):
+        fn(standard_lattice("Zn", 4), 2.0, np.zeros(3))
+    with pytest.raises(DimensionTooLarge, match="n <= 8"):
+        fn(standard_lattice("Zn", 9), 2.0, np.zeros(9))
+
+
 # ---------------------------------------------------------------------------
 # densities
 # ---------------------------------------------------------------------------

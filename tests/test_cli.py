@@ -388,6 +388,53 @@ def test_unwritable_output_is_exit_3(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("run: ")
 
 
+class _FailingRow(str):
+    """A CSV row whose write fails part-way through the file."""
+
+    def __add__(self, other):
+        raise OSError("disk full")
+
+
+@pytest.mark.parametrize("fail_at", ["csv", "manifest"])
+def test_failed_write_leaves_no_partial_files(tmp_path, capsys, monkeypatch,
+                                               fail_at):
+    import lgc.cli as cli_mod
+
+    cfg = _write_config(tmp_path, """
+        n = 4
+        sweep_axis = mu
+        sweep_grid = 1, 2, 4
+    """)
+    out = tmp_path / "e.csv"
+    manifest = tmp_path / "e.csv.manifest.json"
+    out.write_text("old\n")
+    manifest.write_text("{}\n")
+    if fail_at == "csv":
+        real = cli_mod._RUNNERS["exponent"]
+
+        def runner(*args):
+            header, rows, extra = real(*args)
+            return header, rows[:2] + [_FailingRow(rows[2])], extra
+
+        monkeypatch.setitem(cli_mod._RUNNERS, "exponent", runner)
+    else:
+        def dumps(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli_mod.json, "dumps", dumps)
+    rc = main(["exponent", "--config", cfg, "--out", str(out)])
+    assert rc == 3
+    assert capsys.readouterr().err == "run: OSError: disk full\n"
+    assert manifest.read_text() == "{}\n"
+    if fail_at == "csv":
+        assert out.read_text() == "old\n"
+    else:
+        header, rows = _rows(out)
+        assert header == EXPONENT_HEADER and len(rows) == 3
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "e.csv", "e.csv.manifest.json", "run.cfg"]
+
+
 def test_module_entry_point(tmp_path):
     cfg = _write_config(tmp_path, "mu = 2.0\nn = 8\n")
     out = tmp_path / "e.csv"

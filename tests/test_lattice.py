@@ -13,6 +13,8 @@ from lgc.errors import (
     SingularBasis,
     UnknownName,
 )
+from lgc.analytics import flatness
+from lgc.construction_a import lift, random_code
 import lgc.lattice as lattice_mod
 from lgc.lattice import (
     DEFAULT_NODE_CAP,
@@ -29,6 +31,7 @@ from lgc.lattice import (
     save_basis,
     standard_lattice,
 )
+from lgc.rng import RngSeed
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +220,99 @@ def test_batch_exact_ties_take_fallback(name, n, y):
     assert len(nearest) > 1
     assert tuple(got) == nearest[0]
     assert np.array_equal(got, closest_point(lat, y).coeffs)
+
+
+def _skewed6():
+    """A random 6-D basis multiplied by a random unimodular matrix."""
+    rng = np.random.default_rng(606)
+    g = rng.normal(size=(6, 6))
+    u = np.eye(6, dtype=np.int64)
+    for _ in range(24):
+        i, j = rng.choice(6, 2, replace=False)
+        u[:, i] += rng.integers(-2, 3) * u[:, j]
+    return make_lattice(g @ u, label="skew6")
+
+
+_SQRT3 = math.sqrt(3.0)
+_UNTAGGED = {
+    # the benchmark's lift: sample 0 of the p=7, n=8, k=4 ensemble at gsnr 0.7
+    "lift-7-8-4": (lambda: lift(random_code(7, 8, 4, RngSeed(2025, 0)),
+                                math.sqrt(0.7 * 2.0 * math.pi / 7.0)), []),
+    "lift-11-6-3": (lambda: lift(random_code(11, 6, 3, RngSeed(77, 0)), 0.5),
+                    []),
+    # A2's deep holes are equidistant from three lattice points
+    "A2": (lambda: standard_lattice("A2"),
+           [[0.5, _SQRT3 / 6.0], [1.0, _SQRT3 / 3.0]]),
+    "skew6": (_skewed6, []),
+}
+
+
+def _minimal_vectors(lat):
+    red, _ = lat.reduced()
+    reach = float(np.min(np.linalg.norm(red.basis, axis=0)))
+    u, d2 = enumerate_ball(lat, np.zeros(lat.n), reach * (1 + 1e-9))
+    nonzero = d2 > 0
+    u, d2 = u[nonzero], d2[nonzero]
+    return u[d2 <= d2.min() * (1 + 1e-9)] @ lat.basis.T, math.sqrt(d2.min())
+
+
+@pytest.mark.parametrize("name", list(_UNTAGGED))
+def test_reduced_basis_is_lll_and_certified(name):
+    build, _ = _UNTAGGED[name]
+    lat = build()
+    red, t = lat.reduced()
+    assert lat.reduced()[0] is red
+    assert t.dtype == np.int64 and round(abs(np.linalg.det(t))) == 1
+    assert np.array_equal(red.basis, lat.basis @ t)
+    _, r = red.qr()
+    n = lat.n
+    for k in range(1, n):
+        mu = r[:k, k] / np.diag(r)[:k]
+        assert np.all(np.abs(mu) <= 0.5 + 1e-9)
+        lovasz = (0.99 - mu[k - 1] ** 2) * r[k - 1, k - 1] ** 2
+        assert r[k, k] ** 2 >= lovasz * (1 - 1e-9)
+    _, lam = _minimal_vectors(build())
+    assert red.lambda1 <= lam * (1 + 1e-12)
+    assert red.lambda1 >= build().lambda1_lb()
+
+
+@pytest.mark.parametrize("name", list(_UNTAGGED))
+def test_untagged_batch_matches_closest_point(name, monkeypatch):
+    """Reduced-basis decoding equals closest_point row by row, ties included,
+    and leaves the lattice's own lambda1 and flatness untouched."""
+    build, holes = _UNTAGGED[name]
+    lat = build()
+    lam_before = lat.lambda1
+    rng = np.random.default_rng(2718)
+    mins, _ = _minimal_vectors(build())
+    offsets = np.concatenate([0.5 * mins, np.array(holes).reshape(-1, lat.n)])
+    k = 2000
+    base = rng.integers(-3, 4, size=(k, lat.n)) @ lat.basis.T
+    size = 10.0 ** rng.uniform(-16.0, -4.0, size=(k, 1))
+    size[: k // 4] = 0.0  # exact ties
+    faces = (base + offsets[rng.integers(len(offsets), size=k)]
+             + size * rng.normal(size=(k, lat.n)))
+    spread = 3.0 * lat.volume ** (1.0 / lat.n) * rng.normal(size=(10_000, lat.n))
+    ys = np.concatenate([faces, spread])
+
+    researched = []
+
+    def counting(*args, **kwargs):
+        researched.append(1)
+        return closest_point(*args, **kwargs)
+
+    monkeypatch.setattr(lattice_mod, "closest_point", counting)
+    got = closest_points_batch(lat, ys)
+    want = np.array([closest_point(lat, y).coeffs for y in ys])
+    assert np.array_equal(got, want)
+    assert researched  # the exact ties took the caller's-basis search
+    assert lat.lambda1 == lam_before
+
+    sigma = math.sqrt(lat.volume ** (2.0 / lat.n) / (2.0 * math.pi * 0.7))
+    decoded = flatness(lat, sigma)
+    cold = flatness(build(), sigma)
+    assert repr(decoded.as_dict()) == repr(cold.as_dict())
+    assert lat.lambda1_lb() == build().lambda1_lb()
 
 
 def test_cvp_tie_lexicographic():

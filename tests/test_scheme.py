@@ -14,6 +14,7 @@ from lgc.errors import (
 )
 from lgc.lattice import closest_point, standard_lattice
 from lgc.rng import RngSeed
+import lgc.scheme as scheme_mod
 from lgc.sampler import build_spec
 from lgc.scheme import (
     BLOCK,
@@ -134,6 +135,29 @@ def test_branch_and_bound_matches_table_map(shift):
             assert abs(float(da @ da) - float(db @ db)) < tie_gap
 
 
+@pytest.mark.parametrize("chunk", [None, 1, 3])
+def test_map_table_forced_tie_takes_lowest_index(chunk, monkeypatch):
+    # D_{Z-1/2} is symmetric: at y = 0 the points -1/2 (k = 0) and 1/2
+    # (k = 1) have equal posteriors, and the lower table index wins
+    if chunk is not None:
+        monkeypatch.setattr(scheme_mod, "_TABLE_CHUNK", chunk)
+    spec = build_spec(Z1, 1.0, np.array([0.5]))
+    assert spec.backend == "table"
+    got = map_decode(spec, make_params(1.0, 1.0), np.zeros(1))
+    assert got.coeffs.tolist() == [0]
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_map_table_chunking_does_not_change_output(chunk, monkeypatch):
+    p = make_params(1.5, 1.0)
+    spec = build_spec(Z2, 1.5, np.full(2, 0.5))
+    ys = [np.zeros(2), np.array([0.0, 0.7]), *(2.0 * np.random.default_rng(3)
+                                               .standard_normal((40, 2)))]
+    whole = [map_decode(spec, p, y).coeffs.tolist() for y in ys]
+    monkeypatch.setattr(scheme_mod, "_TABLE_CHUNK", chunk)
+    assert [map_decode(spec, p, y).coeffs.tolist() for y in ys] == whole
+
+
 def test_map_rejects_bad_shape():
     p = make_params(1.5, 1.0)
     spec = build_spec(Z2, 1.5, np.zeros(2))
@@ -215,6 +239,16 @@ def test_threads_do_not_change_counts():
     pb = simulate_poltyrev(D4, 0.5, 2 * BLOCK + 7, RngSeed(10, 1))
     pm = simulate_poltyrev(D4, 0.5, 2 * BLOCK + 7, RngSeed(10, 1), threads=3)
     assert pb.errors == pm.errors
+
+
+def test_threads_do_not_change_counts_on_lift(fresh_lattice):
+    lat = fresh_lattice("lift")
+    noise = math.sqrt(lat.volume ** (2.0 / lat.n) / (2.0 * math.pi * math.e * 2.0))
+    one = simulate_poltyrev(lat, noise, 2 * BLOCK + 7, RngSeed(12, 1))
+    assert lat._reduced is not None  # built before any worker thread
+    two = simulate_poltyrev(fresh_lattice("lift"), noise, 2 * BLOCK + 7,
+                            RngSeed(12, 1), threads=2)
+    assert one.errors == two.errors > 0
 
 
 def test_sim_result_csv():
