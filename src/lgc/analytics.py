@@ -49,9 +49,6 @@ class ThetaValue:
     truncation_bound: float
     radius: float
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class FlatnessReport:
@@ -353,12 +350,6 @@ def _axis_sums(d: float, ci: float, sigma0: float) -> tuple:
         return z, mean_sq, entropy
 
 
-def _diag_axes(lat: Lattice) -> np.ndarray | None:
-    if isinstance(lat.structure, Diag):
-        return lat.structure.steps
-    return None
-
-
 def _support_stats(lat: Lattice, sigma0: float, c: np.ndarray,
                    point_cap: int) -> tuple:
     """(E|x-c|^2, entropy) for the discrete Gaussian on L - c.
@@ -367,8 +358,8 @@ def _support_stats(lat: Lattice, sigma0: float, c: np.ndarray,
     bases enumerate the truncated support directly in float64.
     """
     n = lat.n
-    axes = _diag_axes(lat)
-    if axes is not None:
+    if isinstance(lat.structure, Diag):
+        axes = lat.structure.steps
         mom = mp.mpf(0)
         ent = mp.mpf(0)
         with mp.workdps(_MP_DPS):

@@ -31,7 +31,7 @@ from .errors import ConfigError, LgcError, MultipleAxes
 from .analytics import flatness
 from .lattice import load_basis, standard_lattice
 from .rng import RngSeed
-from .sampler import build_spec, sample
+from .sampler import build_spec, sample, sample_csv
 from .scheme import (
     CSV_HEADER,
     design_volume,
@@ -41,7 +41,7 @@ from .scheme import (
     sandwich_check,
     simulate_error,
 )
-from .construction_a import ENSEMBLE_CSV_HEADER, ensemble_search
+from .construction_a import ensemble_csv, ensemble_search
 
 COMMANDS = ("flatness", "sample", "simulate", "sandwich", "exponent",
             "rate", "ensemble")
@@ -283,23 +283,15 @@ def _run_sample(raw, seed, trials, threads):
         raise ConfigError("sample needs 'sigma0'")
     shift = _parse_shift(raw, lat.n)
     spec = build_spec(lat, sigma0, shift)
-    pts = sample(spec, seed, trials)
-    header = ",".join([f"coeffs{i}" for i in range(lat.n)]
-                      + [f"embedding{i}" for i in range(lat.n)])
-    rows = []
-    for pt in pts:
-        rows.append(",".join([str(int(v)) for v in pt.coeffs]
-                             + [repr(float(v)) for v in pt.embedding]))
+    header, rows = sample_csv(sample(spec, seed, trials))
     return header, rows, {"spec": spec.as_dict()}
 
 
-def _run_simulate(raw, seed, trials, threads):
-    axis, grid = _parse_sweep(raw, "simulate")
-    label = raw.get("label", "")
-    points = grid if axis else [None]
-    rows = []
-    for v in points:
-        over = {axis: v} if axis and axis in ("sigma0", "sigma", "snr") else {}
+def _sweep_points(raw: dict, command: str):
+    """Yield (lattice, shift, params) for each sweep point of simulate/sandwich."""
+    axis, grid = _parse_sweep(raw, command)
+    for v in grid if axis else [None]:
+        over = {axis: v} if axis in ("sigma0", "sigma", "snr") else {}
         sigma0, sigma = _params_for(raw, over)
         params = make_params(sigma0, sigma)
         vol = v if axis == "V" else raw.get("volume")
@@ -307,27 +299,21 @@ def _run_simulate(raw, seed, trials, threads):
                                 _as_float(raw, "eps_dprime", default=0.05,
                                           nonnegative=True),
                                 params.sigma_tilde)
-        shift = _parse_shift(raw, lat.n)
-        res = simulate_error(lat, shift, params, trials, seed, threads, label)
-        rows.append(res.csv_row())
+        yield lat, _parse_shift(raw, lat.n), params
+
+
+def _run_simulate(raw, seed, trials, threads):
+    label = raw.get("label", "")
+    rows = [simulate_error(lat, shift, params, trials, seed, threads,
+                           label).csv_row()
+            for lat, shift, params in _sweep_points(raw, "simulate")]
     return CSV_HEADER, rows, {}
 
 
 def _run_sandwich(raw, seed, trials, threads):
-    axis, grid = _parse_sweep(raw, "sandwich")
-    points = grid if axis else [None]
     rows = []
     summaries = []
-    for v in points:
-        over = {axis: v} if axis and axis in ("sigma0", "sigma", "snr") else {}
-        sigma0, sigma = _params_for(raw, over)
-        params = make_params(sigma0, sigma)
-        vol = v if axis == "V" else raw.get("volume")
-        lat = _scaled_to_volume(resolve_lattice(raw.get("lattice", "")), vol,
-                                _as_float(raw, "eps_dprime", default=0.05,
-                                          nonnegative=True),
-                                params.sigma_tilde)
-        shift = _parse_shift(raw, lat.n)
+    for lat, shift, params in _sweep_points(raw, "sandwich"):
         res = sandwich_check(lat, shift, params, trials, seed, threads)
         rows.extend([res.scheme.csv_row(), res.poltyrev.csv_row()])
         summaries.append({"ratio": res.ratio, "ratio_lo": res.ratio_lo,
@@ -348,9 +334,8 @@ def _run_ensemble(raw, seed, trials, threads):
     if None in (p, n, k, scale, sigma):
         raise ConfigError("ensemble needs p, n, k, scale, sigma")
     entries = ensemble_search(p, n, k, scale, sigma, samples, seed, delta)
-    rows = [f"{e.sample_index},{p},{n},{k},{scale!r},{e.report.gsnr!r},"
-            f"{e.report.epsilon!r},{e.bound!r}" for e in entries]
-    return ENSEMBLE_CSV_HEADER, rows, {}
+    header, rows = ensemble_csv(entries, scale)
+    return header, rows, {}
 
 
 _RUNNERS = {
@@ -364,19 +349,24 @@ _RUNNERS = {
 }
 
 
-def _write_atomic(path: str, write) -> None:
-    """Run write(fh) on a temp file beside path, then move it onto path.
+def _write_atomic(files: dict) -> None:
+    """Run write(fh) for each {path: write} on a temp file beside path.
 
-    A failure part-way leaves path as it was and removes the temp file.
+    Every temp file is written before any path is replaced, so a failed
+    write leaves all the paths as they were; the temp files are removed on
+    any failure.
     """
-    tmp = f"{path}.{os.getpid()}.tmp"
+    tmps = {path: f"{path}.{os.getpid()}.tmp" for path in files}
     try:
-        with open(tmp, "w") as fh:
-            write(fh)
-        os.replace(tmp, path)
+        for path, write in files.items():
+            with open(tmps[path], "w") as fh:
+                write(fh)
+        for path, tmp in tmps.items():
+            os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+        for tmp in tmps.values():
+            if os.path.exists(tmp):
+                os.remove(tmp)
         raise
 
 
@@ -417,8 +407,6 @@ def main(argv=None) -> int:
         out = args.out or raw.get("out") or f"{args.command}.csv"
         header, rows, extra = _RUNNERS[args.command](raw, seed, trials,
                                                      threads)
-        _write_atomic(out, lambda fh: fh.writelines(
-            line + "\n" for line in (header, *rows)))
         manifest = {
             "command": args.command,
             "version": __version__,
@@ -431,8 +419,12 @@ def main(argv=None) -> int:
             "wall_time_s": time.time() - t_start,
         }
         manifest.update(extra)
-        _write_atomic(out + ".manifest.json", lambda fh: fh.write(
-            json.dumps(manifest, indent=2, default=str) + "\n"))
+        _write_atomic({
+            out: lambda fh: fh.writelines(
+                line + "\n" for line in (header, *rows)),
+            out + ".manifest.json": lambda fh: fh.write(
+                json.dumps(manifest, indent=2, default=str) + "\n"),
+        })
     except (ConfigError, MultipleAxes) as exc:
         print(f"config: {exc}", file=sys.stderr)
         return 2

@@ -170,13 +170,18 @@ def ensemble_search(p: int, n: int, k: int, scale: float, sigma: float,
                                      theorem1_bound(lat, sigma, delta)))
     entries.sort(key=lambda e: (e.report.epsilon, e.sample_index))
     if out_path is not None:
+        header, rows = ensemble_csv(entries, scale)
         with open(out_path, "w") as fh:
-            fh.write(ENSEMBLE_CSV_HEADER + "\n")
-            for e in entries:
-                fh.write(f"{e.sample_index},{p},{n},{k},{scale!r},"
-                         f"{e.report.gsnr!r},{e.report.epsilon!r},"
-                         f"{e.bound!r}\n")
+            fh.writelines(line + "\n" for line in (header, *rows))
     return entries
+
+
+def ensemble_csv(entries: list, scale: float) -> tuple:
+    """(header, rows) of the ensemble CSV, one row per entry in the given order."""
+    rows = [f"{e.sample_index},{e.code.p},{e.code.n},{e.code.k},{scale!r},"
+            f"{e.report.gsnr!r},{e.report.epsilon!r},{e.bound!r}"
+            for e in entries]
+    return ENSEMBLE_CSV_HEADER, rows
 
 
 # ---------------------------------------------------------------------------

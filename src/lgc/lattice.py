@@ -8,13 +8,13 @@ whose decode_batch runs the closest-point algorithms of Conway & Sloane
 ("Fast quantizing and decoding algorithms for lattice quantizers and
 codes", IEEE Trans. IT 1982) over a whole batch.  The batch decoder
 accepts a structured answer only when every decision margin clears a guard
-at least 1000 times wider than the search's tie band; other rows go through
-Babai's nearest-plane rounding, whose half-minimum-distance certificate
-either proves the answer or sends the row to the exact search.  An untagged
-basis is decoded on its cached LLL reduction (Lenstra, Lenstra & Lovasz
-1982): Babai and the exact search run on the reduced basis, where the
-certificate is stronger and the search visits fewer nodes, and the
-unimodular transform maps the coefficients back to the caller's basis.
+at least 1000 times wider than the search's tie band.  Every other row, and
+every row of an untagged basis, takes one exact fallback on the lattice's
+cached LLL reduction (Lenstra, Lenstra & Lovasz 1982): Babai's
+nearest-plane rounding, whose half-minimum-distance certificate either
+proves the answer or sends the row to the exact search, both on the reduced
+basis, where the certificate is stronger and the search visits fewer nodes;
+the unimodular transform maps the coefficients back to the caller's basis.
 """
 
 from __future__ import annotations
@@ -445,17 +445,12 @@ def closest_points_batch(lat: Lattice, ys: np.ndarray,
     """Coefficient matrix of the nearest lattice points for each row of ys.
 
     A structured lattice decodes every row with its exact Conway-Sloane
-    decoder and maps the points to coefficients in its own basis.  Rows
-    whose decision margin falls inside the tie guard take Babai's
-    nearest-plane rounding: rows whose residual is inside half the minimum
-    distance are provably optimal, the rest rerun through the exact search.
-    An untagged basis takes the same two steps on its LLL reduction
-    (Lattice.reduced), and its coefficients come back through the
-    unimodular transform; a searched row whose reduced search finds a
-    second candidate inside the tie guard is searched again in the caller's
-    basis.  Output matches closest_point row by row, ties included: every
-    accepted row has a unique nearest point, and the exact search in the
-    caller's basis resolves the rest lexicographically.
+    decoder and maps the points to coefficients in its own basis.  The rows
+    whose decision margin falls inside the tie guard, and every row of an
+    untagged basis, go through _reduced_exact.  Output matches closest_point
+    row by row, ties included: every accepted row has a unique nearest
+    point, and the exact search in the caller's basis resolves the rest
+    lexicographically.
     """
     ys = np.asarray(ys, dtype=float)
     m, n = ys.shape
@@ -474,7 +469,7 @@ def closest_points_batch(lat: Lattice, ys: np.ndarray,
         u[i:i + _DECODE_CHUNK] = np.rint(pts @ to_coeffs)
     rest = np.nonzero(~ok)[0]
     if rest.size:
-        u[rest] = _babai_exact(lat, ys[rest], node_cap)
+        u[rest] = _reduced_exact(lat, ys[rest], node_cap)
     return u
 
 
@@ -501,25 +496,18 @@ def _babai(lat: Lattice, ys: np.ndarray) -> tuple:
     return tmat, u, np.nonzero(d2 >= (half * half) * (1.0 - 1e-9))[0]
 
 
-def _babai_exact(lat: Lattice, ys: np.ndarray, node_cap: int) -> np.ndarray:
-    """Babai rounding, certified by half the minimum distance or searched."""
-    tmat, u, hard = _babai(lat, ys)
-    if hard.size:
-        diag, cols = lat._dfs_tabs()
-        for i in hard:
-            ties, _, _ = _enum_nearest(diag, cols, tmat[i].tolist(), node_cap)
-            u[i] = ties[0][0]
-    return u
-
-
 def _reduced_exact(lat: Lattice, ys: np.ndarray, node_cap: int) -> np.ndarray:
-    """_babai_exact on lat's LLL reduction, coefficients in lat's basis.
+    """Exact nearest points for the rows of ys, coefficients in lat's basis.
 
-    A searched row keeps the reduced search's answer only when no other
-    candidate lies inside a band of _GUARD_REL * (1 + |y|^2) * (1 + best),
-    no narrower than the structured decoders' guard, so that its nearest
-    point is unique; otherwise closest_point searches it again in lat's
-    basis and breaks the tie lexicographically in lat's coefficients.
+    Babai's rounding on lat's LLL reduction (Lattice.reduced) keeps the rows
+    it certifies inside half the minimum distance; the rest go through the
+    exact search on the reduced basis.  A searched row keeps the reduced
+    search's answer only when no other candidate lies inside a band of
+    _GUARD_REL * (1 + |y|^2) * (1 + best), no narrower than the structured
+    decoders' guard, so that its nearest point is unique; otherwise
+    closest_point searches it again in lat's basis and breaks the tie
+    lexicographically in lat's coefficients.  The unimodular transform maps
+    the reduced coefficients back to lat's basis.
     """
     red, t = lat.reduced()
     tmat, u_red, hard = _babai(red, ys)

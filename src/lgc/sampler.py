@@ -28,10 +28,9 @@ from .errors import (
     DimensionMismatch,
     DimensionTooLarge,
     FlatnessTooLarge,
-    NonpositiveSigma,
     RandomnessExhausted,
 )
-from .analytics import _ball_volume, _tail_bound, flatness
+from .analytics import _ball_volume, _check_positive, _tail_bound, flatness
 from .lattice import (
     DEFAULT_POINT_CAP,
     Checkerboard,
@@ -139,12 +138,13 @@ def build_spec(lat: Lattice, sigma0: float, c,
     certified truncation radius stays under table_cap points, otherwise a
     structured backend for diagonal or checkerboard bases.
     """
-    if sigma0 <= 0:
-        raise NonpositiveSigma(f"sigma0 must be positive, got {sigma0}")
+    _check_positive("sigma0", sigma0)
     c = np.asarray(c, dtype=float)
     n = lat.n
     if c.shape != (n,):
         raise DimensionMismatch(f"shift has shape {c.shape}, lattice dim {n}")
+    if not np.all(np.isfinite(c)):
+        raise DimensionMismatch("shift must be finite")
     if n > 12:
         raise DimensionTooLarge(f"support sampling limited to n <= 12, got {n}")
     tau = 1.0 / (2.0 * math.pi * sigma0 * sigma0)
@@ -313,19 +313,24 @@ def sample(spec: DiscreteGaussianSpec, seed: RngSeed, count: int) -> list:
     return [LatticePoint(coeffs[i].copy(), emb[i].copy()) for i in range(count)]
 
 
-def dump_samples_csv(points: list, path: str) -> None:
-    """Write sampled points as CSV: coeffs0.., then embedding0.. columns."""
+def sample_csv(points: list) -> tuple:
+    """(header, rows) of the sample CSV: coeffs0.., then embedding0.. columns."""
     if not points:
         raise DimensionMismatch("no points to write")
     n = points[0].coeffs.size
     header = ",".join([f"coeffs{i}" for i in range(n)]
                       + [f"embedding{i}" for i in range(n)])
+    rows = [",".join([str(int(v)) for v in pt.coeffs]
+                     + [repr(float(v)) for v in pt.embedding])
+            for pt in points]
+    return header, rows
+
+
+def dump_samples_csv(points: list, path: str) -> None:
+    """Write sampled points as the CSV of sample_csv."""
+    header, rows = sample_csv(points)
     with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for pt in points:
-            row = [str(int(v)) for v in pt.coeffs] + [repr(float(v))
-                                                      for v in pt.embedding]
-            fh.write(",".join(row) + "\n")
+        fh.writelines(line + "\n" for line in (header, *rows))
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from .errors import (
     MuBelowOne,
     NonpositiveSigma,
 )
-from .analytics import flatness, gsnr
+from .analytics import _check_positive, flatness, gsnr
 from .lattice import (
     DEFAULT_NODE_CAP,
     Lattice,
@@ -76,16 +76,10 @@ class GaussianParams:
     snr: float
     power: float
 
-    def as_dict(self) -> dict:
-        return {"sigma0": self.sigma0, "sigma": self.sigma,
-                "alpha": self.alpha, "sigma_tilde": self.sigma_tilde,
-                "snr": self.snr, "power": self.power}
-
 
 def make_params(sigma0: float, sigma: float) -> GaussianParams:
-    if sigma0 <= 0 or sigma <= 0:
-        raise NonpositiveSigma(
-            f"deviations must be positive, got sigma0={sigma0} sigma={sigma}")
+    _check_positive("sigma0", sigma0)
+    _check_positive("sigma", sigma)
     s0sq = sigma0 * sigma0
     ssq = sigma * sigma
     alpha = s0sq / (s0sq + ssq)
@@ -299,10 +293,8 @@ def _run_blocks(fn, plan, threads: int) -> int:
 
 def _warm_decoder(lat: Lattice) -> None:
     """Build the batch decoder's lazy caches before any worker thread reads them."""
-    lat.qr()
     lat._dfs_tabs()
-    if lat.structure is None:
-        lat.reduced()[0]._dfs_tabs()
+    lat.reduced()[0]._dfs_tabs()
 
 
 def simulate_error(lat: Lattice, c, params: GaussianParams, trials: int,

@@ -1,9 +1,11 @@
 """End-to-end harness runs: configs, sweeps, manifests, exit codes."""
 
+import importlib.util
 import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +17,10 @@ from lgc.cli import (
     RATE_HEADER,
     main,
 )
-from lgc.construction_a import ENSEMBLE_CSV_HEADER
+from lgc.construction_a import ENSEMBLE_CSV_HEADER, ensemble_search
+from lgc.lattice import standard_lattice
+from lgc.rng import RngSeed
+from lgc.sampler import build_spec, dump_samples_csv, sample
 
 
 def _write_config(tmp_path, text, name="run.cfg"):
@@ -223,6 +228,39 @@ def test_sandwich_run(tmp_path):
     assert s["ratio_lo"] <= s["ratio"] <= s["ratio_hi"]
 
 
+def test_cli_rows_match_library_writers(tmp_path):
+    cfg = _write_config(tmp_path, """
+        lattice = E8
+        sigma0 = 3.0
+        shift = 0.25
+        trials = 300
+        seed = 9
+    """)
+    out = tmp_path / "draws.csv"
+    assert main(["sample", "--config", cfg, "--out", str(out)]) == 0
+    lib = tmp_path / "lib_draws.csv"
+    spec = build_spec(standard_lattice("E8"), 3.0, np.full(8, 0.25))
+    dump_samples_csv(sample(spec, RngSeed(9), 300), str(lib))
+    assert out.read_bytes() == lib.read_bytes()
+
+    cfg = _write_config(tmp_path, """
+        p = 7
+        n = 6
+        k = 3
+        scale = 0.9
+        sigma = 1.0
+        samples = 5
+        delta = 0.5
+    """, name="ens.cfg")
+    out = tmp_path / "ens.csv"
+    assert main(["ensemble", "--config", cfg, "--out", str(out),
+                 "--seed", "17"]) == 0
+    lib = tmp_path / "lib_ens.csv"
+    ensemble_search(7, 6, 3, 0.9, 1.0, 5, RngSeed(17), 0.5,
+                    out_path=str(lib))
+    assert out.read_bytes() == lib.read_bytes()
+
+
 def test_ensemble_run(tmp_path):
     scale = math.sqrt(0.7 * 2.0 * math.pi / 5.0)
     cfg = _write_config(tmp_path, f"""
@@ -425,12 +463,9 @@ def test_failed_write_leaves_no_partial_files(tmp_path, capsys, monkeypatch,
     rc = main(["exponent", "--config", cfg, "--out", str(out)])
     assert rc == 3
     assert capsys.readouterr().err == "run: OSError: disk full\n"
+    # neither file of the pair is replaced unless both were written
     assert manifest.read_text() == "{}\n"
-    if fail_at == "csv":
-        assert out.read_text() == "old\n"
-    else:
-        header, rows = _rows(out)
-        assert header == EXPONENT_HEADER and len(rows) == 3
+    assert out.read_text() == "old\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "e.csv", "e.csv.manifest.json", "run.cfg"]
 
@@ -450,3 +485,17 @@ def test_module_entry_point(tmp_path):
     assert mu == 2.0
     assert e == pytest.approx(0.5 * (1.0 - math.log(2.0)), rel=1e-12)
     assert bound == pytest.approx(math.exp(-8.0 * e), rel=1e-12)
+
+
+def test_benchmark_tracer_names_exist(monkeypatch):
+    # the benchmark's tracer patches these module attributes by name; a
+    # refactor that drops one must fail here, not at `--trace 1`
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec.loader.exec_module(tracing)
+    missing = [f"{mod}.{attr}" for mod, attr, *_ in tracing.PATCHES
+               if not callable(getattr(importlib.import_module(mod), attr,
+                                       None))]
+    assert tracing.PATCHES and missing == []

@@ -70,6 +70,24 @@ def test_params_values():
         make_params(1.0, -2.0)
 
 
+@pytest.mark.parametrize("call,error", [
+    (lambda: build_spec(Z1, math.nan, [0.0]), NonpositiveSigma),
+    (lambda: build_spec(Z1, math.inf, [0.0]), NonpositiveSigma),
+    (lambda: build_spec(Z1, -1.0, [0.0]), NonpositiveSigma),
+    (lambda: build_spec(Z1, 1.0, [math.nan]), DimensionMismatch),
+    (lambda: build_spec(Z1, 1.0, [-math.inf]), DimensionMismatch),
+    (lambda: make_params(math.nan, 1.0), NonpositiveSigma),
+    (lambda: make_params(math.inf, 1.0), NonpositiveSigma),
+    (lambda: make_params(1.0, math.nan), NonpositiveSigma),
+    (lambda: make_params(1.0, math.inf), NonpositiveSigma),
+], ids=["spec-sigma0-nan", "spec-sigma0-inf", "spec-sigma0-neg",
+        "spec-shift-nan", "spec-shift-inf", "params-sigma0-nan",
+        "params-sigma0-inf", "params-sigma-nan", "params-sigma-inf"])
+def test_nonfinite_library_inputs_rejected(call, error):
+    with pytest.raises(error, match="finite"):
+        call()
+
+
 def test_awgn():
     x = np.zeros(50000)
     y = awgn(x, 1.5, RngSeed(1, 0))
