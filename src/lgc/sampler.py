@@ -42,6 +42,8 @@ from .lattice import (
 from .rng import RngSeed, stream
 
 TABLE_CAP = 4_000_000
+# table rows embedded per step of a pass over the support
+_TABLE_CHUNK = 262144
 DEFICIT_TARGET = 1e-12
 MAX_REJECTION_ROUNDS = 1000
 
@@ -385,15 +387,23 @@ def tail_event_rate(spec: DiscreteGaussianSpec,
 # ---------------------------------------------------------------------------
 
 
+def _table_chunks(spec: DiscreteGaussianSpec, chunk: int = _TABLE_CHUNK):
+    """Yield (lo, emb) over the support table in blocks of `chunk` rows.
+
+    emb holds the coset points B u - c of table rows lo, lo + 1, ...
+    """
+    basis_t = spec.lattice.basis.T
+    for lo in range(0, spec.table_coeffs.shape[0], chunk):
+        yield lo, spec.table_coeffs[lo:lo + chunk] @ basis_t - spec.shift
+
+
 def support_moment(spec: DiscreteGaussianSpec) -> float:
     """Exact E|x|^2 of the coset point over the truncated support."""
-    lat = spec.lattice
     if spec.backend == "table":
         acc = 0.0
-        for lo in range(0, spec.table_coeffs.shape[0], 262144):
-            emb = spec.table_coeffs[lo:lo + 262144] @ lat.basis.T - spec.shift
+        for lo, emb in _table_chunks(spec):
             acc += float(np.einsum("ij,ij->i", emb, emb)
-                         @ spec.table_probs[lo:lo + 262144])
+                         @ spec.table_probs[lo:lo + emb.shape[0]])
         return acc
     if spec.backend == "product":
         acc = 0.0
@@ -421,13 +431,9 @@ def support_moment(spec: DiscreteGaussianSpec) -> float:
 
 def support_peak(spec: DiscreteGaussianSpec) -> float:
     """Exact max |x|^2 over the truncated support."""
-    lat = spec.lattice
     if spec.backend == "table":
-        peak = 0.0
-        for lo in range(0, spec.table_coeffs.shape[0], 262144):
-            emb = spec.table_coeffs[lo:lo + 262144] @ lat.basis.T - spec.shift
-            peak = max(peak, float(np.max(np.einsum("ij,ij->i", emb, emb))))
-        return peak
+        return max(float(np.max(np.einsum("ij,ij->i", emb, emb)))
+                   for _, emb in _table_chunks(spec))
     if spec.backend == "product":
         return sum(float(np.max(x * x)) for _, x, _, _ in spec.axis_tables[0])
     best = 0.0

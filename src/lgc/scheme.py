@@ -13,6 +13,12 @@ sigma^2).  The Monte Carlo harness verifies this equivalence trial by
 trial and brackets the scheme's error rate between flatness-factor
 multiples of the plain Voronoi-escape rate at sigma_tilde.
 
+The two sides of the equivalence are decoded apart, a block of trials at a
+time: MMSE by the batch nearest-point decoder, MAP by enumerating the
+lattice points in a ball around each target c + alpha*y and ranking the
+feasible ones by distance to it, the posterior in completed-square form
+(or, for tabulated supports, scoring every support point).
+
 Simulation trials are sharded into fixed blocks of 2^14; block b always
 draws from RNG lanes 2b (signal) and 2b+1 (noise), so results depend only
 on (seed, trials), never on thread count.
@@ -39,13 +45,16 @@ from .lattice import (
     DEFAULT_NODE_CAP,
     Lattice,
     LatticePoint,
+    _ball_search,
     _enum_nearest,
     closest_point,
     closest_points_batch,
 )
 from .rng import RngSeed, stream
 from .sampler import (
+    _TABLE_CHUNK,
     DiscreteGaussianSpec,
+    _table_chunks,
     build_spec,
     sample_coeffs,
     support_moment,
@@ -54,8 +63,9 @@ from .sampler import (
 
 Z95 = 1.959963984540054
 BLOCK = 1 << 14
-# table rows scored per step of the exhaustive MAP decoder
-_TABLE_CHUNK = 262144
+# trials decoded per step of decode_agreement: keeps the ball search's
+# prefix arrays, and the peak memory, small
+_AGREE_CHUNK = 512
 CSV_HEADER = ("lattice,label,n,sigma0,sigma,alpha,sigma_tilde,V,mu,"
               "trials,errors,p_hat,ci_low,ci_high,seed")
 
@@ -121,13 +131,17 @@ def map_decode(spec: DiscreteGaussianSpec, params: GaussianParams, y,
     run branch-and-bound enumeration toward c + alpha*y (the posterior in
     completed-square form) with leaves restricted to the truncation ball;
     a feasible incumbent from plain scaled decoding keeps the search tight.
-    Ties (posterior metric within ~1e-12 relative) break to the
+    This per-row search is the reference for the batched decoder of
+    decode_agreement, which sends it only the rows it cannot settle.  Ties
+    (posterior metric within ~1e-12 relative) break to the
     lexicographically smallest coefficient vector.
     """
     y = np.asarray(y, dtype=float)
     lat = spec.lattice
     if y.shape != (lat.n,):
         raise DimensionMismatch(f"y has shape {y.shape}, lattice dim {lat.n}")
+    if not np.all(np.isfinite(y)):
+        raise DimensionMismatch("y must be finite")
     c = spec.shift
     if spec.backend == "table":
         return _map_table(spec, params, y)
@@ -170,10 +184,9 @@ def _map_table(spec, params, y):
     best = -math.inf
     idx = np.empty(0, dtype=np.int64)
     vals = np.empty(0)
-    for lo in range(0, spec.table_coeffs.shape[0], _TABLE_CHUNK):
-        emb = spec.table_coeffs[lo:lo + _TABLE_CHUNK] @ lat.basis.T - c
+    for lo, emb in _table_chunks(spec, _TABLE_CHUNK):
         diff = emb - y
-        score = (logp[lo:lo + _TABLE_CHUNK]
+        score = (logp[lo:lo + emb.shape[0]]
                  - np.einsum("ij,ij->i", diff, diff) / two_ssq)
         best = max(best, float(score.max()))
         floor = best - 1e-12 * (1.0 + abs(best))
@@ -183,6 +196,56 @@ def _map_table(spec, params, y):
         vals = np.concatenate([vals[keep], score[new]])
     coeffs = spec.table_coeffs[int(idx.min())].astype(np.int64)
     return LatticePoint(coeffs, lat.basis @ coeffs.astype(float) - c)
+
+
+def _map_batch(spec: DiscreteGaussianSpec, params: GaussianParams,
+               ys: np.ndarray, mmse: np.ndarray) -> np.ndarray:
+    """map_decode's coefficients for every row of ys.
+
+    mmse holds the nearest lattice points to the targets c + alpha*y.
+    Table specs go row by row to _map_table.  On a structured spec no
+    point lies nearer its target than that point, so a feasible point in
+    the ball through it beats every point outside, and one _ball_search
+    over the whole batch, each ball's radius being the distance to it,
+    holds every candidate of a row that has one.  The candidates inside
+    the truncation ball are scored as map_decode scores them, by the
+    squared distance |B u - (c + alpha*y)|^2 in the QR frame; distances
+    within 1e-12 * (1 + best) of a row's best tie, and the
+    lexicographically smallest coefficients win.  A row with no feasible
+    candidate (its MMSE point lies outside the truncation ball) goes to
+    map_decode.
+    """
+    if not np.all(np.isfinite(ys)):
+        raise DimensionMismatch("y must be finite")
+    if spec.backend == "table":
+        return np.array([_map_table(spec, params, y).coeffs for y in ys],
+                        dtype=np.int64).reshape(mmse.shape)
+    lat = spec.lattice
+    c = spec.shift
+    q, r = lat.qr()
+    tmat = (c + params.alpha * ys) @ q
+    resid = tmat - mmse @ r.T
+    root, u, d2 = _ball_search(r, tmat, np.einsum("ij,ij->i", resid, resid))
+    x = u @ lat.basis.T - c
+    rad = spec.truncation_radius + 1e-9
+    ok = np.einsum("ij,ij->i", x, x) <= rad * rad
+    root, u, d2 = root[ok], u[ok], d2[ok]
+    best = np.full(ys.shape[0], math.inf)
+    np.minimum.at(best, root, d2)
+    floor = best[root]
+    tie = d2 <= floor + 1e-12 * (1.0 + floor)
+    root, u = root[tie], u[tie]
+    order = np.lexsort((*u.T[::-1], root))
+    root, u = root[order], u[order]
+    first = np.ones(root.size, dtype=bool)
+    first[1:] = root[1:] != root[:-1]
+    out = np.empty_like(mmse)
+    out[root[first]] = u[first]
+    settled = np.zeros(ys.shape[0], dtype=bool)
+    settled[root] = True
+    for i in np.nonzero(~settled)[0].tolist():
+        out[i] = map_decode(spec, params, ys[i]).coeffs
+    return out
 
 
 class AgreementReport(NamedTuple):
@@ -195,37 +258,41 @@ class AgreementReport(NamedTuple):
 def decode_agreement(lat: Lattice, c, params: GaussianParams, trials: int,
                      seed: RngSeed,
                      spec: DiscreteGaussianSpec | None = None) -> AgreementReport:
-    """Trial-by-trial comparison of map_decode and mmse_decode.
+    """Trial-by-trial comparison of the MAP and MMSE decoders.
 
     Draws x from the signaling distribution and y through the channel,
-    then decodes both ways.  Exact posterior ties are counted separately
-    and excluded from the agreement tally.
+    then decodes _AGREE_CHUNK trials at a time both ways: MMSE by
+    closest_points_batch toward alpha*y + c, MAP by _map_batch, which
+    searches only the truncated support.  Exact posterior ties are counted
+    separately and excluded from the agreement tally.
     """
+    if trials < 1:
+        raise DimensionMismatch(f"trials must be >= 1, got {trials}")
     c = np.asarray(c, dtype=float)
     if spec is None:
         spec = build_spec(lat, params.sigma0, c)
     rng_x = stream(seed, 0)
     rng_w = stream(seed, 1)
     tie_gap = 2.0 * params.sigma_tilde ** 2 * 1e-12
-    agreements = ties = mismatches = 0
+    basis_t = lat.basis.T
+    agreements = ties = 0
     for lo in range(0, trials, BLOCK):
         m = min(BLOCK, trials - lo)
         U = sample_coeffs(spec, rng_x, m)
-        X = U @ lat.basis.T - c
-        Y = X + params.sigma * rng_w.standard_normal((m, lat.n))
-        for i in range(m):
-            a = map_decode(spec, params, Y[i])
-            b = mmse_decode(lat, c, params, Y[i])
-            if np.array_equal(a.coeffs, b.coeffs):
-                agreements += 1
-                continue
-            da = a.embedding - params.alpha * Y[i]
-            db = b.embedding - params.alpha * Y[i]
-            if abs(float(da @ da) - float(db @ db)) < tie_gap:
-                ties += 1
-            else:
-                mismatches += 1
-    return AgreementReport(trials, agreements, ties, mismatches)
+        Ys = U @ basis_t - c + params.sigma * rng_w.standard_normal((m, lat.n))
+        for i in range(0, m, _AGREE_CHUNK):
+            Y = Ys[i:i + _AGREE_CHUNK]
+            ay = params.alpha * Y
+            mmse = closest_points_batch(lat, ay + c)
+            mapd = _map_batch(spec, params, Y, mmse)
+            same = np.all(mapd == mmse, axis=1)
+            da = mapd @ basis_t - c - ay
+            db = mmse @ basis_t - c - ay
+            gap = np.abs(np.einsum("ij,ij->i", da, da)
+                         - np.einsum("ij,ij->i", db, db))
+            agreements += int(np.sum(same))
+            ties += int(np.sum(~same & (gap < tie_gap)))
+    return AgreementReport(trials, agreements, ties, trials - agreements - ties)
 
 
 # ---------------------------------------------------------------------------

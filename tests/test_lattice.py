@@ -19,6 +19,7 @@ import lgc.lattice as lattice_mod
 from lgc.lattice import (
     DEFAULT_NODE_CAP,
     Lattice,
+    _ball_search,
     _enum_nearest,
     closest_point,
     closest_points_batch,
@@ -420,6 +421,32 @@ def test_enumerate_ball_d2_only_matches_coeff_mode(fresh_lattice, name):
         enumerate_ball(lat, center, radius, point_cap=lo, coeffs=False)
     _, d2_only = enumerate_ball(lat, center, radius, point_cap=hi, coeffs=False)
     assert d2_only.tobytes() == d2.tobytes()
+
+
+@pytest.mark.parametrize("name", ["Z4", "D4", "E8", "A2", "lift"])
+def test_ball_search_matches_enumerate_ball_per_center(fresh_lattice, name):
+    lat = fresh_lattice(name)
+    q, r = lat.qr()
+    rng = np.random.default_rng(23)
+    centers = rng.uniform(-2.0, 2.0, (7, lat.n)) @ lat.basis.T
+    # a deep-hole center with a ball too small to hold any point
+    centers[3] = 0.5 * lat.basis.sum(axis=1)
+    radii = np.array([1.7, 0.0, 2.3, 1e-3, 1.1, 2.0, 0.6])
+    tmat = np.stack([center @ q for center in centers])
+    for coeffs in (True, False):
+        root, u, d2 = _ball_search(r, tmat, radii * radii, coeffs=coeffs)
+        assert np.all(np.diff(root) >= 0)
+        for i, (center, radius) in enumerate(zip(centers, radii)):
+            want_u, want_d2 = enumerate_ball(lat, center, radius, coeffs=coeffs)
+            mine = root == i
+            assert d2[mine].tobytes() == want_d2.tobytes()
+            if coeffs:
+                assert u.dtype == want_u.dtype == np.int64
+                assert u[mine].tobytes() == want_u.tobytes()
+            else:
+                assert u is None and want_u is None
+    assert np.count_nonzero(root == 3) == 0
+    assert root.size > 30
 
 
 # ---------------------------------------------------------------------------

@@ -217,10 +217,11 @@ def test_parity_empirical_frequencies_d4():
         pmf[tuple(np.rint(pt.embedding).astype(int))] = p
     keys = sorted(pmf)
     expected = np.array([pmf[k] * emb.shape[0] for k in keys])
-    key_arr = np.array(keys)
-    observed = np.array([
-        int(np.sum(np.all(np.abs(emb - k[None, :]) < 1e-9, axis=1)))
-        for k in key_arr])
+    # with shift 0 every D4 point embeds to exact integers: count each once
+    assert np.array_equal(np.rint(emb), emb)
+    vals, counts = np.unique(emb.astype(int), axis=0, return_counts=True)
+    seen = dict(zip(map(tuple, vals.tolist()), counts.tolist()))
+    observed = np.array([seen.get(k, 0) for k in keys])
     keep = expected >= 5.0
     obs = np.append(observed[keep], observed[~keep].sum())
     exp = np.append(expected[keep], expected[~keep].sum())

@@ -12,10 +12,10 @@ from lgc.errors import (
     MuBelowOne,
     NonpositiveSigma,
 )
-from lgc.lattice import closest_point, standard_lattice
+from lgc.lattice import closest_point, closest_points_batch, standard_lattice
 from lgc.rng import RngSeed
 import lgc.scheme as scheme_mod
-from lgc.sampler import build_spec
+from lgc.sampler import build_spec, sample_coeffs
 from lgc.scheme import (
     BLOCK,
     CSV_HEADER,
@@ -80,9 +80,28 @@ def test_params_values():
     (lambda: make_params(math.inf, 1.0), NonpositiveSigma),
     (lambda: make_params(1.0, math.nan), NonpositiveSigma),
     (lambda: make_params(1.0, math.inf), NonpositiveSigma),
+    (lambda: map_decode(build_spec(Z2, 1.5, np.zeros(2)), make_params(1.5, 1.0),
+                        [math.nan, 0.0]), DimensionMismatch),
+    (lambda: map_decode(build_spec(Z2, 1.5, np.zeros(2)), make_params(1.5, 1.0),
+                        [math.inf, 0.0]), DimensionMismatch),
+    (lambda: map_decode(build_spec(Z2, 1.5, np.zeros(2), table_cap=1),
+                        make_params(1.5, 1.0), [0.0, math.nan]), DimensionMismatch),
+    (lambda: map_decode(build_spec(D4, 0.9, np.zeros(4), table_cap=1),
+                        make_params(0.9, 1.0), [0.0, 0.0, -math.inf, 0.0]),
+     DimensionMismatch),
+    (lambda: scheme_mod._map_batch(
+        build_spec(Z2, 1.5, np.zeros(2)), make_params(1.5, 1.0),
+        np.array([[0.0, 0.0], [math.nan, 0.0]]), np.zeros((2, 2), dtype=np.int64)),
+     DimensionMismatch),
+    (lambda: scheme_mod._map_batch(
+        build_spec(D4, 0.9, np.zeros(4), table_cap=1), make_params(0.9, 1.0),
+        np.array([[math.inf, 0.0, 0.0, 0.0]]), np.zeros((1, 4), dtype=np.int64)),
+     DimensionMismatch),
 ], ids=["spec-sigma0-nan", "spec-sigma0-inf", "spec-sigma0-neg",
         "spec-shift-nan", "spec-shift-inf", "params-sigma0-nan",
-        "params-sigma0-inf", "params-sigma-nan", "params-sigma-inf"])
+        "params-sigma0-inf", "params-sigma-nan", "params-sigma-inf",
+        "map-table-nan", "map-table-inf", "map-product-nan", "map-parity-inf",
+        "map-batch-table-nan", "map-batch-parity-inf"])
 def test_nonfinite_library_inputs_rejected(call, error):
     with pytest.raises(error, match="finite"):
         call()
@@ -176,6 +195,73 @@ def test_map_table_chunking_does_not_change_output(chunk, monkeypatch):
     assert [map_decode(spec, p, y).coeffs.tolist() for y in ys] == whole
 
 
+# lattice, sigma0, sigma, shift, table_cap (None: the default)
+MAP_CASES = {
+    "Z8-product": (Z8, 3.0, 1.0, 0.0, None),
+    "E8-parity": (E8, 3.0, 1.0, 0.5, None),
+    "D4-parity": (D4, 1.0, 1.0, 0.25, 1),
+    "Z2-table": (Z2, 1.5, 1.0, 0.5, None),
+    "Z1-table": (Z1, 1.0, 1.0, 0.5, None),
+    "Z1-product": (Z1, 1.0, 1.0, 0.5, 1),
+}
+
+
+@pytest.mark.parametrize("case", list(MAP_CASES))
+def test_map_batch_matches_map_decode(case, monkeypatch):
+    lat, s0, s, shift, table_cap = MAP_CASES[case]
+    p = make_params(s0, s)
+    c = np.full(lat.n, shift)
+    spec = (build_spec(lat, s0, c) if table_cap is None
+            else build_spec(lat, s0, c, table_cap=table_cap))
+    rng = np.random.default_rng(31)
+    u = sample_coeffs(spec, rng, 1000)
+    pts = u @ lat.basis.T
+    noisy = pts - c + s * rng.standard_normal(pts.shape)
+    # alpha*y + c halfway between two lattice points (exact ties when
+    # alpha = 1/2), and y = 0, where D_{Z-1/2} ties -1/2 with 1/2
+    steps = np.eye(lat.n)[rng.integers(0, lat.n, 100)] @ lat.basis.T
+    mid = (pts[:100] + 0.5 * steps - c) / p.alpha
+    # alpha*y + c nearer the lexicographically larger of the two points by
+    # 4 times map_decode's tie band on the squared distance; far from the
+    # origin, where the posterior's own relative band would call it a tie
+    outer = np.argsort(np.einsum("ij,ij->i", pts, pts))[-100:]
+    up = np.eye(lat.n, dtype=np.int64)[rng.integers(0, lat.n, 100)]
+    step = up @ lat.basis.T
+    s2 = np.einsum("ij,ij->i", step, step)
+    delta = 2e-12 * (1.0 + 0.25 * s2) / s2
+    near = (pts[outer] + (0.5 + delta)[:, None] * step - c) / p.alpha
+    # alpha*y + c on lattice points just outside the truncation ball, so
+    # that the MMSE point lies outside it
+    v = rng.choice([-1.0, 1.0], (40, lat.n)) * rng.uniform(0.5, 1.5, (40, lat.n))
+    v *= (spec.truncation_radius + 0.5) / np.linalg.norm(v, axis=1,
+                                                          keepdims=True)
+    x = closest_points_batch(lat, v + c) @ lat.basis.T - c
+    far = x[np.einsum("ij,ij->i", x, x) > spec.truncation_radius ** 2][:10]
+    assert far.shape[0] == 10
+    ys = np.concatenate([noisy, mid, near, np.zeros((1, lat.n)),
+                         far / p.alpha])
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return map_decode(*args, **kwargs)
+
+    monkeypatch.setattr(scheme_mod, "map_decode", counting)
+    mmse = closest_points_batch(lat, p.alpha * ys + c)
+    got = scheme_mod._map_batch(spec, p, ys, mmse)
+    want = np.array([map_decode(spec, p, y).coeffs for y in ys])
+    assert got.dtype == np.int64
+    assert np.array_equal(got, want)
+    if lat.n == 1:
+        assert got[-11].tolist() == [0]
+    if spec.backend == "table":
+        assert not calls
+    else:
+        assert len(calls) >= 10
+        nearer = np.all(got[1100:1200] == u[outer] + up, axis=1)
+        assert np.count_nonzero(nearer) >= 50
+
+
 def test_map_rejects_bad_shape():
     p = make_params(1.5, 1.0)
     spec = build_spec(Z2, 1.5, np.zeros(2))
@@ -189,6 +275,13 @@ def test_decode_agreement_small():
     assert rep.trials == 300
     assert rep.agreements + rep.ties == 300
     assert rep.mismatches == 0
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_decode_agreement_rejects_no_trials(trials):
+    with pytest.raises(DimensionMismatch, match="trials"):
+        decode_agreement(Z2, np.zeros(2), make_params(2.0, 1.0), trials,
+                         RngSeed(21, 0))
 
 
 def test_decode_agreement_structured():
