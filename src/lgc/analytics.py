@@ -30,7 +30,8 @@ from .errors import (
     FlatnessTooLarge,
     NonpositiveSigma,
 )
-from .lattice import DEFAULT_POINT_CAP, Diag, Lattice, enumerate_ball
+from . import lattice
+from .lattice import Diag, Lattice, enumerate_ball
 
 X_START = 50.0        # initial exponent cut: first radius puts e^{-X} at the rim
 GROW = 1.25           # radius growth factor while the tail is not certified
@@ -117,7 +118,7 @@ def _check_positive(name: str, value: float) -> None:
 
 
 def _grow_ball(lat: Lattice, center: np.ndarray, tau: float, radius: float,
-               point_cap: int, weigh, what: str, balls: dict | None = None) -> tuple:
+               weigh, what: str, balls: dict | None = None) -> tuple:
     """Grow a ball around center until its packing tail bound certifies.
 
     weigh(d2) turns the squared distances inside the current radius into
@@ -131,7 +132,7 @@ def _grow_ball(lat: Lattice, center: np.ndarray, tau: float, radius: float,
     for _ in range(200):
         d2 = None if balls is None else balls.get((lat, radius))
         if d2 is None:
-            _, d2 = enumerate_ball(lat, center, radius, point_cap, coeffs=False)
+            _, d2 = enumerate_ball(lat, center, radius, coeffs=False)
             if balls is not None:
                 balls[(lat, radius)] = d2
         result, anchor = weigh(d2)
@@ -142,7 +143,7 @@ def _grow_ball(lat: Lattice, center: np.ndarray, tau: float, radius: float,
     raise BudgetExceeded(f"{what} did not certify its tail")
 
 
-def _gauss_sum(lat: Lattice, center: np.ndarray, tau: float, point_cap: int,
+def _gauss_sum(lat: Lattice, center: np.ndarray, tau: float,
                skip_zero: bool = False, min_radius: float = 0.0,
                balls: dict | None = None) -> tuple:
     """Truncated sum of exp(-pi tau |v - center|^2) over lattice points v.
@@ -163,8 +164,7 @@ def _gauss_sum(lat: Lattice, center: np.ndarray, tau: float, point_cap: int,
         return value, value + 1.0 if skip_zero else value
 
     radius = max(math.sqrt(X_START / (math.pi * tau)), min_radius)
-    return _grow_ball(lat, center, tau, radius, point_cap, weigh,
-                      "gaussian sum", balls)
+    return _grow_ball(lat, center, tau, radius, weigh, "gaussian sum", balls)
 
 
 # ---------------------------------------------------------------------------
@@ -172,39 +172,31 @@ def _gauss_sum(lat: Lattice, center: np.ndarray, tau: float, point_cap: int,
 # ---------------------------------------------------------------------------
 
 
-def theta(lat: Lattice, tau: float, point_cap: int = DEFAULT_POINT_CAP,
-          primal_pref: int = PRIMAL_PREF, *, balls: dict | None = None) -> ThetaValue:
+def theta(lat: Lattice, tau: float, *, balls: dict | None = None) -> ThetaValue:
     """Theta series sum of exp(-pi tau |v|^2) with certified truncation.
 
     Evaluates on whichever side of the Poisson identity
         Theta_L(tau) = tau^{-n/2} / V * Theta_dual(1/tau)
     needs fewer points, preferring the primal side while it stays under
-    primal_pref points.  Raises BudgetExceeded when both sides blow the
-    point cap.  balls is passed to _grow_ball.
+    PRIMAL_PREF points.  Raises BudgetExceeded when the chosen side's
+    estimate passes lattice.POINT_CAP.  balls is passed to _grow_ball.
     """
     _check_positive("tau", tau)
     n = lat.n
     vol = lat.volume
     est_primal = _ball_volume(n, math.sqrt(X_START / (math.pi * tau))) / vol
     est_dual = _ball_volume(n, math.sqrt(X_START * tau / math.pi)) * vol
-    prefer_primal = est_primal <= primal_pref or est_primal <= est_dual
-    if prefer_primal and est_primal <= point_cap:
-        side_primal = True
-    elif est_dual <= point_cap:
-        side_primal = False
-    elif est_primal <= point_cap:
-        side_primal = True
-    else:
+    side_primal = est_primal <= PRIMAL_PREF or est_primal <= est_dual
+    if (est_primal if side_primal else est_dual) > lattice.POINT_CAP:
         raise BudgetExceeded(
             f"theta needs ~{est_primal:.2e} primal / ~{est_dual:.2e} dual "
-            f"points, cap {point_cap:.0e}")
+            f"points, cap {lattice.POINT_CAP:.0e}")
     zero = np.zeros(n)
     if side_primal:
-        value, tail, radius = _gauss_sum(lat, zero, tau, point_cap, balls=balls)
+        value, tail, radius = _gauss_sum(lat, zero, tau, balls=balls)
         return ThetaValue(value, tail, radius)
     dual = lat.dual()
-    value, tail, radius = _gauss_sum(dual, zero, 1.0 / tau, point_cap,
-                                     balls=balls)
+    value, tail, radius = _gauss_sum(dual, zero, 1.0 / tau, balls=balls)
     factor = tau ** (-n / 2.0) / vol
     return ThetaValue(factor * value, factor * tail, radius)
 
@@ -215,8 +207,7 @@ def gsnr(lat: Lattice, sigma: float) -> float:
     return lat.volume ** (2.0 / lat.n) / (2.0 * math.pi * sigma * sigma)
 
 
-def flatness(lat: Lattice, sigma: float,
-             point_cap: int = DEFAULT_POINT_CAP) -> FlatnessReport:
+def flatness(lat: Lattice, sigma: float) -> FlatnessReport:
     """Flatness factor report at deviation sigma.
 
     epsilon comes from the dual-side series when gsnr < 1 (small-epsilon
@@ -224,24 +215,23 @@ def flatness(lat: Lattice, sigma: float,
     otherwise; the two agree through Poisson summation.  The attached
     theta value is always taken at tau = 1/(2 pi sigma^2).
 
-    Reports are cached on the lattice by (sigma, point_cap); a raised
-    error is not.  The dual-side theta sum and the epsilon sum share one
+    Reports are cached on the lattice by float(sigma); a raised error is
+    not.  The dual-side theta sum and the epsilon sum share one
     enumeration per radius.
     """
     _check_positive("sigma", sigma)
-    key = (float(sigma), point_cap)
+    key = float(sigma)
     if key in lat._flatness:
         return lat._flatness[key]
     g = gsnr(lat, sigma)
     n = lat.n
     tau = 1.0 / (2.0 * math.pi * sigma * sigma)
     balls: dict = {}
-    tv = theta(lat, tau, point_cap, balls=balls)
+    tv = theta(lat, tau, balls=balls)
     if g < 1.0:
         dual = lat.dual()
         lam1d = dual.lambda1_lb()
-        eps, _, _ = _gauss_sum(dual, np.zeros(n), 1.0 / tau, point_cap,
-                               skip_zero=True,
+        eps, _, _ = _gauss_sum(dual, np.zeros(n), 1.0 / tau, skip_zero=True,
                                min_radius=lam1d * (1.0 + 1e-9) + 0.25,
                                balls=balls)
     else:
@@ -251,8 +241,7 @@ def flatness(lat: Lattice, sigma: float,
     return rep
 
 
-def flatness_direct(lat: Lattice, sigma: float, grid_points_per_dim: int,
-                    point_cap: int = DEFAULT_POINT_CAP) -> float:
+def flatness_direct(lat: Lattice, sigma: float, grid_points_per_dim: int) -> float:
     """Grid-search oracle for the flatness factor (n <= 4 only).
 
     Evaluates V * f_{sigma,L}(x) - 1 on a regular grid over the basis
@@ -275,7 +264,7 @@ def flatness_direct(lat: Lattice, sigma: float, grid_points_per_dim: int,
     # one super-ball covers every grid point's radius-R neighborhood
     half = lat.basis @ np.full(n, 0.5)
     reach = 0.5 * float(np.sum(np.linalg.norm(lat.basis, axis=0)))
-    coeffs, _ = enumerate_ball(lat, half, radius + reach, point_cap)
+    coeffs, _ = enumerate_ball(lat, half, radius + reach)
     pts = coeffs @ lat.basis.T
     grid = np.stack(np.meshgrid(*([np.arange(m) / m] * n), indexing="ij"),
                     axis=-1).reshape(-1, n)
@@ -291,8 +280,7 @@ def flatness_direct(lat: Lattice, sigma: float, grid_points_per_dim: int,
     return worst
 
 
-def partition_sandwich_check(lat: Lattice, sigma: float, c,
-                             point_cap: int = DEFAULT_POINT_CAP) -> PartitionCheck:
+def partition_sandwich_check(lat: Lattice, sigma: float, c) -> PartitionCheck:
     """Check f_{sigma,c}(L) against the [1-eps, 1+eps]/V sandwich.
 
     The partition value is summed directly on the primal side (so the
@@ -305,9 +293,9 @@ def partition_sandwich_check(lat: Lattice, sigma: float, c,
     _check_positive("sigma", sigma)
     n = lat.n
     tau = 1.0 / (2.0 * math.pi * sigma * sigma)
-    raw, _, _ = _gauss_sum(lat, c, tau, point_cap)
+    raw, _, _ = _gauss_sum(lat, c, tau)
     value = raw * (2.0 * math.pi * sigma * sigma) ** (-n / 2.0)
-    eps = flatness(lat, sigma, point_cap).epsilon
+    eps = flatness(lat, sigma).epsilon
     vol = lat.volume
     lo = (1.0 - eps) / vol
     hi = (1.0 + eps) / vol
@@ -350,8 +338,7 @@ def _axis_sums(d: float, ci: float, sigma0: float) -> tuple:
         return z, mean_sq, entropy
 
 
-def _support_stats(lat: Lattice, sigma0: float, c: np.ndarray,
-                   point_cap: int) -> tuple:
+def _support_stats(lat: Lattice, sigma0: float, c: np.ndarray) -> tuple:
     """(E|x-c|^2, entropy) for the discrete Gaussian on L - c.
 
     Diagonal bases factorize axis by axis in 40-digit arithmetic; other
@@ -379,57 +366,50 @@ def _support_stats(lat: Lattice, sigma0: float, c: np.ndarray,
 
     (d2, w, z), _, _ = _grow_ball(lat, c, tau,
                                   math.sqrt(X_START / (math.pi * tau)),
-                                  point_cap, weigh, "support sum")
+                                  weigh, "support sum")
     mom = float(np.sum(w * d2)) / z
     q = d2 / two_s2
     ent = math.log(z) + float(np.sum(w * q)) / z
     return mom, ent
 
 
-def _require_small_eps(lat: Lattice, sigma0: float, point_cap: int) -> float:
-    eps = flatness(lat, sigma0 / 2.0, point_cap).epsilon
+def _lemma_args(lat: Lattice, sigma0: float, c, what: str) -> np.ndarray:
+    """The shift as an array, after the checks every lemma check makes."""
+    c = np.asarray(c, dtype=float)
+    if c.shape != (lat.n,):
+        raise DimensionMismatch(f"shift has shape {c.shape}, lattice dim {lat.n}")
+    _check_positive("sigma0", sigma0)
+    if lat.n > 8:
+        raise DimensionTooLarge(f"{what} limited to n <= 8, got {lat.n}")
+    return c
+
+
+def _require_small_eps(lat: Lattice, sigma0: float) -> float:
+    eps = flatness(lat, sigma0 / 2.0).epsilon
     if eps >= 1.0:
         raise FlatnessTooLarge(
             f"flatness factor at sigma0/2 is {eps:.3g} >= 1")
     return eps
 
 
-def moment_check(lat: Lattice, sigma0: float, c,
-                 point_cap: int = DEFAULT_POINT_CAP) -> MomentCheck:
+def moment_check(lat: Lattice, sigma0: float, c) -> MomentCheck:
     """Second moment of D_{L-c,sigma0} against the smoothing-bound lemma.
 
     Checks |E|x-c|^2 - n sigma0^2| <= 2 pi eps/(1-eps) * sigma0^2 with
     eps evaluated at sigma0/2; the comparison runs at the precision of the
     underlying sums (40 digits for diagonal bases).
     """
-    c = np.asarray(c, dtype=float)
-    if c.shape != (lat.n,):
-        raise DimensionMismatch(f"shift has shape {c.shape}, lattice dim {lat.n}")
-    _check_positive("sigma0", sigma0)
-    if lat.n > 8:
-        raise DimensionTooLarge(f"moment check limited to n <= 8, got {lat.n}")
-    eps = _require_small_eps(lat, sigma0, point_cap)
+    c = _lemma_args(lat, sigma0, c, "moment check")
+    eps = _require_small_eps(lat, sigma0)
     bound = 2.0 * math.pi * eps / (1.0 - eps) * sigma0 * sigma0
-    mom, _ = _support_stats(lat, sigma0, c, point_cap)
+    mom, _ = _support_stats(lat, sigma0, c)
     with mp.workdps(_MP_DPS):
         deviation = abs(mp.mpf(mom) - lat.n * mp.mpf(float(sigma0)) ** 2)
         passed = bool(deviation <= mp.mpf(bound) + mp.mpf("1e-9"))
     return MomentCheck(second_moment=float(mom), bound=bound, passed=passed)
 
 
-def _entropy_args(lat: Lattice, sigma0: float, c) -> np.ndarray:
-    """The shift as an array, after the checks both entropy functions make."""
-    c = np.asarray(c, dtype=float)
-    if c.shape != (lat.n,):
-        raise DimensionMismatch(f"shift has shape {c.shape}, lattice dim {lat.n}")
-    _check_positive("sigma0", sigma0)
-    if lat.n > 8:
-        raise DimensionTooLarge(f"entropy check limited to n <= 8, got {lat.n}")
-    return c
-
-
-def entropy_check(lat: Lattice, sigma0: float, c,
-                  point_cap: int = DEFAULT_POINT_CAP) -> EntropyReport:
+def entropy_check(lat: Lattice, sigma0: float, c) -> EntropyReport:
     """Entropy rate of D_{L-c,sigma0} with its continuous-Gaussian reference.
 
     reference = log(sqrt(2 pi e) sigma0) - log(V)/n nats per dimension;
@@ -437,22 +417,21 @@ def entropy_check(lat: Lattice, sigma0: float, c,
     report fields are float64; use entropy_deviation for the full-precision
     gap, which at large sigma0 lies below one ulp of the fields.
     """
-    c = _entropy_args(lat, sigma0, c)
-    eps = _require_small_eps(lat, sigma0, point_cap)
+    c = _lemma_args(lat, sigma0, c, "entropy check")
+    eps = _require_small_eps(lat, sigma0)
     n = lat.n
     eps_prime = -math.log1p(-eps) / n + math.pi * eps / (n * (1.0 - eps))
-    _, ent = _support_stats(lat, sigma0, c, point_cap)
+    _, ent = _support_stats(lat, sigma0, c)
     reference = (math.log(math.sqrt(2.0 * math.pi * math.e) * sigma0)
                  - math.log(lat.volume) / n)
     return EntropyReport(entropy_rate=float(ent) / n, reference=reference,
                          epsilon_prime=eps_prime)
 
 
-def entropy_deviation(lat: Lattice, sigma0: float, c,
-                      point_cap: int = DEFAULT_POINT_CAP) -> float:
+def entropy_deviation(lat: Lattice, sigma0: float, c) -> float:
     """|entropy_rate - reference| computed before any float64 rounding."""
-    c = _entropy_args(lat, sigma0, c)
-    _, ent = _support_stats(lat, sigma0, c, point_cap)
+    c = _lemma_args(lat, sigma0, c, "entropy check")
+    _, ent = _support_stats(lat, sigma0, c)
     n = lat.n
     with mp.workdps(_MP_DPS):
         ref = (mp.log(mp.sqrt(2 * mp.pi * mp.e) * mp.mpf(float(sigma0)))

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, RandomnessExhausted, RankDeficientCode
 from .analytics import FlatnessReport, flatness, gsnr
-from .lattice import DEFAULT_POINT_CAP, Lattice, make_lattice
+from .lattice import Lattice, make_lattice
 from .rng import RngSeed, stream
 
 
@@ -150,7 +150,6 @@ ENSEMBLE_CSV_HEADER = "sample_index,p,n,k,a,gsnr,epsilon,bound"
 
 def ensemble_search(p: int, n: int, k: int, scale: float, sigma: float,
                     samples: int, seed: RngSeed, delta: float = 1.0,
-                    point_cap: int = DEFAULT_POINT_CAP,
                     out_path: str | None = None) -> list:
     """Flatness-ranked random mod-p lattices at a common (a, sigma).
 
@@ -165,7 +164,7 @@ def ensemble_search(p: int, n: int, k: int, scale: float, sigma: float,
     for i in range(samples):
         code = random_code(p, n, k, seed, lane=i)
         lat = lift(code, scale)
-        rep = flatness(lat, sigma, point_cap)
+        rep = flatness(lat, sigma)
         entries.append(EnsembleEntry(i, code, lat, rep,
                                      theorem1_bound(lat, sigma, delta)))
     entries.sort(key=lambda e: (e.report.epsilon, e.sample_index))

@@ -8,13 +8,14 @@ whose decode_batch runs the closest-point algorithms of Conway & Sloane
 ("Fast quantizing and decoding algorithms for lattice quantizers and
 codes", IEEE Trans. IT 1982) over a whole batch.  The batch decoder
 accepts a structured answer only when every decision margin clears a guard
-at least 1000 times wider than the search's tie band.  Every other row, and
-every row of an untagged basis, takes one exact fallback on the lattice's
-cached LLL reduction (Lenstra, Lenstra & Lovasz 1982): Babai's
-nearest-plane rounding, whose half-minimum-distance certificate either
-proves the answer or sends the row to the exact search, both on the reduced
-basis, where the certificate is stronger and the search visits fewer nodes;
-the unimodular transform maps the coefficients back to the caller's basis.
+at least 1000 times wider than the search's tie band; every other row is
+near a tie and goes straight to the exact search.  Every row of an untagged
+basis takes the exact fallback on the lattice's cached LLL reduction
+(Lenstra, Lenstra & Lovasz 1982): Babai's nearest-plane rounding, whose
+half-minimum-distance certificate either proves the answer or sends the row
+to the exact search, both on the reduced basis, where the certificate is
+stronger and the search visits fewer nodes; the unimodular transform maps
+the coefficients back to the caller's basis.
 """
 
 from __future__ import annotations
@@ -33,8 +34,9 @@ from .errors import (
     UnknownName,
 )
 
-DEFAULT_NODE_CAP = 10**8
-DEFAULT_POINT_CAP = 20_000_000
+# search budgets, read at call time: a search past either raises BudgetExceeded
+NODE_CAP = 10**8
+POINT_CAP = 20_000_000
 # Lovasz condition parameter of the decoder's basis reduction
 _LLL_DELTA = 0.99
 # rows per structured decode call: keeps its temporaries in cache
@@ -108,6 +110,10 @@ class Diag:
     def scaled(self, a: float) -> "Diag":
         return Diag(self.steps * a)
 
+    def axes(self, n: int) -> tuple:
+        """Sampler layout (steps, coset offsets, even-sum filter): points steps * k."""
+        return self.steps, (0.0,), False
+
     def decode_batch(self, ys: np.ndarray) -> tuple:
         """(nearest points, ok) for the rows of ys: round each coordinate."""
         yt = np.ascontiguousarray(ys.T)
@@ -128,6 +134,11 @@ class Checkerboard:
 
     def scaled(self, a: float) -> "Checkerboard":
         return Checkerboard(self.step * a, self.half)
+
+    def axes(self, n: int) -> tuple:
+        """Sampler layout: points step * k + 0 (or step / 2), sum(k) even."""
+        offsets = (0.0, 0.5 * self.step) if self.half else (0.0,)
+        return np.full(n, self.step), offsets, True
 
     def decode_batch(self, ys: np.ndarray) -> tuple:
         """(nearest points, ok) for the rows of ys.
@@ -160,7 +171,7 @@ class Lattice:
     _cols: tuple | None = field(default=None, repr=False)
     _dual: Lattice | None = field(default=None, repr=False)
     _reduced: tuple | None = field(default=None, repr=False)
-    # analytics.flatness reports, keyed by (float(sigma), point_cap)
+    # analytics.flatness reports, keyed by float(sigma)
     _flatness: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -334,7 +345,7 @@ def standard_lattice(name: str, n: int | None = None) -> Lattice:
 # ---------------------------------------------------------------------------
 
 
-def _enum_nearest(diag, cols, t, node_cap, tie_rel=1e-12, init=None, feasible=None):
+def _enum_nearest(diag, cols, t, tie_rel=1e-12, init=None, feasible=None):
     """Depth-first sphere search minimizing ||R u - t||^2.
 
     Candidates at each level are visited in zig-zag order around the real
@@ -343,6 +354,7 @@ def _enum_nearest(diag, cols, t, node_cap, tie_rel=1e-12, init=None, feasible=No
     (coeff tuple, dist2) within the tie band of the best feasible leaf.
     """
     n = len(t)
+    node_cap = NODE_CAP
     best = math.inf
     ties: list = []
     if init is not None:
@@ -421,7 +433,7 @@ def _enum_nearest(diag, cols, t, node_cap, tie_rel=1e-12, init=None, feasible=No
     return final, best, nodes
 
 
-def closest_point(lat: Lattice, y, node_cap: int = DEFAULT_NODE_CAP) -> LatticePoint:
+def closest_point(lat: Lattice, y) -> LatticePoint:
     """Exact nearest lattice point to y.
 
     Ties (squared-distance difference inside a relative 1e-12 band) are
@@ -435,22 +447,21 @@ def closest_point(lat: Lattice, y, node_cap: int = DEFAULT_NODE_CAP) -> LatticeP
     q, _ = lat.qr()
     t = (y @ q).tolist()
     diag, cols = lat._dfs_tabs()
-    ties, _, _ = _enum_nearest(diag, cols, t, node_cap)
+    ties, _, _ = _enum_nearest(diag, cols, t)
     u = np.array(ties[0][0], dtype=np.int64)
     return LatticePoint(u, lat.basis @ u)
 
 
-def closest_points_batch(lat: Lattice, ys: np.ndarray,
-                         node_cap: int = DEFAULT_NODE_CAP) -> np.ndarray:
+def closest_points_batch(lat: Lattice, ys: np.ndarray) -> np.ndarray:
     """Coefficient matrix of the nearest lattice points for each row of ys.
 
     A structured lattice decodes every row with its exact Conway-Sloane
-    decoder and maps the points to coefficients in its own basis.  The rows
-    whose decision margin falls inside the tie guard, and every row of an
-    untagged basis, go through _reduced_exact.  Output matches closest_point
-    row by row, ties included: every accepted row has a unique nearest
-    point, and the exact search in the caller's basis resolves the rest
-    lexicographically.
+    decoder and maps the points to coefficients in its own basis; the rows
+    whose decision margin falls inside the tie guard are near a tie, so each
+    goes straight to closest_point.  Every row of an untagged basis goes
+    through _reduced_exact.  Output matches closest_point row by row, ties
+    included: every accepted row has a unique nearest point, and the exact
+    search in the caller's basis resolves the rest lexicographically.
     """
     ys = np.asarray(ys, dtype=float)
     m, n = ys.shape
@@ -459,7 +470,7 @@ def closest_points_batch(lat: Lattice, ys: np.ndarray,
     if not np.all(np.isfinite(ys)):
         raise DimensionMismatch("point must be finite")
     if lat.structure is None:
-        return _reduced_exact(lat, ys, node_cap)
+        return _reduced_exact(lat, ys)
     u = np.empty((m, n), dtype=np.int64)
     ok = np.empty(m, dtype=bool)
     to_coeffs = lat.inv().T
@@ -467,9 +478,8 @@ def closest_points_batch(lat: Lattice, ys: np.ndarray,
         pts, ok[i:i + _DECODE_CHUNK] = lat.structure.decode_batch(
             ys[i:i + _DECODE_CHUNK])
         u[i:i + _DECODE_CHUNK] = np.rint(pts @ to_coeffs)
-    rest = np.nonzero(~ok)[0]
-    if rest.size:
-        u[rest] = _reduced_exact(lat, ys[rest], node_cap)
+    for i in np.nonzero(~ok)[0].tolist():
+        u[i] = closest_point(lat, ys[i]).coeffs
     return u
 
 
@@ -496,15 +506,15 @@ def _babai(lat: Lattice, ys: np.ndarray) -> tuple:
     return tmat, u, np.nonzero(d2 >= (half * half) * (1.0 - 1e-9))[0]
 
 
-def _reduced_exact(lat: Lattice, ys: np.ndarray, node_cap: int) -> np.ndarray:
+def _reduced_exact(lat: Lattice, ys: np.ndarray) -> np.ndarray:
     """Exact nearest points for the rows of ys, coefficients in lat's basis.
 
-    Babai's rounding on lat's LLL reduction (Lattice.reduced) keeps the rows
-    it certifies inside half the minimum distance; the rest go through the
-    exact search on the reduced basis.  A searched row keeps the reduced
-    search's answer only when no other candidate lies inside a band of
-    _GUARD_REL * (1 + |y|^2) * (1 + best), no narrower than the structured
-    decoders' guard, so that its nearest point is unique; otherwise
+    The batch decoder of untagged bases.  Babai's rounding on lat's LLL
+    reduction (Lattice.reduced) keeps the rows it certifies inside half the
+    minimum distance; the rest go through the exact search on the reduced
+    basis.  A searched row keeps the reduced search's answer only when no
+    other candidate lies inside a band of _GUARD_REL * (1 + |y|^2) *
+    (1 + best), so that its nearest point is unique; otherwise
     closest_point searches it again in lat's basis and breaks the tie
     lexicographically in lat's coefficients.  The unimodular transform maps
     the reduced coefficients back to lat's basis.
@@ -517,24 +527,24 @@ def _reduced_exact(lat: Lattice, ys: np.ndarray, node_cap: int) -> np.ndarray:
         th = tmat[hard]
         bands = _GUARD_REL * (1.0 + np.einsum("ij,ij->i", th, th))
         for i, row, band in zip(hard.tolist(), th.tolist(), bands.tolist()):
-            ties, _, _ = _enum_nearest(diag, cols, row, node_cap, tie_rel=band)
+            ties, _, _ = _enum_nearest(diag, cols, row, tie_rel=band)
             if len(ties) == 1:
                 u_red[i] = ties[0][0]
             else:
                 retry.append(i)
     u = u_red @ t.T
     for i in retry:
-        u[i] = closest_point(lat, ys[i], node_cap).coeffs
+        u[i] = closest_point(lat, ys[i]).coeffs
     return u
 
 
-def mod_lattice(lat: Lattice, x, node_cap: int = DEFAULT_NODE_CAP) -> np.ndarray:
+def mod_lattice(lat: Lattice, x) -> np.ndarray:
     """x reduced modulo the lattice: x - closest_point(x)."""
     x = np.asarray(x, dtype=float)
-    return x - closest_point(lat, x, node_cap).embedding
+    return x - closest_point(lat, x).embedding
 
 
-def coset_decode(lat: Lattice, c, y, node_cap: int = DEFAULT_NODE_CAP) -> LatticePoint:
+def coset_decode(lat: Lattice, c, y) -> LatticePoint:
     """Nearest point of the shifted set L - c to y.
 
     Equals closest_point(L, y + c) shifted back; the embedding field holds
@@ -544,7 +554,7 @@ def coset_decode(lat: Lattice, c, y, node_cap: int = DEFAULT_NODE_CAP) -> Lattic
     y = np.asarray(y, dtype=float)
     if c.shape != (lat.n,):
         raise DimensionMismatch(f"shift has shape {c.shape}, lattice dim {lat.n}")
-    p = closest_point(lat, y + c, node_cap)
+    p = closest_point(lat, y + c)
     return LatticePoint(p.coeffs, p.embedding - c)
 
 
@@ -561,7 +571,7 @@ def contains(lat: Lattice, x, tol: float = 1e-6) -> bool:
 
 
 def enumerate_ball(lat: Lattice, center, radius: float,
-                   point_cap: int = DEFAULT_POINT_CAP, coeffs: bool = True) -> tuple:
+                   coeffs: bool = True) -> tuple:
     """All lattice points with ||B u - center|| <= radius.
 
     Returns (U, d2): integer coefficients, one point per row, plus squared
@@ -578,13 +588,12 @@ def enumerate_ball(lat: Lattice, center, radius: float,
                 np.empty(0))
     q, r = lat.qr()
     t = center @ q
-    _, u, d2 = _ball_search(r, t[None, :], np.array([radius * radius]),
-                            point_cap, coeffs)
+    _, u, d2 = _ball_search(r, t[None, :], np.array([radius * radius]), coeffs)
     return u, d2
 
 
 def _ball_search(r: np.ndarray, tmat: np.ndarray, rad2: np.ndarray,
-                 point_cap: int = DEFAULT_POINT_CAP, coeffs: bool = True) -> tuple:
+                 coeffs: bool = True) -> tuple:
     """Lattice points inside a ball around each of a batch of centers.
 
     tmat holds the centers in the QR frame of the lattice (centers @ q),
@@ -619,8 +628,8 @@ def _ball_search(r: np.ndarray, tmat: np.ndarray, rad2: np.ndarray,
             return (np.empty(0, dtype=np.intp),
                     np.empty((0, n), dtype=np.int64) if coeffs else None,
                     np.empty(0))
-        if total > point_cap:
-            raise BudgetExceeded(f"ball enumeration passed {point_cap} points")
+        if total > POINT_CAP:
+            raise BudgetExceeded(f"ball enumeration passed {POINT_CAP} points")
         rows = np.repeat(np.arange(cnt.size), cnt)
         starts = np.cumsum(cnt) - cnt
         uk = lo[rows] + (np.arange(total) - starts[rows])

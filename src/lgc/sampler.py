@@ -2,15 +2,15 @@
 
 The default backend enumerates the truncated support and samples by
 inverse CDF.  When the support is too large to tabulate (large sigma0 in
-dimension 8 easily exceeds 1e11 points) two structured backends keep the
-distribution exact without materializing it:
-
-  product  diagonal bases; each coordinate is an independent 1-D discrete
-           Gaussian with its own table.
-  parity   checkerboard-type bases (Dn, and E8 as D8 plus a half-integer
-           coset): draw the coset by its exact mass, then draw coordinates
-           from the per-axis product and reject odd parities.  Acceptance
-           is ~1/2 and the accepted law is exactly the conditioned one.
+dimension 8 easily exceeds 1e11 points), a structured basis keeps the
+distribution exact without materializing it.  Its axis layout (Diag.axes,
+Checkerboard.axes) puts coordinate i at step_i * k_i plus a per-coset
+offset, with or without an even-sum filter on k.  The axis sampler draws
+the coset by its exact mass and each coordinate from its own 1-D discrete
+Gaussian table, and under the filter rejects odd parities (acceptance
+~1/2; the accepted law is exactly the conditioned one).  The backend is
+labelled "product" for diagonal bases (one coset, no filter) and "parity"
+for checkerboard-type bases (Dn, and E8 as D8 plus a half-integer coset).
 
 All truncations carry certified relative tail bounds; each
 DiscreteGaussianSpec records the total as its deficit (< 1e-12).
@@ -31,14 +31,7 @@ from .errors import (
     RandomnessExhausted,
 )
 from .analytics import _ball_volume, _check_positive, _tail_bound, flatness
-from .lattice import (
-    DEFAULT_POINT_CAP,
-    Checkerboard,
-    Diag,
-    Lattice,
-    LatticePoint,
-    enumerate_ball,
-)
+from .lattice import Lattice, LatticePoint, enumerate_ball
 from .rng import RngSeed, stream
 
 TABLE_CAP = 4_000_000
@@ -62,12 +55,13 @@ class DiscreteGaussianSpec:
     table_coeffs: np.ndarray | None = None
     table_probs: np.ndarray | None = None
     table_cdf: np.ndarray | None = None
-    # product / parity backends: per-coset, per-axis 1-D tables
+    # product / parity backends: the axis layout and per-coset, per-axis tables
     # axis_tables[t][i] = (k values, x values, normalized probs, cdf)
     axis_tables: tuple | None = None
-    coset_offsets: tuple | None = None    # coordinate offset per coset (0 or a/2)
+    coset_offsets: tuple | None = None     # coordinate offset per coset
     coset_probs: np.ndarray | None = None  # exact relative coset masses
-    axis_scale: float = 0.0                # coordinate step a
+    axis_scale: np.ndarray | None = None   # coordinate step of each axis
+    even_sum: bool = False                 # draws keep sum(k) even
 
     def support(self) -> list:
         """Ordered (LatticePoint, probability) pairs; table backend only."""
@@ -101,7 +95,8 @@ def _axis_table(step: float, offset: float, ci: float, sigma0: float) -> tuple:
 
     Extends the range until both edge weights certify a relative tail
     below 1e-16 via a geometric-series bound.  Returns (ks, xs, probs,
-    cdf, rel_tail).
+    cdf, rel_tail, z), z being the unnormalized sum of the weights
+    exp(-x^2 / (2 sigma0^2)).
     """
     two_s2 = 2.0 * sigma0 * sigma0
     center = (ci - offset) / step
@@ -132,8 +127,7 @@ def _axis_table(step: float, offset: float, ci: float, sigma0: float) -> tuple:
 
 
 def build_spec(lat: Lattice, sigma0: float, c,
-               table_cap: int = TABLE_CAP,
-               point_cap: int = DEFAULT_POINT_CAP) -> DiscreteGaussianSpec:
+               table_cap: int = TABLE_CAP) -> DiscreteGaussianSpec:
     """Build the sampling plan for D_{L-c, sigma0}.
 
     Chooses the enumerated inverse-CDF table when the support inside the
@@ -158,22 +152,20 @@ def build_spec(lat: Lattice, sigma0: float, c,
         radius *= 1.15
     est = _ball_volume(n, radius) / vol
     if est <= table_cap:
-        return _build_table(lat, sigma0, c, radius, point_cap)
-    if isinstance(lat.structure, Diag):
-        return _build_product(lat, sigma0, c)
-    if isinstance(lat.structure, Checkerboard):
-        return _build_parity(lat, sigma0, c)
+        return _build_table(lat, sigma0, c, radius)
+    if lat.structure is not None:
+        return _build_axes(lat, sigma0, c)
     raise BudgetExceeded(
         f"support ~{est:.2e} points exceeds the table budget ({table_cap}) "
         "and the basis fits no structured sampler")
 
 
-def _build_table(lat, sigma0, c, radius, point_cap):
+def _build_table(lat, sigma0, c, radius):
     n = lat.n
     tau = 1.0 / (2.0 * math.pi * sigma0 * sigma0)
     lam1 = lat.lambda1_lb()
     for _ in range(60):
-        coeffs, d2 = enumerate_ball(lat, c, radius, point_cap)
+        coeffs, d2 = enumerate_ball(lat, c, radius)
         w = np.exp(-d2 / (2.0 * sigma0 * sigma0))
         z = float(w.sum())
         tail = _tail_bound(n, lam1, tau, radius)
@@ -193,34 +185,13 @@ def _build_table(lat, sigma0, c, radius, point_cap):
         table_coeffs=coeffs, table_probs=probs, table_cdf=cdf)
 
 
-def _build_product(lat, sigma0, c):
-    diag = lat.structure.steps
-    n = lat.n
-    tables = []
-    rel = 0.0
-    corner = 0.0
-    for i in range(n):
-        ks, xs, probs, cdf, rtail, _ = _axis_table(diag[i], 0.0, c[i], sigma0)
-        tables.append((ks, xs, probs, cdf))
-        rel += rtail
-        corner += float(np.max(xs * xs))
-    return DiscreteGaussianSpec(
-        lattice=lat, sigma0=sigma0, shift=c,
-        truncation_radius=math.sqrt(corner), deficit=rel,
-        backend="product", axis_tables=(tuple(tables),),
-        coset_offsets=(0.0,), coset_probs=np.array([1.0]),
-        axis_scale=0.0)
-
-
 def _alt_sum(ks, probs) -> float:
     """Sum of probs signed by coordinate parity."""
     return float(np.sum(np.where(ks % 2 == 0, probs, -probs)))
 
 
-def _build_parity(lat, sigma0, c):
-    scale, with_half = lat.structure.step, lat.structure.half
-    n = lat.n
-    coset_offsets = (0.0, 0.5 * scale) if with_half else (0.0,)
+def _build_axes(lat, sigma0, c):
+    steps, coset_offsets, even_sum = lat.structure.axes(lat.n)
     all_tables = []
     masses = []
     even_fracs = []
@@ -231,8 +202,8 @@ def _build_parity(lat, sigma0, c):
         z_prod = 1.0
         b_prod = 1.0
         reach = 0.0
-        for i in range(n):
-            ks, xs, probs, cdf, rtail, z_abs = _axis_table(scale, off, c[i],
+        for i in range(lat.n):
+            ks, xs, probs, cdf, rtail, z_abs = _axis_table(steps[i], off, c[i],
                                                            sigma0)
             tables.append((ks, xs, probs, cdf))
             rel += rtail
@@ -240,20 +211,20 @@ def _build_parity(lat, sigma0, c):
             b_prod *= _alt_sum(ks, probs)
             reach += float(np.max(xs * xs))
         all_tables.append(tuple(tables))
-        even_frac = 0.5 * (1.0 + b_prod)
+        # the even-sum filter keeps mass (1 + prod of alternating sums) / 2
+        even_frac = 0.5 * (1.0 + b_prod) if even_sum else 1.0
         even_fracs.append(even_frac)
         masses.append(z_prod * even_frac)
         corner = max(corner, reach)
     masses = np.asarray(masses)
-    coset_probs = masses / masses.sum()
-    deficit = rel / min(even_fracs)
     return DiscreteGaussianSpec(
         lattice=lat, sigma0=sigma0, shift=c,
         truncation_radius=math.sqrt(corner),
-        deficit=deficit,
-        backend="parity", axis_tables=tuple(all_tables),
-        coset_offsets=coset_offsets, coset_probs=coset_probs,
-        axis_scale=scale)
+        deficit=rel / min(even_fracs),
+        backend="parity" if even_sum else "product",
+        axis_tables=tuple(all_tables), coset_offsets=coset_offsets,
+        coset_probs=masses / masses.sum(), axis_scale=steps,
+        even_sum=even_sum)
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +242,27 @@ def _draw_axes(tables, rng, m: int) -> np.ndarray:
     return ks
 
 
+def _draw_coset(tables, rng, m: int, even_sum: bool) -> np.ndarray:
+    """m rows of per-axis k values from one coset's tables.
+
+    Under the even-sum filter, rows with an odd sum are drawn again.
+    """
+    if not even_sum:
+        return _draw_axes(tables, rng, m)
+    ks = np.empty((m, len(tables)), dtype=np.int64)
+    pending = np.arange(m)
+    for _ in range(MAX_REJECTION_ROUNDS):
+        if pending.size == 0:
+            break
+        cand = _draw_axes(tables, rng, pending.size)
+        even = cand.sum(axis=1) % 2 == 0
+        ks[pending[even]] = cand[even]
+        pending = pending[~even]
+    if pending.size:
+        raise RandomnessExhausted("parity rejection failed to converge")
+    return ks
+
+
 def sample_coeffs(spec: DiscreteGaussianSpec, rng: np.random.Generator,
                   count: int) -> np.ndarray:
     """Basis-coefficient rows of `count` i.i.d. draws from the spec."""
@@ -279,30 +271,21 @@ def sample_coeffs(spec: DiscreteGaussianSpec, rng: np.random.Generator,
         idx = np.searchsorted(spec.table_cdf, u, side="right")
         idx = np.minimum(idx, spec.table_cdf.size - 1)
         return spec.table_coeffs[idx].copy()
-    if spec.backend == "product":
-        ks = _draw_axes(spec.axis_tables[0], rng, count)
-        return ks  # diagonal basis: coefficients are the coordinates
-    # parity backend: coset choice, then product draws filtered to even sums
-    n = spec.lattice.n
-    if len(spec.coset_offsets) > 1:
-        coset = (rng.random(count) < spec.coset_probs[1]).astype(np.int64)
-    else:
+    # axis layout: the coset by its exact mass, then the coordinates; one
+    # coset needs no per-coset split of the rows (and no copy through it)
+    if len(spec.axis_tables) == 1:
         coset = np.zeros(count, dtype=np.int64)
-    ks = np.empty((count, n), dtype=np.int64)
-    for t in range(len(spec.coset_offsets)):
-        pending = np.nonzero(coset == t)[0]
-        for _ in range(MAX_REJECTION_ROUNDS):
-            if pending.size == 0:
-                break
-            cand = _draw_axes(spec.axis_tables[t], rng, pending.size)
-            even = cand.sum(axis=1) % 2 == 0
-            ks[pending[even]] = cand[even]
-            pending = pending[~even]
-        if pending.size:
-            raise RandomnessExhausted("parity rejection failed to converge")
+        ks = _draw_coset(spec.axis_tables[0], rng, count, spec.even_sum)
+    else:
+        coset = (rng.random(count) < spec.coset_probs[1]).astype(np.int64)
+        ks = np.empty((count, spec.lattice.n), dtype=np.int64)
+        for t, tables in enumerate(spec.axis_tables):
+            rows = np.nonzero(coset == t)[0]
+            ks[rows] = _draw_coset(tables, rng, rows.size, spec.even_sum)
+    if not spec.even_sum:
+        return ks  # no filter: a diagonal basis, whose coefficients are k
     coords = spec.axis_scale * ks + np.asarray(spec.coset_offsets)[coset][:, None]
-    coeffs = np.rint(coords @ spec.lattice.inv().T).astype(np.int64)
-    return coeffs
+    return np.rint(coords @ spec.lattice.inv().T).astype(np.int64)
 
 
 def sample(spec: DiscreteGaussianSpec, seed: RngSeed, count: int) -> list:
@@ -347,8 +330,7 @@ def sphere_tail_bound(n: int, eps: float) -> float:
     return (1.0 + eps) / (1.0 - eps) * 2.0 ** (-n)
 
 
-def tail_event_rate(spec: DiscreteGaussianSpec,
-                    point_cap: int = DEFAULT_POINT_CAP) -> tuple:
+def tail_event_rate(spec: DiscreteGaussianSpec) -> tuple:
     """(analytic bound, exact mass) of |x| > sqrt(2 pi n) sigma0 on L - c.
 
     The exact mass sums the support table when one exists; centered
@@ -357,7 +339,7 @@ def tail_event_rate(spec: DiscreteGaussianSpec,
     """
     lat = spec.lattice
     n = lat.n
-    eps = flatness(lat, spec.sigma0, point_cap).epsilon
+    eps = flatness(lat, spec.sigma0).epsilon
     bound = sphere_tail_bound(n, eps)
     r2 = 2.0 * math.pi * n * spec.sigma0 ** 2
     if spec.backend == "table":
@@ -365,19 +347,20 @@ def tail_event_rate(spec: DiscreteGaussianSpec,
         norms = np.einsum("ij,ij->i", emb, emb)
         mass = float(np.sum(spec.table_probs[norms > r2]))
         return bound, mass
-    if spec.backend == "product":
-        diag = lat.structure.steps
-        if np.all(spec.shift == 0.0) and np.all(diag == diag[0]):
-            step = float(diag[0])
-            dist = None
-            for ks, _, probs, _ in spec.axis_tables[0]:
-                k2 = ks * ks
-                axis = np.zeros(int(k2.max()) + 1)
-                np.add.at(axis, k2, probs)
-                dist = axis if dist is None else np.convolve(dist, axis)
-            s = np.arange(dist.size) * step * step
-            mass = float(np.sum(dist[s > r2]))
-            return bound, mass
+    steps = spec.axis_scale
+    if (spec.backend == "product" and np.all(spec.shift == 0.0)
+            and np.all(steps == steps[0])):
+        # one coset, no filter: the axes are independent
+        step = float(steps[0])
+        dist = None
+        for ks, _, probs, _ in spec.axis_tables[0]:
+            k2 = ks * ks
+            axis = np.zeros(int(k2.max()) + 1)
+            np.add.at(axis, k2, probs)
+            dist = axis if dist is None else np.convolve(dist, axis)
+        s = np.arange(dist.size) * step * step
+        mass = float(np.sum(dist[s > r2]))
+        return bound, mass
     raise BudgetExceeded(
         "exact tail mass needs a support table or centered equal-step axes")
 
@@ -405,18 +388,15 @@ def support_moment(spec: DiscreteGaussianSpec) -> float:
             acc += float(np.einsum("ij,ij->i", emb, emb)
                          @ spec.table_probs[lo:lo + emb.shape[0]])
         return acc
-    if spec.backend == "product":
-        acc = 0.0
-        for _, xs, probs, _ in spec.axis_tables[0]:
-            acc += float(np.sum(probs * xs * xs))
-        return acc
-    # parity: even-projection of the per-axis product moments, conditioned
-    # per coset and mixed by the exact coset masses
+    # per-coset sums of the per-axis moments; under the even-sum filter their
+    # even projection, conditioned per coset; mixed by the exact coset masses
     out = 0.0
-    for t in range(len(spec.coset_offsets)):
-        tables = spec.axis_tables[t]
-        b = [_alt_sum(k, p) for k, _, p, _ in tables]
+    for t, tables in enumerate(spec.axis_tables):
         ma = [float(np.sum(p * x * x)) for _, x, p, _ in tables]
+        if not spec.even_sum:
+            out += float(spec.coset_probs[t]) * sum(ma)
+            continue
+        b = [_alt_sum(k, p) for k, _, p, _ in tables]
         mb = [float(np.sum(np.where(k % 2 == 0, p, -p) * x * x))
               for k, x, p, _ in tables]
         prod_b = math.prod(b)
@@ -434,12 +414,10 @@ def support_peak(spec: DiscreteGaussianSpec) -> float:
     if spec.backend == "table":
         return max(float(np.max(np.einsum("ij,ij->i", emb, emb)))
                    for _, emb in _table_chunks(spec))
-    if spec.backend == "product":
-        return sum(float(np.max(x * x)) for _, x, _, _ in spec.axis_tables[0])
+    # DP over axes: best achievable sum of x^2 per running parity of sum(k)
+    ends = (0,) if spec.even_sum else (0, 1)
     best = 0.0
-    for t in range(len(spec.coset_offsets)):
-        tables = spec.axis_tables[t]
-        # DP over axes: best achievable sum of x^2 per running parity
+    for tables in spec.axis_tables:
         dp = {0: 0.0}
         for ks, xs, _, _ in tables:
             x2 = xs * xs
@@ -455,6 +433,5 @@ def support_peak(spec: DiscreteGaussianSpec) -> float:
                     if cand > nxt.get(key, -math.inf):
                         nxt[key] = cand
             dp = nxt
-        if 0 in dp:
-            best = max(best, dp[0])
+        best = max([best] + [dp[par] for par in ends if par in dp])
     return best

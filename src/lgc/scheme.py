@@ -42,7 +42,6 @@ from .errors import (
 )
 from .analytics import _check_positive, flatness, gsnr
 from .lattice import (
-    DEFAULT_NODE_CAP,
     Lattice,
     LatticePoint,
     _ball_search,
@@ -114,17 +113,15 @@ def awgn(x, sigma: float, seed: RngSeed):
 # ---------------------------------------------------------------------------
 
 
-def mmse_decode(lat: Lattice, c, params: GaussianParams, y,
-                node_cap: int = DEFAULT_NODE_CAP) -> LatticePoint:
+def mmse_decode(lat: Lattice, c, params: GaussianParams, y) -> LatticePoint:
     """Scaled lattice decoding: nearest point of L - c to alpha*y."""
     y = np.asarray(y, dtype=float)
     c = np.asarray(c, dtype=float)
-    pt = closest_point(lat, params.alpha * y + c, node_cap)
+    pt = closest_point(lat, params.alpha * y + c)
     return LatticePoint(pt.coeffs, pt.embedding - c)
 
 
-def map_decode(spec: DiscreteGaussianSpec, params: GaussianParams, y,
-               node_cap: int = DEFAULT_NODE_CAP) -> LatticePoint:
+def map_decode(spec: DiscreteGaussianSpec, params: GaussianParams, y) -> LatticePoint:
     """Exact posterior argmax over the truncated signaling support.
 
     Table specs score every support point exhaustively.  Structured specs
@@ -157,15 +154,13 @@ def map_decode(spec: DiscreteGaussianSpec, params: GaussianParams, y,
         return float(x @ x) <= rad * rad
 
     init = None
-    for cand in (closest_point(lat, target, node_cap),
-                 closest_point(lat, c, node_cap)):
+    for cand in (closest_point(lat, target), closest_point(lat, c)):
         u = tuple(int(v) for v in cand.coeffs)
         if feasible(u):
             d = basis @ np.asarray(u, dtype=float) - target
             init = (u, float(d @ d))
             break
-    ties, _, _ = _enum_nearest(diag, cols, t, node_cap, init=init,
-                               feasible=feasible)
+    ties, _, _ = _enum_nearest(diag, cols, t, init=init, feasible=feasible)
     coeffs = np.array(ties[0][0], dtype=np.int64)
     return LatticePoint(coeffs, basis @ coeffs.astype(float) - c)
 
@@ -361,7 +356,8 @@ def _run_blocks(fn, plan, threads: int) -> int:
 def _warm_decoder(lat: Lattice) -> None:
     """Build the batch decoder's lazy caches before any worker thread reads them."""
     lat._dfs_tabs()
-    lat.reduced()[0]._dfs_tabs()
+    if lat.structure is None:
+        lat.reduced()[0]._dfs_tabs()
 
 
 def simulate_error(lat: Lattice, c, params: GaussianParams, trials: int,

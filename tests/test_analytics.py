@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+import lgc.analytics as analytics_mod
+import lgc.lattice as lattice_mod
 from lgc.analytics import (
     entropy_check,
     entropy_deviation,
@@ -73,11 +75,13 @@ def test_theta_small_tau_dual_side():
         theta(Z1, 0.0)
 
 
-def test_theta_budget():
+def test_theta_budget(monkeypatch):
     # near tau = 1 the primal and dual sums are equally expensive, so a
     # tiny point budget cannot be satisfied from either side
+    monkeypatch.setattr(lattice_mod, "POINT_CAP", 100)
+    monkeypatch.setattr(analytics_mod, "PRIMAL_PREF", 10)
     with pytest.raises(BudgetExceeded):
-        theta(Z8, 1.0, point_cap=100, primal_pref=10)
+        theta(Z8, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -151,11 +155,13 @@ def test_flatness_cached_matches_cold_and_pinned(fresh_lattice, name, sigma):
     assert got == tuple(float.fromhex(v) for v in FLATNESS_PINNED[name, sigma])
 
 
-def test_flatness_budget_error_not_cached(fresh_lattice):
+def test_flatness_budget_error_not_cached(fresh_lattice, monkeypatch):
     lat = fresh_lattice("E8")
-    for _ in range(2):
-        with pytest.raises(BudgetExceeded):
-            flatness(lat, 0.42, point_cap=1000)
+    with monkeypatch.context() as patch:
+        patch.setattr(lattice_mod, "POINT_CAP", 1000)
+        for _ in range(2):
+            with pytest.raises(BudgetExceeded):
+                flatness(lat, 0.42)
     eps = float.fromhex(FLATNESS_PINNED["E8", 0.42][4])
     assert flatness(lat, 0.42).epsilon == eps
 

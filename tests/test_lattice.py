@@ -1,5 +1,6 @@
 """Lattice construction, exact CVP, ball enumeration, serialization."""
 
+import inspect
 import math
 
 import numpy as np
@@ -15,9 +16,9 @@ from lgc.errors import (
 )
 from lgc.analytics import flatness
 from lgc.construction_a import lift, random_code
+import lgc
 import lgc.lattice as lattice_mod
 from lgc.lattice import (
-    DEFAULT_NODE_CAP,
     Lattice,
     _ball_search,
     _enum_nearest,
@@ -200,7 +201,7 @@ def test_batch_matches_enum_nearest(name, n, holes, scale, monkeypatch):
     q, _ = lat.qr()
     diag, cols = lat._dfs_tabs()
     mismatches = sum(
-        _enum_nearest(diag, cols, t, DEFAULT_NODE_CAP)[0][0][0] != tuple(g)
+        _enum_nearest(diag, cols, t)[0][0][0] != tuple(g)
         for t, g in zip((ys @ q).tolist(), got.tolist()))
     assert mismatches == 0
 
@@ -322,7 +323,7 @@ def test_cvp_tie_lexicographic():
     assert pt.coeffs[0] == 0  # tie between 0 and 1 breaks to the smaller
 
 
-def test_cvp_validations():
+def test_cvp_validations(monkeypatch):
     z2 = standard_lattice("Zn", 2)
     with pytest.raises(DimensionMismatch):
         closest_point(z2, np.array([1.0, 2.0, 3.0]))
@@ -332,8 +333,9 @@ def test_cvp_validations():
         for bad in (np.nan, np.inf):
             with pytest.raises(DimensionMismatch, match="finite"):
                 closest_points_batch(lat, np.array([[0.3, 0.1], [bad, 0.0]]))
+    monkeypatch.setattr(lattice_mod, "NODE_CAP", 3)
     with pytest.raises(BudgetExceeded):
-        closest_point(standard_lattice("E8"), np.full(8, 0.37), node_cap=3)
+        closest_point(standard_lattice("E8"), np.full(8, 0.37))
 
 
 # ---------------------------------------------------------------------------
@@ -384,10 +386,25 @@ def test_enumerate_ball_offcenter_and_empty():
     assert u.shape[0] == 0
 
 
-def test_enumerate_ball_budget():
+def test_budgets_are_module_constants():
+    # the search budgets are lattice.NODE_CAP and lattice.POINT_CAP (tests
+    # override them with monkeypatch), never a parameter
+    for name in dir(lgc):
+        obj = getattr(lgc, name)
+        if not callable(obj):
+            continue
+        try:
+            params = inspect.signature(obj).parameters
+        except (TypeError, ValueError):
+            continue
+        assert not {"point_cap", "node_cap", "primal_pref"} & set(params), name
+
+
+def test_enumerate_ball_budget(monkeypatch):
     z8 = standard_lattice("Zn", 8)
+    monkeypatch.setattr(lattice_mod, "POINT_CAP", 1000)
     with pytest.raises(BudgetExceeded):
-        enumerate_ball(z8, np.zeros(8), 14.0, point_cap=1000)
+        enumerate_ball(z8, np.zeros(8), 14.0)
 
 
 def test_enumerate_ball_boundary_inclusive():
@@ -398,7 +415,8 @@ def test_enumerate_ball_boundary_inclusive():
 
 
 @pytest.mark.parametrize("name", ["Z4", "D4", "E8", "A2", "lift"])
-def test_enumerate_ball_d2_only_matches_coeff_mode(fresh_lattice, name):
+def test_enumerate_ball_d2_only_matches_coeff_mode(fresh_lattice, name,
+                                                   monkeypatch):
     lat = fresh_lattice(name)
     center = np.random.default_rng(11).uniform(-1.0, 1.0, lat.n) @ lat.basis.T
     for radius in (-1.0, 1e-3, 1.7, 3.1):
@@ -412,14 +430,17 @@ def test_enumerate_ball_d2_only_matches_coeff_mode(fresh_lattice, name):
     lo, hi = 0, u.shape[0] * 1000
     while hi - lo > 1:
         mid = (lo + hi) // 2
+        monkeypatch.setattr(lattice_mod, "POINT_CAP", mid)
         try:
-            enumerate_ball(lat, center, radius, point_cap=mid)
+            enumerate_ball(lat, center, radius)
             hi = mid
         except BudgetExceeded:
             lo = mid
+    monkeypatch.setattr(lattice_mod, "POINT_CAP", lo)
     with pytest.raises(BudgetExceeded):
-        enumerate_ball(lat, center, radius, point_cap=lo, coeffs=False)
-    _, d2_only = enumerate_ball(lat, center, radius, point_cap=hi, coeffs=False)
+        enumerate_ball(lat, center, radius, coeffs=False)
+    monkeypatch.setattr(lattice_mod, "POINT_CAP", hi)
+    _, d2_only = enumerate_ball(lat, center, radius, coeffs=False)
     assert d2_only.tobytes() == d2.tobytes()
 
 

@@ -1,6 +1,7 @@
 """Discrete Gaussian sampling: tables, structured backends, tail statistics."""
 
 import csv
+import hashlib
 import math
 
 import numpy as np
@@ -15,12 +16,13 @@ from lgc.errors import (
     NonpositiveSigma,
 )
 from lgc.lattice import make_lattice, standard_lattice
-from lgc.rng import RngSeed
+from lgc.rng import RngSeed, stream
 from lgc.sampler import (
     DEFICIT_TARGET,
     build_spec,
     dump_samples_csv,
     sample,
+    sample_coeffs,
     sphere_tail_bound,
     support_moment,
     support_peak,
@@ -33,6 +35,9 @@ Z4 = standard_lattice("Zn", 4)
 Z8 = standard_lattice("Zn", 8)
 D4 = standard_lattice("Dn", 4)
 E8 = standard_lattice("E8")
+# diagonal bases whose coefficients differ from their coordinates
+Z4_17 = Z4.scale(1.7)
+DIAG4 = make_lattice(np.diag([0.5, 1.0, 1.5, 2.0]))
 
 # independently computed with a 40-digit series: 1 / theta_Z(1/(2 pi))
 P_ZERO_Z1 = 0.398942278266861706
@@ -56,33 +61,28 @@ def _axis_lookup(ks, probs, wanted):
 
 
 def _structured_pmf_at(spec, coeffs):
-    """Exact structured-backend pmf evaluated at table coefficient rows."""
-    lat = spec.lattice
-    if spec.backend == "product":
-        # diagonal basis: per-axis k values are the coefficients themselves
-        total = np.ones(coeffs.shape[0])
-        for i, (ks, _, probs, _) in enumerate(spec.axis_tables[0]):
-            total *= _axis_lookup(ks, probs, coeffs[:, i].astype(int))
-        return total
-    # parity backend: identify the coset from the raw coordinates, then
-    # apply the even-sum conditional within it
-    emb = coeffs @ lat.basis.T
-    a = spec.axis_scale
+    """Exact structured-backend pmf evaluated at table coefficient rows.
+
+    Identifies each row's coset and per-axis k values from its raw
+    coordinates, then applies the even-sum conditional within the coset
+    when the layout has the filter.
+    """
+    emb = coeffs @ spec.lattice.basis.T
     out = np.zeros(coeffs.shape[0])
     for t, off in enumerate(spec.coset_offsets):
-        k_real = (emb - off) / a
+        k_real = (emb - off) / spec.axis_scale
         k = np.rint(k_real).astype(int)
-        in_coset = np.all(np.abs(k_real - k) < 1e-9, axis=1)
-        even = (k.sum(axis=1) % 2) == 0
-        tables = spec.axis_tables[t]
+        sel = np.all(np.abs(k_real - k) < 1e-9, axis=1)
         prod = np.ones(coeffs.shape[0])
         b = 1.0
-        for i, (ks, _, probs, _) in enumerate(tables):
+        for i, (ks, _, probs, _) in enumerate(spec.axis_tables[t]):
             prod *= _axis_lookup(ks, probs, k[:, i])
             b *= float(np.sum(np.where(ks % 2 == 0, probs, -probs)))
-        even_frac = 0.5 * (1.0 + b)
-        sel = in_coset & even
-        out[sel] = float(spec.coset_probs[t]) * prod[sel] / even_frac
+        mass = 1.0
+        if spec.even_sum:
+            sel &= (k.sum(axis=1) % 2) == 0
+            mass = 0.5 * (1.0 + b)
+        out[sel] = float(spec.coset_probs[t]) * prod[sel] / mass
     return out
 
 
@@ -171,6 +171,45 @@ def test_product_matches_table_z4():
     assert table.backend == "table" and prod.backend == "product"
     got = _structured_pmf_at(prod, table.table_coeffs)
     assert np.max(np.abs(got - table.table_probs)) < 1e-13
+
+
+@pytest.mark.parametrize("lat,s", [
+    pytest.param(Z4_17, 1.7, id="Z4*1.7"),
+    pytest.param(DIAG4, 1.0, id="diag"),
+])
+def test_product_matches_table_diagonal(lat, s):
+    c = np.array([0.3, -0.2, 0.0, 0.45])
+    table = build_spec(lat, s, c)
+    prod = build_spec(lat, s, c, table_cap=1)
+    assert table.backend == "table" and prod.backend == "product"
+    got = _structured_pmf_at(prod, table.table_coeffs)
+    assert np.max(np.abs(got - table.table_probs)) < 1e-13
+
+
+# (lattice, sigma0, shift, backend, sha256 of the int64 sample_coeffs bytes
+# of 4096 draws on RngSeed(77, 0))
+_DRAWS_PINNED = {
+    "Z4": (Z4, 1.0, [0.25, -0.4, 0.0, 0.7], "product",
+           "aa159510942da60b8f49d03db6b8f5c1ab3b37b8b3f49e53537256081bbe00d4"),
+    "Z4*1.7": (Z4_17, 1.7, [0.0] * 4, "product",
+               "a1be83adf4055e7f514a0a6443cdacedfa8e58be505750476e4315ffe2bb1ce4"),
+    "diag": (DIAG4, 1.0, [0.3] * 4, "product",
+             "7a02b05390d0384ed848c87de542218d2da96cff9d68b9e2f82a507954a35cf9"),
+    "D4": (D4, 0.9, [0.1] * 4, "parity",
+           "d1a0ef45af65eecc50ec8cc12f5e24a303738d167c8db454a4377d838c363230"),
+    "E8": (E8, 0.45, [0.25] * 8, "parity",
+           "3f87c3cbcd8c4d76ca384761a78c0fe9a4e981823a9959d6581d839149387b03"),
+}
+
+
+@pytest.mark.parametrize("name", list(_DRAWS_PINNED))
+def test_structured_draws_pinned(name):
+    lat, s, c, backend, digest = _DRAWS_PINNED[name]
+    spec = build_spec(lat, s, np.array(c), table_cap=1)
+    assert spec.backend == backend
+    u = sample_coeffs(spec, stream(RngSeed(77, 0)), 4096)
+    assert u.dtype == np.int64
+    assert hashlib.sha256(u.tobytes()).hexdigest() == digest
 
 
 def test_product_matches_table_shifted():
