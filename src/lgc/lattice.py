@@ -9,13 +9,17 @@ whose decode_batch runs the closest-point algorithms of Conway & Sloane
 codes", IEEE Trans. IT 1982) over a whole batch.  The batch decoder
 accepts a structured answer only when every decision margin clears a guard
 at least 1000 times wider than the search's tie band; every other row is
-near a tie and goes straight to the exact search.  Every row of an untagged
-basis takes the exact fallback on the lattice's cached LLL reduction
-(Lenstra, Lenstra & Lovasz 1982): Babai's nearest-plane rounding, whose
-half-minimum-distance certificate either proves the answer or sends the row
-to the exact search, both on the reduced basis, where the certificate is
-stronger and the search visits fewer nodes; the unimodular transform maps
-the coefficients back to the caller's basis.
+near a tie and goes to the exact fallback.  Every row of an untagged basis
+is decoded on the lattice's cached LLL reduction (Lenstra, Lenstra &
+Lovasz 1982): Babai's nearest-plane rounding, whose half-minimum-distance
+certificate either proves the answer or sends the row to the exact
+fallback, both on the reduced basis, where the certificate is stronger and
+the balls are smaller; the unimodular transform maps the coefficients back
+to the caller's basis.  The exact fallback of the batch decoder is one
+multi-center ball search (Fincke & Pohst 1985; Agrell, Eriksson, Vardy &
+Zeger, IEEE Trans. IT 2002) over all of its rows at once, each ball passing
+through a known lattice point; the per-row depth-first search behind
+closest_point is the slow reference it is tested against.
 """
 
 from __future__ import annotations
@@ -39,7 +43,8 @@ NODE_CAP = 10**8
 POINT_CAP = 20_000_000
 # Lovasz condition parameter of the decoder's basis reduction
 _LLL_DELTA = 0.99
-# rows per structured decode call: keeps its temporaries in cache
+# rows per structured decode call and per exact-fallback ball search:
+# keeps their temporaries in cache
 _DECODE_CHUNK = 4096
 
 # ---------------------------------------------------------------------------
@@ -345,24 +350,19 @@ def standard_lattice(name: str, n: int | None = None) -> Lattice:
 # ---------------------------------------------------------------------------
 
 
-def _enum_nearest(diag, cols, t, tie_rel=1e-12, init=None, feasible=None):
+def _enum_nearest(diag, cols, t, tie_rel=1e-12):
     """Depth-first sphere search minimizing ||R u - t||^2.
 
     Candidates at each level are visited in zig-zag order around the real
     center, so a level can be abandoned as soon as its contribution exceeds
     the current limit.  Returns (ties, best, nodes) where ties is a list of
-    (coeff tuple, dist2) within the tie band of the best feasible leaf.
+    (coeff tuple, dist2) within the tie band of the best leaf.
     """
     n = len(t)
     node_cap = NODE_CAP
     best = math.inf
     ties: list = []
-    if init is not None:
-        u_init, d_init = init
-        best = d_init
-        ties = [(tuple(int(v) for v in u_init), d_init)]
-    band = tie_rel * (1.0 + best) if math.isfinite(best) else 0.0
-    lim = best + band
+    lim = best
 
     u = [0] * n
     u0 = [0] * n
@@ -400,15 +400,11 @@ def _enum_nearest(diag, cols, t, tie_rel=1e-12, init=None, feasible=None):
         if nd <= lim:
             if k == 0:
                 uu = tuple(u)
-                if feasible is None or feasible(uu):
-                    if nd < best:
-                        best = nd
-                        band = tie_rel * (1.0 + best)
-                        lim = best + band
-                        ties = [tv for tv in ties if tv[1] <= lim]
-                        ties.append((uu, nd))
-                    elif nd <= lim:
-                        ties.append((uu, nd))
+                if nd < best:
+                    best = nd
+                    lim = best + tie_rel * (1.0 + best)
+                    ties = [tv for tv in ties if tv[1] <= lim]
+                ties.append((uu, nd))
                 # keep walking level 0 outward
             else:
                 sk = slev[k]
@@ -423,14 +419,8 @@ def _enum_nearest(diag, cols, t, tie_rel=1e-12, init=None, feasible=None):
             k += 1
             if k == n:
                 break
-    # dedupe (the seeded incumbent may coincide with an enumerated leaf)
-    seen = {}
-    for uu, nd in ties:
-        if uu not in seen or nd < seen[uu]:
-            seen[uu] = nd
-    final = [(uu, nd) for uu, nd in seen.items() if nd <= best + band]
-    final.sort(key=lambda item: item[0])
-    return final, best, nodes
+    ties.sort(key=lambda item: item[0])
+    return ties, best, nodes
 
 
 def closest_point(lat: Lattice, y) -> LatticePoint:
@@ -457,11 +447,12 @@ def closest_points_batch(lat: Lattice, ys: np.ndarray) -> np.ndarray:
 
     A structured lattice decodes every row with its exact Conway-Sloane
     decoder and maps the points to coefficients in its own basis; the rows
-    whose decision margin falls inside the tie guard are near a tie, so each
-    goes straight to closest_point.  Every row of an untagged basis goes
+    whose decision margin falls inside the tie guard are near a tie, and
+    one _ball_nearest pass through the structured points searches them all
+    in the lattice's own frame.  Every row of an untagged basis goes
     through _reduced_exact.  Output matches closest_point row by row, ties
     included: every accepted row has a unique nearest point, and the exact
-    search in the caller's basis resolves the rest lexicographically.
+    pass in the caller's basis resolves the rest lexicographically.
     """
     ys = np.asarray(ys, dtype=float)
     m, n = ys.shape
@@ -478,17 +469,16 @@ def closest_points_batch(lat: Lattice, ys: np.ndarray) -> np.ndarray:
         pts, ok[i:i + _DECODE_CHUNK] = lat.structure.decode_batch(
             ys[i:i + _DECODE_CHUNK])
         u[i:i + _DECODE_CHUNK] = np.rint(pts @ to_coeffs)
-    for i in np.nonzero(~ok)[0].tolist():
-        u[i] = closest_point(lat, ys[i]).coeffs
+    refused = np.nonzero(~ok)[0]
+    u[refused], _ = _ball_nearest(lat, ys[refused], u[refused], 1e-12)
     return u
 
 
 def _babai(lat: Lattice, ys: np.ndarray) -> tuple:
-    """(tmat, u, hard) for the rows of ys on lat.
+    """(u, hard) for the rows of ys on lat.
 
-    tmat holds the rows in lat's QR frame, u Babai's nearest-plane
-    coefficients, and hard the rows whose residual is not certified inside
-    half the minimum distance.
+    u holds Babai's nearest-plane coefficients and hard the rows whose
+    residual is not certified inside half the minimum distance.
     """
     q, r = lat.qr()
     tmat = ys @ q
@@ -503,7 +493,7 @@ def _babai(lat: Lattice, ys: np.ndarray) -> tuple:
     resid = tmat - u @ r.T
     d2 = np.einsum("ij,ij->i", resid, resid)
     half = 0.5 * lat.lambda1_lb()
-    return tmat, u, np.nonzero(d2 >= (half * half) * (1.0 - 1e-9))[0]
+    return u, np.nonzero(d2 >= (half * half) * (1.0 - 1e-9))[0]
 
 
 def _reduced_exact(lat: Lattice, ys: np.ndarray) -> np.ndarray:
@@ -511,31 +501,88 @@ def _reduced_exact(lat: Lattice, ys: np.ndarray) -> np.ndarray:
 
     The batch decoder of untagged bases.  Babai's rounding on lat's LLL
     reduction (Lattice.reduced) keeps the rows it certifies inside half the
-    minimum distance; the rest go through the exact search on the reduced
-    basis.  A searched row keeps the reduced search's answer only when no
-    other candidate lies inside a band of _GUARD_REL * (1 + |y|^2) *
-    (1 + best), so that its nearest point is unique; otherwise
-    closest_point searches it again in lat's basis and breaks the tie
-    lexicographically in lat's coefficients.  The unimodular transform maps
-    the reduced coefficients back to lat's basis.
+    minimum distance; one _ball_nearest pass on the reduced basis searches
+    the rest, each inside the ball through its Babai point.  A searched
+    row keeps that pass's answer only when no other candidate lies inside
+    a band of _GUARD_REL * (1 + |y|^2) * (1 + best), so that its nearest
+    point is unique; the rows with more than one candidate take a second
+    pass in lat's own frame, through the mapped-back candidate, which
+    breaks the tie lexicographically in lat's coefficients as closest_point
+    does.  The unimodular transform maps the reduced coefficients back to
+    lat's basis.
     """
     red, t = lat.reduced()
-    tmat, u_red, hard = _babai(red, ys)
-    retry = []
-    if hard.size:
-        diag, cols = red._dfs_tabs()
-        th = tmat[hard]
-        bands = _GUARD_REL * (1.0 + np.einsum("ij,ij->i", th, th))
-        for i, row, band in zip(hard.tolist(), th.tolist(), bands.tolist()):
-            ties, _, _ = _enum_nearest(diag, cols, row, tie_rel=band)
-            if len(ties) == 1:
-                u_red[i] = ties[0][0]
-            else:
-                retry.append(i)
+    u_red, hard = _babai(red, ys)
+    yh = ys[hard]
+    band = _GUARD_REL * (1.0 + np.einsum("ij,ij->i", yh, yh))
+    u_red[hard], count = _ball_nearest(red, yh, u_red[hard], band)
     u = u_red @ t.T
-    for i in retry:
-        u[i] = closest_point(lat, ys[i]).coeffs
+    tied = hard[count > 1]
+    u[tied], _ = _ball_nearest(lat, ys[tied], u[tied], 1e-12)
     return u
+
+
+def _ball_nearest(lat: Lattice, ys: np.ndarray, u: np.ndarray,
+                  tie_rel) -> tuple:
+    """(coeffs, count): the nearest points of lat to the rows of ys.
+
+    u holds one lattice point per row, coefficients in lat's basis; its
+    squared distance `bound` (summed as _ball_search sums it, _path_d2)
+    bounds the row's nearest one.  One _ball_search over the rows, each
+    ball of squared radius bound + tie_rel * (1 + bound), holds every point
+    inside the tie band of the row's best: without the band term a near-tie
+    just outside the incumbent's ball would be missed.  Each row gets the
+    lexicographically smallest coefficients among its points with d2 <=
+    best + tie_rel * (1 + best), as _enum_nearest breaks ties, and the
+    count of those points.  tie_rel is a scalar or one value per row.  Rows
+    go _DECODE_CHUNK at a time, so no level's prefix count nears POINT_CAP.
+    """
+    q, r = lat.qr()
+    m = ys.shape[0]
+    tie_rel = np.broadcast_to(np.asarray(tie_rel, dtype=float), (m,))
+    out = u.copy()
+    count = np.zeros(m, dtype=np.int64)
+    sigma_min = np.linalg.svd(r, compute_uv=False)[-1]
+    for i in range(0, m, _DECODE_CHUNK):
+        tmat = ys[i:i + _DECODE_CHUNK] @ q
+        bound = _path_d2(r, tmat, u[i:i + _DECODE_CHUNK])
+        band = tie_rel[i:i + _DECODE_CHUNK]
+        rad2 = bound + band * (1.0 + bound)
+        # every level's center c is a coordinate of a real vector v with
+        # |r v - t| <= radius, so |c| <= (|t| + radius) / sigma_min; far
+        # from the origin some 20 ulps of that outgrow the usual 1e-12
+        reach = math.sqrt(np.max(np.einsum("ij,ij->i", tmat, tmat))) \
+            + math.sqrt(np.max(rad2))
+        root, cand, d2 = _ball_search(
+            r, tmat, rad2, slop=max(1e-12, 4e-15 * reach / sigma_min))
+        rows, best, count[i:i + _DECODE_CHUNK] = _lex_best(
+            tmat.shape[0], root, cand, d2, band)
+        out[i + rows] = best
+    return out, count
+
+
+def _lex_best(m: int, root: np.ndarray, u: np.ndarray, d2: np.ndarray,
+              tie_rel) -> tuple:
+    """(rows, coeffs, count): per center, the first of its nearest points.
+
+    root, u and d2 are _ball_search's points (center row, coefficients,
+    squared distance) over m centers.  A center's ties are its points with
+    d2 <= best + tie_rel * (1 + best), tie_rel being a scalar or one value
+    per center; rows lists the centers with a point, coeffs the
+    lexicographically smallest tie of each, and count the ties of every
+    center (0 without a point).
+    """
+    best = np.full(m, math.inf)
+    np.minimum.at(best, root, d2)
+    floor = best[root]
+    band = tie_rel[root] if np.ndim(tie_rel) else tie_rel
+    tie = d2 <= floor + band * (1.0 + floor)
+    root, u = root[tie], u[tie]
+    order = np.lexsort((*u.T[::-1], root))
+    root, u = root[order], u[order]
+    first = np.ones(root.size, dtype=bool)
+    first[1:] = root[1:] != root[:-1]
+    return root[first], u[first], np.bincount(root, minlength=m)
 
 
 def mod_lattice(lat: Lattice, x) -> np.ndarray:
@@ -593,7 +640,7 @@ def enumerate_ball(lat: Lattice, center, radius: float,
 
 
 def _ball_search(r: np.ndarray, tmat: np.ndarray, rad2: np.ndarray,
-                 coeffs: bool = True) -> tuple:
+                 coeffs: bool = True, slop: float = 1e-12) -> tuple:
     """Lattice points inside a ball around each of a batch of centers.
 
     tmat holds the centers in the QR frame of the lattice (centers @ q),
@@ -602,7 +649,10 @@ def _ball_search(r: np.ndarray, tmat: np.ndarray, rad2: np.ndarray,
     center, its integer coefficients (None with coeffs=False) and its
     squared distance to that center; the points come out grouped by center
     in row order.  Level-by-level expansion over r (Fincke & Pohst),
-    vectorized over the surviving prefixes of every center at once.
+    vectorized over the surviving prefixes of every center at once.  slop
+    widens each level's integer range past the ball's edge, so that the
+    rounding of the level's real centers c cuts no point off; it must
+    exceed a few ulps of the largest |c|.
     """
     m, n = tmat.shape
     slack = rad2 * (1.0 + 1e-12) + 1e-12
@@ -620,8 +670,8 @@ def _ball_search(r: np.ndarray, tmat: np.ndarray, rad2: np.ndarray,
         rkk = r[k, k]
         c = tau[:, k] / rkk
         w = np.sqrt(np.maximum(lim - d2, 0.0)) / rkk
-        lo = np.ceil(c - w - 1e-12).astype(np.int64)
-        hi = np.floor(c + w + 1e-12).astype(np.int64)
+        lo = np.ceil(c - w - slop).astype(np.int64)
+        hi = np.floor(c + w + slop).astype(np.int64)
         cnt = np.maximum(hi - lo + 1, 0)
         total = int(cnt.sum())
         if total == 0:
@@ -650,6 +700,24 @@ def _ball_search(r: np.ndarray, tmat: np.ndarray, rad2: np.ndarray,
     if not per:
         root = np.zeros(d2.size, dtype=np.intp)
     return root, np.stack(ucols[::-1], axis=1) if coeffs else None, d2
+
+
+def _path_d2(r: np.ndarray, tmat: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Squared distances from the rows of tmat (QR frame) to the points u.
+
+    Summed level by level in _ball_search's own arithmetic, so that a ball
+    of this squared radius around each row holds its point to the bit,
+    however large its coefficients.
+    """
+    uf = u.T.astype(float)
+    tau = tmat.T.copy()
+    d2 = np.zeros(tmat.shape[0])
+    for k in range(r.shape[0] - 1, -1, -1):
+        e = r[k, k] * uf[k] - tau[k]
+        d2 += e * e
+        if k:
+            tau[:k] -= r[:k, k, None] * uf[k]
+    return d2
 
 
 # ---------------------------------------------------------------------------

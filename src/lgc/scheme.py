@@ -45,9 +45,11 @@ from .lattice import (
     Lattice,
     LatticePoint,
     _ball_search,
-    _enum_nearest,
+    _enum_nearest,  # noqa: F401  bound here for perfbench/tracing.py
+    _lex_best,
     closest_point,
     closest_points_batch,
+    enumerate_ball,
 )
 from .rng import RngSeed, stream
 from .sampler import (
@@ -125,12 +127,16 @@ def map_decode(spec: DiscreteGaussianSpec, params: GaussianParams, y) -> Lattice
     """Exact posterior argmax over the truncated signaling support.
 
     Table specs score every support point exhaustively.  Structured specs
-    run branch-and-bound enumeration toward c + alpha*y (the posterior in
-    completed-square form) with leaves restricted to the truncation ball;
-    a feasible incumbent from plain scaled decoding keeps the search tight.
+    minimize the completed-square metric |B u - (c + alpha*y)|^2 over the
+    support box of the spec's axis layout.  The incumbent is the support
+    point that _box_nearest decodes axis by axis.  With p the target t
+    clamped into the box, every support point x satisfies |x - t|^2 >=
+    |x - p|^2 + |p - t|^2, so one enumerate_ball around p holds every
+    candidate that can beat or tie the incumbent, however far t lies
+    outside the support; ranking them is what breaks ties.
     This per-row search is the reference for the batched decoder of
     decode_agreement, which sends it only the rows it cannot settle.  Ties
-    (posterior metric within ~1e-12 relative) break to the
+    (squared distance within 1e-12 * (1 + best)) break to the
     lexicographically smallest coefficient vector.
     """
     y = np.asarray(y, dtype=float)
@@ -143,26 +149,81 @@ def map_decode(spec: DiscreteGaussianSpec, params: GaussianParams, y) -> Lattice
     if spec.backend == "table":
         return _map_table(spec, params, y)
     target = c + params.alpha * y
+    u = _box_nearest(spec, target)
     q, r = lat.qr()
-    diag, cols = lat._dfs_tabs()
-    t = tuple(float(v) for v in (target @ q))
-    basis = lat.basis
-    rad = spec.truncation_radius + 1e-9
+    tq = target @ q
+    e = r @ u - tq
+    bound = float(e @ e)
+    lows, highs = zip(*[(spec.axis_scale * k_lo + off,
+                         spec.axis_scale * k_hi + off)
+                        for off, k_lo, k_hi in _axis_ranges(spec)])
+    p = np.clip(target, np.min(lows, axis=0), np.max(highs, axis=0))
+    gap = float((target - p) @ (target - p))
+    # the slack covers the tie band and the rounding of bound and gap
+    rad2 = bound - gap + 1e-9 * (1.0 + bound + float(tq @ tq))
+    cand, _ = enumerate_ball(lat, p, math.sqrt(max(rad2, 0.0)))
+    cand = cand[_in_support(spec, cand)]
+    e = cand @ r.T - tq
+    d2 = np.einsum("ij,ij->i", e, e)
+    best = d2.min()
+    ties = cand[d2 <= best + 1e-12 * (1.0 + best)]
+    coeffs = ties[np.lexsort(ties.T[::-1])[0]]
+    return LatticePoint(coeffs, lat.basis @ coeffs.astype(float) - c)
 
-    def feasible(u):
-        x = basis @ np.asarray(u, dtype=float) - c
-        return float(x @ x) <= rad * rad
 
-    init = None
-    for cand in (closest_point(lat, target), closest_point(lat, c)):
-        u = tuple(int(v) for v in cand.coeffs)
-        if feasible(u):
-            d = basis @ np.asarray(u, dtype=float) - target
-            init = (u, float(d @ d))
-            break
-    ties, _, _ = _enum_nearest(diag, cols, t, init=init, feasible=feasible)
-    coeffs = np.array(ties[0][0], dtype=np.int64)
-    return LatticePoint(coeffs, basis @ coeffs.astype(float) - c)
+def _axis_ranges(spec: DiscreteGaussianSpec) -> list:
+    """(coset offset, lowest k, highest k) per coset of an axis-layout spec.
+
+    The coset's support points are B u = axis_scale * k + offset with every
+    k_i inside its table's range (and sum(k) even under even_sum).
+    """
+    return [(off, np.array([tab[0][0] for tab in tables]),
+             np.array([tab[0][-1] for tab in tables]))
+            for off, tables in zip(spec.coset_offsets, spec.axis_tables)]
+
+
+def _in_support(spec: DiscreteGaussianSpec, u: np.ndarray) -> np.ndarray:
+    """Which rows of u (coefficients) are support points of an axis-layout spec.
+
+    A lattice point is one when, in its own coset, every axis value lies in
+    its table's range; the even-sum filter holds for every point of a
+    checkerboard lattice, so it needs no test.
+    """
+    x = u @ spec.lattice.basis.T
+    ok = np.zeros(u.shape[0], dtype=bool)
+    for off, k_lo, k_hi in _axis_ranges(spec):
+        z = (x - off) / spec.axis_scale
+        k = np.rint(z)
+        ok |= np.all((np.abs(z - k) < 0.25) & (k >= k_lo) & (k <= k_hi),
+                     axis=1)
+    return ok
+
+
+def _box_nearest(spec: DiscreteGaussianSpec, target: np.ndarray) -> np.ndarray:
+    """Coefficients of a support point nearest target (ties aside).
+
+    Coset by coset, every axis value k_i is the target's, rounded and then
+    clamped to its table's range; under even_sum an odd sum moves the one
+    axis whose next-nearest value in range costs the least squared
+    distance, which is optimal because the distance is a sum over axes.
+    The nearer coset wins.
+    """
+    scale = spec.axis_scale
+    best, point = math.inf, None
+    for off, k_lo, k_hi in _axis_ranges(spec):
+        z = (target - off) / scale
+        k = np.clip(np.rint(z), k_lo, k_hi)
+        if spec.even_sum and k.sum() % 2:
+            alt = k + np.where(z > k, 1.0, -1.0)
+            alt = np.where((alt < k_lo) | (alt > k_hi), 2.0 * k - alt, alt)
+            cost = (scale * (alt - z)) ** 2 - (scale * (k - z)) ** 2
+            i = int(np.argmin(cost))
+            k[i] = alt[i]
+        x = scale * k + off
+        d2 = float((x - target) @ (x - target))
+        if d2 < best:
+            best, point = d2, x
+    return np.rint(point @ spec.lattice.inv().T).astype(np.int64)
 
 
 def _map_table(spec, params, y):
@@ -202,12 +263,12 @@ def _map_batch(spec: DiscreteGaussianSpec, params: GaussianParams,
     point lies nearer its target than that point, so a feasible point in
     the ball through it beats every point outside, and one _ball_search
     over the whole batch, each ball's radius being the distance to it,
-    holds every candidate of a row that has one.  The candidates inside
-    the truncation ball are scored as map_decode scores them, by the
+    holds every candidate of a row that has one.  The candidates in the
+    support (_in_support) are scored as map_decode scores them, by the
     squared distance |B u - (c + alpha*y)|^2 in the QR frame; distances
     within 1e-12 * (1 + best) of a row's best tie, and the
-    lexicographically smallest coefficients win.  A row with no feasible
-    candidate (its MMSE point lies outside the truncation ball) goes to
+    lexicographically smallest coefficients win (_lex_best).  A row with
+    no candidate in the support (its MMSE point lies outside it) goes to
     map_decode.
     """
     if not np.all(np.isfinite(ys)):
@@ -221,24 +282,11 @@ def _map_batch(spec: DiscreteGaussianSpec, params: GaussianParams,
     tmat = (c + params.alpha * ys) @ q
     resid = tmat - mmse @ r.T
     root, u, d2 = _ball_search(r, tmat, np.einsum("ij,ij->i", resid, resid))
-    x = u @ lat.basis.T - c
-    rad = spec.truncation_radius + 1e-9
-    ok = np.einsum("ij,ij->i", x, x) <= rad * rad
-    root, u, d2 = root[ok], u[ok], d2[ok]
-    best = np.full(ys.shape[0], math.inf)
-    np.minimum.at(best, root, d2)
-    floor = best[root]
-    tie = d2 <= floor + 1e-12 * (1.0 + floor)
-    root, u = root[tie], u[tie]
-    order = np.lexsort((*u.T[::-1], root))
-    root, u = root[order], u[order]
-    first = np.ones(root.size, dtype=bool)
-    first[1:] = root[1:] != root[:-1]
+    ok = _in_support(spec, u)
+    rows, best, count = _lex_best(ys.shape[0], root[ok], u[ok], d2[ok], 1e-12)
     out = np.empty_like(mmse)
-    out[root[first]] = u[first]
-    settled = np.zeros(ys.shape[0], dtype=bool)
-    settled[root] = True
-    for i in np.nonzero(~settled)[0].tolist():
+    out[rows] = best
+    for i in np.nonzero(count == 0)[0].tolist():
         out[i] = map_decode(spec, params, ys[i]).coeffs
     return out
 

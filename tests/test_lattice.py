@@ -15,7 +15,7 @@ from lgc.errors import (
     UnknownName,
 )
 from lgc.analytics import flatness
-from lgc.construction_a import lift, random_code
+from lgc.construction_a import ensemble_search, lift, random_code
 import lgc
 import lgc.lattice as lattice_mod
 from lgc.lattice import (
@@ -163,6 +163,26 @@ def _face_rows(lat, holes, rng, k):
     return ys + size * rng.normal(size=(k, lat.n)), k // 10
 
 
+def _watch_fallback(monkeypatch, frame=None):
+    """Row counts of the batch decoder's _ball_nearest passes (only those
+    in frame's own basis, when given); the per-row searches must not run."""
+    rows = []
+    ball_nearest = lattice_mod._ball_nearest
+
+    def counting(lat, ys, *args):
+        if frame is None or lat is frame:
+            rows.append(len(ys))
+        return ball_nearest(lat, ys, *args)
+
+    def per_row(*args, **kwargs):
+        raise AssertionError("the batch decoder called a per-row search")
+
+    monkeypatch.setattr(lattice_mod, "_ball_nearest", counting)
+    monkeypatch.setattr(lattice_mod, "closest_point", per_row)
+    monkeypatch.setattr(lattice_mod, "_enum_nearest", per_row)
+    return rows
+
+
 _HALF8 = [0.5] * 8
 _E1 = [1.0] + [0.0] * 7
 
@@ -187,16 +207,10 @@ def test_batch_matches_enum_nearest(name, n, holes, scale, monkeypatch):
     _, ok = lat.structure.decode_batch(ys)
     assert not ok[:exact].any()  # exact ties must take the fallback
 
-    searched = []
-
-    def counting(*args, **kwargs):
-        searched.append(1)
-        return _enum_nearest(*args, **kwargs)
-
-    monkeypatch.setattr(lattice_mod, "_enum_nearest", counting)
+    searched = _watch_fallback(monkeypatch)
     got = closest_points_batch(lat, ys)
-    print(f"{lat.label}: {int(np.sum(~ok))} of {m} rows failed the guard, "
-          f"{len(searched)} took the exact search")
+    monkeypatch.undo()
+    assert searched == [int(np.sum(~ok))]  # one pass over every refused row
 
     q, _ = lat.qr()
     diag, cols = lat._dfs_tabs()
@@ -297,17 +311,12 @@ def test_untagged_batch_matches_closest_point(name, monkeypatch):
     spread = 3.0 * lat.volume ** (1.0 / lat.n) * rng.normal(size=(10_000, lat.n))
     ys = np.concatenate([faces, spread])
 
-    researched = []
-
-    def counting(*args, **kwargs):
-        researched.append(1)
-        return closest_point(*args, **kwargs)
-
-    monkeypatch.setattr(lattice_mod, "closest_point", counting)
+    tie_pass = _watch_fallback(monkeypatch, lat)
     got = closest_points_batch(lat, ys)
+    monkeypatch.undo()
     want = np.array([closest_point(lat, y).coeffs for y in ys])
     assert np.array_equal(got, want)
-    assert researched  # the exact ties took the caller's-basis search
+    assert sum(tie_pass) > 0  # the exact ties took the caller's-basis pass
     assert lat.lambda1 == lam_before
 
     sigma = math.sqrt(lat.volume ** (2.0 / lat.n) / (2.0 * math.pi * 0.7))
@@ -315,6 +324,47 @@ def test_untagged_batch_matches_closest_point(name, monkeypatch):
     cold = flatness(build(), sigma)
     assert repr(decoded.as_dict()) == repr(cold.as_dict())
     assert lat.lambda1_lb() == build().lambda1_lb()
+
+
+def test_far_ties_take_the_guard_band(monkeypatch):
+    """Exact ties far from the origin on a skewed A2 basis: the two points
+    are equidistant, but the rounding of the reduced and the caller's
+    frames differs by more than closest_point's tie band, so the second
+    point often falls just outside the ball through the Babai point.  Only
+    the guard band in the reduced pass's search radius keeps it, and sends
+    the row to the caller's-basis pass that breaks the tie as closest_point
+    does; that pass in turn needs _ball_search's edge margin to grow with
+    the coordinates, or it loses points on its ball's edge."""
+    a2 = standard_lattice("A2")
+    lat = make_lattice(a2.basis @ np.array([[2, 5], [1, 3]]), label="skewA2")
+    assert not np.array_equal(lat.reduced()[1], np.eye(2))
+    mins = np.array([[1.0, 0.0], [0.5, _SQRT3 / 2.0], [-0.5, _SQRT3 / 2.0]])
+    rng = np.random.default_rng(5)
+    k = 1500
+    mag = 10.0 ** rng.uniform(3.0, 4.0, size=(k, 1))
+    base = np.rint(mag * rng.normal(size=(k, 2))) @ a2.basis.T
+    ys = base + 0.5 * mins[rng.integers(3, size=k)]
+    tie_pass = _watch_fallback(monkeypatch, lat)
+    got = closest_points_batch(lat, ys)
+    monkeypatch.undo()
+    want = np.array([closest_point(lat, y).coeffs for y in ys])
+    assert np.array_equal(got, want)
+    assert sum(tie_pass) > k // 2
+
+
+def test_batch_matches_closest_point_on_benchmark_lattice():
+    """The Poltyrev arm's traffic: the best lift of the p=7, n=8, k=4
+    ensemble at gsnr 0.7 (ensemble seed 2025), Gaussian noise at VNR 2.2."""
+    p, n, k = 7, 8, 4
+    scale = math.sqrt(0.7 * 2.0 * math.pi / p ** (2.0 * (n - k) / n))
+    lat = ensemble_search(p, n, k, scale, 1.0, 4, RngSeed(2025, 0))[0].lattice
+    assert lat.structure is None
+    noise = math.sqrt(lat.volume ** (2.0 / n) / (2.0 * math.pi * math.e * 2.2))
+    ys = noise * np.random.default_rng(22).normal(size=(3000, n))
+    got = closest_points_batch(lat, ys)
+    want = np.array([closest_point(lat, y).coeffs for y in ys])
+    assert np.array_equal(got, want)
+    assert np.any(got != 0)  # some rows decode to another point than 0
 
 
 def test_cvp_tie_lexicographic():

@@ -262,6 +262,62 @@ def test_map_batch_matches_map_decode(case, monkeypatch):
         assert np.count_nonzero(nearer) >= 50
 
 
+def test_map_stays_in_the_support_box():
+    # Z8 at sigma0 = 3 draws every coordinate from k in -31..31: the
+    # truncation ball (radius 87.7) holds (60, 0, ..., 0), which has
+    # probability 0, and the MAP word is the box point (31, 0, ..., 0)
+    p = make_params(3.0, 1.0)
+    spec = build_spec(Z8, 3.0, np.zeros(8))
+    assert spec.backend == "product"
+    assert spec.truncation_radius > 60.0
+    y = np.zeros(8)
+    y[0] = 60.0 / p.alpha
+    want = [31] + [0] * 7
+    assert map_decode(spec, p, y).coeffs.tolist() == want
+    mmse = closest_points_batch(Z8, p.alpha * y[None, :])
+    assert scheme_mod._map_batch(spec, p, y[None, :], mmse).tolist() == [want]
+
+
+def test_map_far_targets_match_round_then_clamp():
+    # targets 1.5 beyond the truncation radius, no coordinate near 0: on
+    # the product layout the MAP word is each coordinate rounded, then
+    # clamped to the table's range
+    p = make_params(3.0, 1.0)
+    spec = build_spec(Z8, 3.0, np.zeros(8))
+    rng = np.random.default_rng(4)
+    v = rng.choice([-1.0, 1.0], (10, 8)) * rng.uniform(0.9, 1.1, (10, 8))
+    v *= (spec.truncation_radius + 1.5) / np.linalg.norm(v, axis=1,
+                                                          keepdims=True)
+    got = np.array([map_decode(spec, p, x / p.alpha).coeffs for x in v])
+    assert np.array_equal(got, np.clip(np.rint(v), -31, 31))
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.25])
+def test_map_parity_matches_exhaustive_box(shift):
+    # D4's parity layout at sigma0 = 1: every even-sum k in the tables'
+    # box, scored exhaustively, for targets out to three truncation radii
+    p = make_params(1.0, 1.0)
+    c = np.full(4, shift)
+    spec = build_spec(D4, 1.0, c, table_cap=1)
+    assert spec.backend == "parity" and len(spec.axis_tables) == 1
+    ranges = [range(int(tab[0][0]), int(tab[0][-1]) + 1)
+              for tab in spec.axis_tables[0]]
+    ks = np.stack(np.meshgrid(*ranges, indexing="ij"), -1).reshape(-1, 4)
+    ks = ks[ks.sum(axis=1) % 2 == 0]
+    pts = ks * spec.axis_scale + spec.coset_offsets[0]
+    coeffs = np.rint(pts @ D4.inv().T).astype(np.int64)
+    rng = np.random.default_rng(8)
+    for _ in range(60):
+        d = rng.standard_normal(4)
+        target = d / np.linalg.norm(d) * rng.uniform(0.0, 3.0) \
+            * spec.truncation_radius
+        d2 = np.einsum("ij,ij->i", pts - target, pts - target)
+        tied = coeffs[d2 <= d2.min() * (1 + 1e-12) + 1e-12]
+        want = tied[np.lexsort(tied.T[::-1])[0]]
+        got = map_decode(spec, p, (target - c) / p.alpha)
+        assert np.array_equal(got.coeffs, want)
+
+
 def test_map_rejects_bad_shape():
     p = make_params(1.5, 1.0)
     spec = build_spec(Z2, 1.5, np.zeros(2))
