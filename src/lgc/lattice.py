@@ -176,6 +176,7 @@ class Lattice:
     _cols: tuple | None = field(default=None, repr=False)
     _dual: Lattice | None = field(default=None, repr=False)
     _reduced: tuple | None = field(default=None, repr=False)
+    _sigma_min: float | None = field(default=None, repr=False)
     # analytics.flatness reports, keyed by float(sigma)
     _flatness: dict = field(default_factory=dict, repr=False)
 
@@ -207,6 +208,13 @@ class Lattice:
             self._inv = np.linalg.inv(self.basis)
         return self._inv
 
+    def sigma_min(self) -> float:
+        """Cached smallest singular value of the basis: |B u| >= it * |u|."""
+        if self._sigma_min is None:
+            self._sigma_min = float(
+                np.linalg.svd(self.basis, compute_uv=False)[-1])
+        return self._sigma_min
+
     def dual(self) -> "Lattice":
         """Cached dual lattice, basis inv(B).T; volume is 1/volume."""
         if self._dual is None:
@@ -226,9 +234,8 @@ class Lattice:
             t = _lll(self.basis)
             red = Lattice(self.basis @ t, label=self.label + "~")
             _, r = red.qr()
-            bounds = [float(np.linalg.svd(b, compute_uv=False)[-1])
-                      for b in (self.basis, red.basis)]
-            bounds.append(float(np.min(np.diag(r))))
+            bounds = [self.sigma_min(), red.sigma_min(),
+                      float(np.min(np.diag(r)))]
             if self.lambda1 is not None:
                 bounds.append(self.lambda1)
             red.lambda1 = max(bounds)
@@ -247,9 +254,8 @@ class Lattice:
         """Certified lower bound on the shortest nonzero vector norm."""
         if self.lambda1 is not None:
             return self.lambda1
-        s = float(np.linalg.svd(self.basis, compute_uv=False)[-1])
-        self.lambda1 = s  # sigma_min(B) <= ||B u|| for any unit u
-        return s
+        self.lambda1 = self.sigma_min()
+        return self.lambda1
 
     def _dfs_tabs(self) -> tuple:
         # cached plain-python views of R for the depth-first search
@@ -542,19 +548,13 @@ def _ball_nearest(lat: Lattice, ys: np.ndarray, u: np.ndarray,
     tie_rel = np.broadcast_to(np.asarray(tie_rel, dtype=float), (m,))
     out = u.copy()
     count = np.zeros(m, dtype=np.int64)
-    sigma_min = np.linalg.svd(r, compute_uv=False)[-1]
     for i in range(0, m, _DECODE_CHUNK):
         tmat = ys[i:i + _DECODE_CHUNK] @ q
         bound = _path_d2(r, tmat, u[i:i + _DECODE_CHUNK])
         band = tie_rel[i:i + _DECODE_CHUNK]
         rad2 = bound + band * (1.0 + bound)
-        # every level's center c is a coordinate of a real vector v with
-        # |r v - t| <= radius, so |c| <= (|t| + radius) / sigma_min; far
-        # from the origin some 20 ulps of that outgrow the usual 1e-12
-        reach = math.sqrt(np.max(np.einsum("ij,ij->i", tmat, tmat))) \
-            + math.sqrt(np.max(rad2))
-        root, cand, d2 = _ball_search(
-            r, tmat, rad2, slop=max(1e-12, 4e-15 * reach / sigma_min))
+        root, cand, d2 = _ball_search(r, tmat, rad2,
+                                      slop=_edge_slop(lat, tmat, rad2))
         rows, best, count[i:i + _DECODE_CHUNK] = _lex_best(
             tmat.shape[0], root, cand, d2, band)
         out[i + rows] = best
@@ -634,9 +634,22 @@ def enumerate_ball(lat: Lattice, center, radius: float,
         return (np.empty((0, n), dtype=np.int64) if coeffs else None,
                 np.empty(0))
     q, r = lat.qr()
-    t = center @ q
-    _, u, d2 = _ball_search(r, t[None, :], np.array([radius * radius]), coeffs)
+    tmat = (center @ q)[None, :]
+    rad2 = np.array([radius * radius])
+    _, u, d2 = _ball_search(r, tmat, rad2, coeffs, _edge_slop(lat, tmat, rad2))
     return u, d2
+
+
+def _edge_slop(lat: Lattice, tmat: np.ndarray, rad2: np.ndarray) -> float:
+    """_ball_search's edge margin for balls of squared radii rad2 around tmat.
+
+    Every level's center c is a coordinate of a real vector v with
+    |r v - t| <= radius, so |c| <= (|t| + radius) / sigma_min; far from the
+    origin some 20 ulps of that outgrow the usual 1e-12.
+    """
+    reach = math.sqrt(np.max(np.einsum("ij,ij->i", tmat, tmat), initial=0.0)) \
+        + math.sqrt(np.max(rad2, initial=0.0))
+    return max(1e-12, 4e-15 * reach / lat.sigma_min())
 
 
 def _ball_search(r: np.ndarray, tmat: np.ndarray, rad2: np.ndarray,
@@ -648,11 +661,15 @@ def _ball_search(r: np.ndarray, tmat: np.ndarray, rad2: np.ndarray,
     center.  Returns (root, U, d2): for every point found, the row of its
     center, its integer coefficients (None with coeffs=False) and its
     squared distance to that center; the points come out grouped by center
-    in row order.  Level-by-level expansion over r (Fincke & Pohst),
-    vectorized over the surviving prefixes of every center at once.  slop
+    in row order and, within a center, sorted by (u_{n-1}, ..., u_0).
+    Level-by-level expansion over r (Fincke & Pohst), vectorized over the
+    surviving prefixes of every center at once.  Each level keeps only its
+    new coefficients and the indices of their parent prefixes; one walk up
+    those pointers at the end fills the coefficient columns of an (n, N)
+    C-order array, and U is its transpose, so U[:, k] is contiguous.  slop
     widens each level's integer range past the ball's edge, so that the
     rounding of the level's real centers c cuts no point off; it must
-    exceed a few ulps of the largest |c|.
+    exceed a few ulps of the largest |c| (_edge_slop).
     """
     m, n = tmat.shape
     slack = rad2 * (1.0 + 1e-12) + 1e-12
@@ -665,14 +682,17 @@ def _ball_search(r: np.ndarray, tmat: np.ndarray, rad2: np.ndarray,
     root = np.arange(m)
     tau = tmat
     d2 = np.zeros(m)
-    ucols: list = []
+    # level k's new coefficients and the int32 indices of their parent
+    # prefixes (a level holds at most POINT_CAP < 2^31 prefixes)
+    ucol: list = [None] * n
+    parent: list = [None] * n
     for k in range(n - 1, -1, -1):
         rkk = r[k, k]
         c = tau[:, k] / rkk
         w = np.sqrt(np.maximum(lim - d2, 0.0)) / rkk
         lo = np.ceil(c - w - slop).astype(np.int64)
-        hi = np.floor(c + w + slop).astype(np.int64)
-        cnt = np.maximum(hi - lo + 1, 0)
+        cnt = np.maximum(np.floor(c + w + slop).astype(np.int64) - lo + 1, 0)
+        del c, w
         total = int(cnt.sum())
         if total == 0:
             return (np.empty(0, dtype=np.intp),
@@ -680,26 +700,43 @@ def _ball_search(r: np.ndarray, tmat: np.ndarray, rad2: np.ndarray,
                     np.empty(0))
         if total > POINT_CAP:
             raise BudgetExceeded(f"ball enumeration passed {POINT_CAP} points")
-        rows = np.repeat(np.arange(cnt.size), cnt)
-        starts = np.cumsum(cnt) - cnt
-        uk = lo[rows] + (np.arange(total) - starts[rows])
-        e = rkk * uk - tau[rows, k]
-        nd = d2[rows] + e * e
-        keep = nd <= (lim[rows] if per else lim)
-        rows = rows[keep]
+        # the candidates of each prefix are contiguous: per-prefix values
+        # spread by np.repeat, in place where possible, and every array
+        # goes once used (the last levels set the peak memory of a ball)
+        uk = np.repeat(lo - (np.cumsum(cnt) - cnt), cnt)
+        uk += np.arange(total)
+        nd = rkk * uk
+        nd -= np.repeat(tau[:, k], cnt)
+        nd *= nd
+        nd += np.repeat(d2, cnt)
+        keep = nd <= (np.repeat(lim, cnt) if per else lim)
+        rows = np.repeat(np.arange(cnt.size, dtype=np.int32), cnt)[keep]
         uk = uk[keep]
         d2 = nd[keep]
+        del nd, keep, lo, cnt
         if per:
             root = root[rows]
             lim = slack[root]
         if coeffs:
-            ucols = [col[rows] for col in ucols]
-            ucols.append(uk)
+            ucol[k] = uk
+            parent[k] = rows
         if k:
-            tau = tau[rows][:, :k] - uk[:, None] * r[:k, k][None, :]
+            tau = tau[rows, :k] - uk[:, None] * r[:k, k][None, :]
     if not per:
         root = np.zeros(d2.size, dtype=np.intp)
-    return root, np.stack(ucols[::-1], axis=1) if coeffs else None, d2
+    if not coeffs:
+        return root, None, d2
+    # a prefix's points are contiguous, so column k repeats each level-k
+    # coefficient once per point below it; the counts sum up the pointers
+    cols = np.empty((n, d2.size), dtype=np.int64)
+    cols[0] = ucol[0]
+    below = None
+    for k in range(1, n):
+        below = np.bincount(parent[k - 1], weights=below,
+                            minlength=ucol[k].size).astype(np.int64)
+        ucol[k - 1] = parent[k - 1] = None
+        cols[k] = np.repeat(ucol[k], below)
+    return root, cols.T, d2
 
 
 def _path_d2(r: np.ndarray, tmat: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -37,6 +37,9 @@ from .rng import RngSeed, stream
 TABLE_CAP = 4_000_000
 # table rows embedded per step of a pass over the support
 _TABLE_CHUNK = 262144
+# table rows per step of the sort-key packing and unpacking: keeps their
+# temporaries in cache
+_KEY_CHUNK = 16384
 DEFICIT_TARGET = 1e-12
 MAX_REJECTION_ROUNDS = 1000
 
@@ -174,8 +177,18 @@ def _build_table(lat, sigma0, c, radius):
         radius *= 1.15
     else:
         raise BudgetExceeded("support enumeration did not certify its tail")
-    order = np.lexsort(coeffs.T[::-1])
-    coeffs = np.ascontiguousarray(coeffs[order])
+    # the points are distinct, so their packed keys are too and one argsort
+    # gives np.lexsort's order; the enumeration's columns are released
+    # before the sorted table is unpacked
+    packed = _pack_rows(coeffs)
+    if packed is None:
+        order = np.lexsort(coeffs.T[::-1])
+        coeffs = np.ascontiguousarray(coeffs[order])
+    else:
+        del coeffs
+        key, bits, lows = packed
+        order = np.argsort(key)
+        coeffs = _unpack_rows(key[order], bits, lows)
     probs = w[order] / z
     cdf = np.cumsum(probs)
     cdf[-1] = 1.0
@@ -183,6 +196,41 @@ def _build_table(lat, sigma0, c, radius):
         lattice=lat, sigma0=sigma0, shift=c, truncation_radius=radius,
         deficit=tail / z, backend="table",
         table_coeffs=coeffs, table_probs=probs, table_cdf=cdf)
+
+
+def _pack_rows(coeffs: np.ndarray):
+    """(key, bits, lows) packing each coefficient row into one int64, or None.
+
+    Column k, less its minimum lows[k], takes bits[k] bits, the bit width
+    of its observed span, and column 0 the highest bits, so the keys order
+    the rows lexicographically.  None when the spans need more than 63 bits.
+    """
+    lows = coeffs.min(axis=0).tolist()
+    bits = [(int(hi) - lo).bit_length()
+            for lo, hi in zip(lows, coeffs.max(axis=0).tolist())]
+    if sum(bits) > 63:
+        return None
+    key = np.zeros(coeffs.shape[0], dtype=np.int64)
+    for lo in range(0, key.size, _KEY_CHUNK):
+        part = key[lo:lo + _KEY_CHUNK]
+        for k, (b, low) in enumerate(zip(bits, lows)):
+            part <<= b
+            part |= coeffs[lo:lo + _KEY_CHUNK, k] - low
+    return key, bits, lows
+
+
+def _unpack_rows(key: np.ndarray, bits: list, lows: list) -> np.ndarray:
+    """The C-order coefficient rows of _pack_rows keys."""
+    shifts = np.cumsum([0] + bits[:0:-1])[::-1, None]
+    masks = np.array([(1 << b) - 1 for b in bits], dtype=np.int64)[:, None]
+    lows = np.array(lows, dtype=np.int64)[:, None]
+    out = np.empty((key.size, len(bits)), dtype=np.int64)
+    for lo in range(0, key.size, _KEY_CHUNK):
+        cols = key[lo:lo + _KEY_CHUNK] >> shifts  # row k: column k
+        cols &= masks
+        cols += lows
+        out[lo:lo + _KEY_CHUNK] = cols.T
+    return out
 
 
 def _alt_sum(ks, probs) -> float:
@@ -343,10 +391,11 @@ def tail_event_rate(spec: DiscreteGaussianSpec) -> tuple:
     bound = sphere_tail_bound(n, eps)
     r2 = 2.0 * math.pi * n * spec.sigma0 ** 2
     if spec.backend == "table":
-        emb = spec.table_coeffs @ lat.basis.T - spec.shift
-        norms = np.einsum("ij,ij->i", emb, emb)
-        mass = float(np.sum(spec.table_probs[norms > r2]))
-        return bound, mass
+        outside = np.empty(spec.table_probs.size, dtype=bool)
+        for lo, emb in _table_chunks(spec):
+            norms = np.einsum("ij,ij->i", emb, emb)
+            outside[lo:lo + norms.size] = norms > r2
+        return bound, float(np.sum(spec.table_probs[outside]))
     steps = spec.axis_scale
     if (spec.backend == "product" and np.all(spec.shift == 0.0)
             and np.all(steps == steps[0])):

@@ -45,6 +45,7 @@ from .lattice import (
     Lattice,
     LatticePoint,
     _ball_search,
+    _edge_slop,
     _enum_nearest,  # noqa: F401  bound here for perfbench/tracing.py
     _lex_best,
     closest_point,
@@ -281,7 +282,8 @@ def _map_batch(spec: DiscreteGaussianSpec, params: GaussianParams,
     q, r = lat.qr()
     tmat = (c + params.alpha * ys) @ q
     resid = tmat - mmse @ r.T
-    root, u, d2 = _ball_search(r, tmat, np.einsum("ij,ij->i", resid, resid))
+    rad2 = np.einsum("ij,ij->i", resid, resid)
+    root, u, d2 = _ball_search(r, tmat, rad2, slop=_edge_slop(lat, tmat, rad2))
     ok = _in_support(spec, u)
     rows, best, count = _lex_best(ys.shape[0], root[ok], u[ok], d2[ok], 1e-12)
     out = np.empty_like(mmse)

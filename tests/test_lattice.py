@@ -22,6 +22,7 @@ from lgc.lattice import (
     Lattice,
     _ball_search,
     _enum_nearest,
+    _path_d2,
     closest_point,
     closest_points_batch,
     contains,
@@ -518,6 +519,81 @@ def test_ball_search_matches_enumerate_ball_per_center(fresh_lattice, name):
                 assert u is None and want_u is None
     assert np.count_nonzero(root == 3) == 0
     assert root.size > 30
+
+
+def _box_ball(lat, tmat, rad2):
+    """(root, U, d2) of every lattice point in each ball, by brute force.
+
+    tmat holds the centers in the QR frame, as _ball_search takes them.
+    Scans a coefficient box that holds the ball around each center; d2 and
+    membership (d2 <= rad2 * (1 + 1e-12) + 1e-12) are computed in
+    _ball_search's own arithmetic (_path_d2), so points on a ball's edge
+    count the same way.  Points come grouped by center, each group sorted
+    by (u_{n-1}, ..., u_0).
+    """
+    _, r = lat.qr()
+    stretch = np.linalg.norm(lat.inv(), 2)  # |u - inv(B) c| <= radius*stretch
+    out = []
+    for i, (t, r2) in enumerate(zip(tmat, rad2)):
+        mid = np.rint(np.linalg.solve(r, t)).astype(np.int64)
+        h = int(math.ceil(math.sqrt(r2) * stretch)) + 2
+        u = np.stack(np.meshgrid(*[np.arange(v - h, v + h + 1) for v in mid],
+                                 indexing="ij"), axis=-1).reshape(-1, lat.n)
+        d2 = _path_d2(r, np.tile(t, (u.shape[0], 1)), u)
+        keep = d2 <= r2 * (1.0 + 1e-12) + 1e-12
+        u, d2 = u[keep], d2[keep]
+        order = np.lexsort(u.T)
+        out.append((np.full(order.size, i), u[order], d2[order]))
+    return [np.concatenate(parts) for parts in zip(*out)]
+
+
+def _skew_a2():
+    """A2 on the basis A2 @ [[2, 5], [1, 3]], far from LLL-reduced."""
+    a2 = standard_lattice("A2")
+    return make_lattice(a2.basis @ np.array([[2, 5], [1, 3]]), label="skewA2")
+
+
+@pytest.mark.parametrize("name", ["Z4", "D4", "A2", "skewA2"])
+def test_ball_search_order_matches_box(fresh_lattice, name):
+    """Points come grouped by center and sorted by (u_{n-1}, ..., u_0)
+    within each; _lex_best, scheme._map_batch and the sampler's table all
+    rely on this order.  Coefficients and d2 match a box scan exactly."""
+    lat = _skew_a2() if name == "skewA2" else fresh_lattice(name)
+    q, r = lat.qr()
+    rng = np.random.default_rng(31)
+    centers = rng.uniform(-3.0, 3.0, (6, lat.n)) @ lat.basis.T
+    centers[2] = 0.0  # balls through lattice points: ties on the edge
+    rad2 = np.array([4.5, 0.4, 2.0, 1e-6, 5.0, 1.0])
+    tmat = centers @ q
+    want = _box_ball(lat, tmat, rad2)
+    assert want[0].size > 40
+    root, u, d2 = _ball_search(r, tmat, rad2)
+    assert np.array_equal(root, want[0])
+    assert u.dtype == np.int64 and np.array_equal(u, want[1])
+    assert d2.tobytes() == want[2].tobytes()
+
+
+def test_enumerate_ball_far_center_keeps_edge_points():
+    """Far from the origin (|c| about 1e4) on a skewed A2 basis, balls of
+    radius 0.5 around midpoints of minimal vectors pass exactly through
+    two lattice points.  The rounding of each level's center there exceeds
+    a fixed 1e-12 edge margin, which dropped such points; the margin now
+    grows with the center (_edge_slop)."""
+    a2 = standard_lattice("A2")
+    lat = _skew_a2()
+    mins = np.array([[1.0, 0.0], [0.5, _SQRT3 / 2.0], [-0.5, _SQRT3 / 2.0]])
+    rng = np.random.default_rng(5)
+    k = 400
+    mag = 10.0 ** rng.uniform(3.8, 4.2, size=(k, 1))
+    base = np.rint(mag * rng.normal(size=(k, 2))) @ a2.basis.T
+    centers = base + 0.5 * mins[rng.integers(3, size=k)]
+    q, _ = lat.qr()
+    tmat = np.stack([c @ q for c in centers])  # enumerate_ball's own frame
+    _, want_u, want_d2 = _box_ball(lat, tmat, np.full(k, 0.25))
+    got = [enumerate_ball(lat, c, 0.5) for c in centers]
+    assert np.array_equal(np.concatenate([u for u, _ in got]), want_u)
+    assert np.concatenate([d2 for _, d2 in got]).tobytes() == want_d2.tobytes()
+    assert want_u.shape[0] > k
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,13 @@ from lgc.errors import (
     FlatnessTooLarge,
     NonpositiveSigma,
 )
-from lgc.lattice import make_lattice, standard_lattice
+from lgc.analytics import _tail_bound
+from lgc.lattice import Lattice, enumerate_ball, make_lattice, standard_lattice
 from lgc.rng import RngSeed, stream
+from lgc.scheme import design_volume, make_params
 from lgc.sampler import (
     DEFICIT_TARGET,
+    _pack_rows,
     build_spec,
     dump_samples_csv,
     sample,
@@ -120,6 +123,53 @@ def test_support_ordering_and_mass():
     assert spec.table_probs.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.all(np.diff(spec.table_cdf) >= 0)
     assert spec.table_cdf[-1] == 1.0
+
+
+def _sandwich_e8_case():
+    # criterion 4: E8 at the design volume, eps'' = 1, SNR 10, shift 0.25
+    params = make_params(math.sqrt(10.0), 1.0)
+    vol = design_volume(params.sigma_tilde, 1.0, 8)
+    return E8.scale(vol ** 0.125), params.sigma0, np.full(8, 0.25)
+
+
+_TABLE_CASES = {
+    "sandwich_e8": _sandwich_e8_case,
+    "D4": lambda: (D4, 1.3, np.array([0.3, -0.2, 0.7, 0.1])),
+    "A2": lambda: (standard_lattice("A2"), 2.0, np.array([0.4, -0.35])),
+    # Z8 on the basis I + 4 S (S the shift matrix): its short vectors have
+    # coefficients up to about 4^7, and the spans take 80 bits together
+    "skew8": lambda: (Lattice(np.eye(8) + 4.0 * np.eye(8, k=1), label="skew8",
+                              lambda1=1.0), 0.3, np.full(8, 0.1)),
+}
+
+
+@pytest.mark.parametrize("case", list(_TABLE_CASES))
+def test_table_matches_lexsort_reference(case):
+    """build_spec's table equals, to the bit, enumerate_ball at the spec's
+    radius followed by np.lexsort; the packed-key sort and its lexsort
+    fallback (spans over 63 bits) both run."""
+    lat, sigma0, c = _TABLE_CASES[case]()
+    spec = build_spec(lat, sigma0, c)
+    assert spec.backend == "table"
+    radius = spec.truncation_radius
+    coeffs, d2 = enumerate_ball(lat, c, radius)
+    w = np.exp(-d2 / (2.0 * sigma0 * sigma0))
+    z = float(w.sum())
+    order = np.lexsort(coeffs.T[::-1])
+    probs = w[order] / z
+    cdf = np.cumsum(probs)
+    cdf[-1] = 1.0
+    tau = 1.0 / (2.0 * math.pi * sigma0 * sigma0)
+    deficit = _tail_bound(lat.n, lat.lambda1_lb(), tau, radius) / z
+    table = spec.table_coeffs
+    assert table.dtype == np.int64 and table.flags["C_CONTIGUOUS"]
+    assert table.shape == coeffs.shape
+    for k in range(lat.n):  # column by column keeps the copies small
+        assert np.array_equal(table[:, k], coeffs[order, k])
+    assert spec.table_probs.tobytes() == probs.tobytes()
+    assert spec.table_cdf.tobytes() == cdf.tobytes()
+    assert spec.deficit == deficit
+    assert (_pack_rows(table) is None) == (case == "skew8")
 
 
 def test_shift_moves_support():
