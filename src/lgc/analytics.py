@@ -31,7 +31,7 @@ from .errors import (
     NonpositiveSigma,
 )
 from . import lattice
-from .lattice import Diag, Lattice, enumerate_ball
+from .lattice import Lattice, enumerate_ball
 
 X_START = 50.0        # initial exponent cut: first radius puts e^{-X} at the rim
 GROW = 1.25           # radius growth factor while the tail is not certified
@@ -345,13 +345,13 @@ def _support_stats(lat: Lattice, sigma0: float, c: np.ndarray) -> tuple:
     bases enumerate the truncated support directly in float64.
     """
     n = lat.n
-    if isinstance(lat.structure, Diag):
-        axes = lat.structure.steps
+    if lat.structure is not None and not lat.structure.even_sum:  # diagonal
+        steps = lat.structure.steps
         mom = mp.mpf(0)
         ent = mp.mpf(0)
         with mp.workdps(_MP_DPS):
             for i in range(n):
-                _, mean_sq, h = _axis_sums(axes[i], c[i], sigma0)
+                _, mean_sq, h = _axis_sums(steps[i], c[i], sigma0)
                 mom += mean_sq
                 ent += h
         return mom, ent

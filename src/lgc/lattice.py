@@ -2,11 +2,12 @@
 
 A lattice is represented by a square basis matrix whose COLUMNS are the
 generator vectors.  All search routines are exact: the nearest-point solver
-is a depth-first sphere search with a node budget.  Named lattices carry a
-structure tag (Diag for Zn and diagonal bases, Checkerboard for Dn and E8)
-whose decode_batch runs the closest-point algorithms of Conway & Sloane
-("Fast quantizing and decoding algorithms for lattice quantizers and
-codes", IEEE Trans. IT 1982) over a whole batch.  The batch decoder
+is a depth-first sphere search with a node budget.  Zn, Dn, E8 and
+diagonal bases carry their axis layout as a structure tag (Axes: points
+steps * k plus one offset per coset, with an even-sum filter on k for Dn
+and E8), whose decode_batch runs the closest-point algorithms of Conway &
+Sloane ("Fast quantizing and decoding algorithms for lattice quantizers
+and codes", IEEE Trans. IT 1982) over a whole batch.  The batch decoder
 accepts a structured answer only when every decision margin clears a guard
 at least 1000 times wider than the search's tie band; every other row is
 near a tie and goes to the exact fallback.  Every row of an untagged basis
@@ -107,69 +108,62 @@ def _decode_dn(z: np.ndarray) -> tuple:
 
 
 @dataclass(frozen=True, eq=False)
-class Diag:
-    """Orthogonal lattice with basis diag(steps)."""
+class Axes:
+    """Axis layout of a structured lattice: points steps * k + offset.
+
+    One offset per coset, k integer; with even_sum, sum(k) is even.  Without
+    the filter the lattice is diag(steps), one coset at 0 (Zn and diagonal
+    bases); with it the steps are equal and the lattice is step * D_n, or
+    with the offsets (0, step / 2) step * E8 at n = 8.
+    """
 
     steps: np.ndarray
-
-    def scaled(self, a: float) -> "Diag":
-        return Diag(self.steps * a)
-
-    def axes(self, n: int) -> tuple:
-        """Sampler layout (steps, coset offsets, even-sum filter): points steps * k."""
-        return self.steps, (0.0,), False
-
-    def decode_batch(self, ys: np.ndarray) -> tuple:
-        """(nearest points, ok) for the rows of ys: round each coordinate."""
-        yt = np.ascontiguousarray(ys.T)
-        steps = self.steps[:, None]
-        pts = np.rint(yt / steps) * steps
-        r = yt - pts
-        margin = np.min(steps * (steps - 2.0 * np.abs(r)), axis=0)
-        best = np.einsum("ij,ij->j", r, r)
-        return pts.T, margin > _guard(best, yt)
-
-
-@dataclass(frozen=True)
-class Checkerboard:
-    """step * D_n, joined with step * (D_n + 1/2) when half is set (E8 at n = 8)."""
-
-    step: float
-    half: bool
-
-    def scaled(self, a: float) -> "Checkerboard":
-        return Checkerboard(self.step * a, self.half)
-
-    def axes(self, n: int) -> tuple:
-        """Sampler layout: points step * k + 0 (or step / 2), sum(k) even."""
-        offsets = (0.0, 0.5 * self.step) if self.half else (0.0,)
-        return np.full(n, self.step), offsets, True
+    offsets: tuple = (0.0,)
+    even_sum: bool = False
 
     def decode_batch(self, ys: np.ndarray) -> tuple:
         """(nearest points, ok) for the rows of ys.
 
-        D_n by _decode_dn; with the half coset, the nearer of the D_n
-        decode and the D_n + 1/2 decode.
+        Per coset, in step units: round every k, or under the filter
+        decode D_n (_decode_dn); the nearer coset wins, its margin capped
+        by the gap between the cosets' squared distances.
         """
         yt = np.ascontiguousarray(ys.T)
-        z = yt / self.step
-        pts, d2, margin = _decode_dn(z)
-        if self.half:
-            pts1, d21, margin1 = _decode_dn(z - 0.5)
-            take = d21 < d2
-            pts = np.where(take, pts1 + 0.5, pts)
-            margin = np.minimum(np.where(take, margin1, margin),
-                                np.abs(d21 - d2))
-            d2 = np.minimum(d2, d21)
-        s2 = self.step * self.step
-        return (pts * self.step).T, margin * s2 > _guard(d2 * s2, yt)
+        # the filter's steps are equal, and a scalar step is faster
+        steps = float(self.steps[0]) if self.even_sum else self.steps[:, None]
+        s2 = steps * steps
+        z = yt / steps
+        pts = None
+        for off in self.offsets:
+            shift = off / steps  # the offset in step units
+            zc = z - shift if off else z
+            if self.even_sum:
+                k, d2c, margin_c = _decode_dn(zc)
+                d2c *= s2
+                margin_c *= s2
+            else:
+                k = np.rint(zc)
+                r = zc - k
+                d2c = np.einsum("ij,ij->j", s2 * r, r)
+                margin_c = np.min(s2 * (1.0 - 2.0 * np.abs(r)), axis=0)
+            if off:
+                k += shift
+            if pts is None:
+                pts, d2, margin = k, d2c, margin_c
+                continue
+            take = d2c < d2
+            pts = np.where(take, k, pts)
+            margin = np.minimum(np.where(take, margin_c, margin),
+                                np.abs(d2c - d2))
+            d2 = np.minimum(d2, d2c)
+        return (pts * steps).T, margin > _guard(d2, yt)
 
 
 @dataclass(eq=False)
 class Lattice:
     basis: np.ndarray
     label: str = ""
-    structure: Diag | Checkerboard | None = None
+    structure: Axes | None = None
     lambda1: float | None = None
     _qr: tuple | None = field(default=None, repr=False)
     _inv: np.ndarray | None = field(default=None, repr=False)
@@ -245,7 +239,9 @@ class Lattice:
     def scale(self, a: float) -> "Lattice":
         if a <= 0:
             raise SingularBasis("scale factor must be positive")
-        structure = None if self.structure is None else self.structure.scaled(a)
+        ax = self.structure
+        structure = None if ax is None else Axes(
+            ax.steps * a, tuple(off * a for off in ax.offsets), ax.even_sum)
         lam = None if self.lambda1 is None else self.lambda1 * a
         return Lattice(self.basis * a, label=f"{self.label}*{a:g}",
                        structure=structure, lambda1=lam)
@@ -313,7 +309,7 @@ def make_lattice(basis, label: str = "") -> Lattice:
     structure = None
     offdiag = b - np.diag(np.diag(b))
     if np.all(offdiag == 0.0) and np.all(np.diag(b) > 0):
-        structure = Diag(np.diag(b).copy())
+        structure = Axes(np.diag(b).copy())
     return Lattice(b, label=label or "custom", structure=structure)
 
 
@@ -323,7 +319,7 @@ def standard_lattice(name: str, n: int | None = None) -> Lattice:
         if n is None or n < 1:
             raise ConfigError("Zn needs a dimension n >= 1")
         lat = Lattice(np.eye(n), label=f"Z{n}",
-                      structure=Diag(np.ones(n)), lambda1=1.0)
+                      structure=Axes(np.ones(n)), lambda1=1.0)
         return lat
     if name == "Dn":
         if n is None or n < 2:
@@ -334,8 +330,8 @@ def standard_lattice(name: str, n: int | None = None) -> Lattice:
         for i in range(1, n):
             rows[i, i - 1] = 1.0
             rows[i, i] = -1.0
-        return Lattice(rows.T.copy(), label=f"D{n}",
-                       structure=Checkerboard(1.0, False), lambda1=math.sqrt(2.0))
+        return Lattice(rows.T.copy(), label=f"D{n}", lambda1=math.sqrt(2.0),
+                       structure=Axes(np.ones(n), even_sum=True))
     if name == "E8":
         rows = np.zeros((8, 8))
         rows[0, 0] = 2.0
@@ -343,8 +339,8 @@ def standard_lattice(name: str, n: int | None = None) -> Lattice:
             rows[i, i - 1] = -1.0
             rows[i, i] = 1.0
         rows[7, :] = 0.5
-        return Lattice(rows.T.copy(), label="E8",
-                       structure=Checkerboard(1.0, True), lambda1=math.sqrt(2.0))
+        return Lattice(rows.T.copy(), label="E8", lambda1=math.sqrt(2.0),
+                       structure=Axes(np.ones(8), (0.0, 0.5), True))
     if name == "A2":
         b = np.array([[1.0, 0.5], [0.0, math.sqrt(3.0) / 2.0]])
         return Lattice(b, label="A2", lambda1=1.0)
@@ -510,17 +506,18 @@ def _reduced_exact(lat: Lattice, ys: np.ndarray) -> np.ndarray:
     minimum distance; one _ball_nearest pass on the reduced basis searches
     the rest, each inside the ball through its Babai point.  A searched
     row keeps that pass's answer only when no other candidate lies inside
-    a band of _GUARD_REL * (1 + |y|^2) * (1 + best), so that its nearest
-    point is unique; the rows with more than one candidate take a second
-    pass in lat's own frame, through the mapped-back candidate, which
-    breaks the tie lexicographically in lat's coefficients as closest_point
-    does.  The unimodular transform maps the reduced coefficients back to
-    lat's basis.
+    a band of _GUARD_REL * (1 + |y|) * (1 + best), so that its nearest
+    point is unique: in either frame each level's residual is off by some
+    ulps of |y|, so d2 by some ulps of 2 |y| sqrt(d2) <= |y| (1 + d2).
+    The rows with more than one candidate take a second pass in lat's own
+    frame, through the mapped-back candidate, which breaks the tie
+    lexicographically in lat's coefficients as closest_point does.  The
+    unimodular transform maps the reduced coefficients back to lat's basis.
     """
     red, t = lat.reduced()
     u_red, hard = _babai(red, ys)
     yh = ys[hard]
-    band = _GUARD_REL * (1.0 + np.einsum("ij,ij->i", yh, yh))
+    band = _GUARD_REL * (1.0 + np.linalg.norm(yh, axis=1))
     u_red[hard], count = _ball_nearest(red, yh, u_red[hard], band)
     u = u_red @ t.T
     tied = hard[count > 1]
@@ -674,9 +671,10 @@ def _ball_search(r: np.ndarray, tmat: np.ndarray, rad2: np.ndarray,
     m, n = tmat.shape
     slack = rad2 * (1.0 + 1e-12) + 1e-12
     # One center (enumerate_ball) keeps its radius a scalar and tracks no
-    # root.  On the large d2-only balls of the certified sums the two
-    # per-prefix gathers would cost about 11 % of the throughput and 6 %
-    # of the peak memory of the lemma checks.
+    # root (it returns a read-only view of one 0).  On the large d2-only
+    # balls of the certified sums the two per-prefix gathers would cost
+    # about 11 % of the throughput and 6 % of the peak memory of the lemma
+    # checks.
     per = m > 1
     lim = slack if per else slack[0]
     root = np.arange(m)
@@ -723,7 +721,7 @@ def _ball_search(r: np.ndarray, tmat: np.ndarray, rad2: np.ndarray,
         if k:
             tau = tau[rows, :k] - uk[:, None] * r[:k, k][None, :]
     if not per:
-        root = np.zeros(d2.size, dtype=np.intp)
+        root = np.broadcast_to(np.intp(0), d2.size)
     if not coeffs:
         return root, None, d2
     # a prefix's points are contiguous, so column k repeats each level-k

@@ -3,14 +3,14 @@
 The default backend enumerates the truncated support and samples by
 inverse CDF.  When the support is too large to tabulate (large sigma0 in
 dimension 8 easily exceeds 1e11 points), a structured basis keeps the
-distribution exact without materializing it.  Its axis layout (Diag.axes,
-Checkerboard.axes) puts coordinate i at step_i * k_i plus a per-coset
-offset, with or without an even-sum filter on k.  The axis sampler draws
-the coset by its exact mass and each coordinate from its own 1-D discrete
-Gaussian table, and under the filter rejects odd parities (acceptance
-~1/2; the accepted law is exactly the conditioned one).  The backend is
-labelled "product" for diagonal bases (one coset, no filter) and "parity"
-for checkerboard-type bases (Dn, and E8 as D8 plus a half-integer coset).
+distribution exact without materializing it.  The lattice's axis layout
+(lattice.Axes) puts coordinate i at step_i * k_i plus a per-coset offset,
+with or without an even-sum filter on k.  The axis sampler draws the coset
+by its exact mass and each coordinate from its own 1-D discrete Gaussian
+table, and under the filter rejects odd parities (acceptance ~1/2; the
+accepted law is exactly the conditioned one).  The backend is labelled
+"product" for diagonal bases (one coset, no filter) and "parity" for
+checkerboard-type bases (Dn, and E8 as D8 plus a half-integer coset).
 
 All truncations carry certified relative tail bounds; each
 DiscreteGaussianSpec records the total as its deficit (< 1e-12).
@@ -58,13 +58,10 @@ class DiscreteGaussianSpec:
     table_coeffs: np.ndarray | None = None
     table_probs: np.ndarray | None = None
     table_cdf: np.ndarray | None = None
-    # product / parity backends: the axis layout and per-coset, per-axis tables
-    # axis_tables[t][i] = (k values, x values, normalized probs, cdf)
+    # product / parity backends: per-coset, per-axis tables over the layout
+    # lattice.structure; axis_tables[t][i] = (k values, x values, probs, cdf)
     axis_tables: tuple | None = None
-    coset_offsets: tuple | None = None     # coordinate offset per coset
     coset_probs: np.ndarray | None = None  # exact relative coset masses
-    axis_scale: np.ndarray | None = None   # coordinate step of each axis
-    even_sum: bool = False                 # draws keep sum(k) even
 
     def support(self) -> list:
         """Ordered (LatticePoint, probability) pairs; table backend only."""
@@ -239,20 +236,20 @@ def _alt_sum(ks, probs) -> float:
 
 
 def _build_axes(lat, sigma0, c):
-    steps, coset_offsets, even_sum = lat.structure.axes(lat.n)
+    ax = lat.structure
     all_tables = []
     masses = []
     even_fracs = []
     rel = 0.0
     corner = 0.0
-    for off in coset_offsets:
+    for off in ax.offsets:
         tables = []
         z_prod = 1.0
         b_prod = 1.0
         reach = 0.0
         for i in range(lat.n):
-            ks, xs, probs, cdf, rtail, z_abs = _axis_table(steps[i], off, c[i],
-                                                           sigma0)
+            ks, xs, probs, cdf, rtail, z_abs = _axis_table(ax.steps[i], off,
+                                                           c[i], sigma0)
             tables.append((ks, xs, probs, cdf))
             rel += rtail
             z_prod *= z_abs
@@ -260,7 +257,7 @@ def _build_axes(lat, sigma0, c):
             reach += float(np.max(xs * xs))
         all_tables.append(tuple(tables))
         # the even-sum filter keeps mass (1 + prod of alternating sums) / 2
-        even_frac = 0.5 * (1.0 + b_prod) if even_sum else 1.0
+        even_frac = 0.5 * (1.0 + b_prod) if ax.even_sum else 1.0
         even_fracs.append(even_frac)
         masses.append(z_prod * even_frac)
         corner = max(corner, reach)
@@ -269,10 +266,8 @@ def _build_axes(lat, sigma0, c):
         lattice=lat, sigma0=sigma0, shift=c,
         truncation_radius=math.sqrt(corner),
         deficit=rel / min(even_fracs),
-        backend="parity" if even_sum else "product",
-        axis_tables=tuple(all_tables), coset_offsets=coset_offsets,
-        coset_probs=masses / masses.sum(), axis_scale=steps,
-        even_sum=even_sum)
+        backend="parity" if ax.even_sum else "product",
+        axis_tables=tuple(all_tables), coset_probs=masses / masses.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -321,18 +316,19 @@ def sample_coeffs(spec: DiscreteGaussianSpec, rng: np.random.Generator,
         return spec.table_coeffs[idx].copy()
     # axis layout: the coset by its exact mass, then the coordinates; one
     # coset needs no per-coset split of the rows (and no copy through it)
+    ax = spec.lattice.structure
     if len(spec.axis_tables) == 1:
         coset = np.zeros(count, dtype=np.int64)
-        ks = _draw_coset(spec.axis_tables[0], rng, count, spec.even_sum)
+        ks = _draw_coset(spec.axis_tables[0], rng, count, ax.even_sum)
     else:
         coset = (rng.random(count) < spec.coset_probs[1]).astype(np.int64)
         ks = np.empty((count, spec.lattice.n), dtype=np.int64)
         for t, tables in enumerate(spec.axis_tables):
             rows = np.nonzero(coset == t)[0]
-            ks[rows] = _draw_coset(tables, rng, rows.size, spec.even_sum)
-    if not spec.even_sum:
+            ks[rows] = _draw_coset(tables, rng, rows.size, ax.even_sum)
+    if not ax.even_sum:
         return ks  # no filter: a diagonal basis, whose coefficients are k
-    coords = spec.axis_scale * ks + np.asarray(spec.coset_offsets)[coset][:, None]
+    coords = ax.steps * ks + np.asarray(ax.offsets)[coset][:, None]
     return np.rint(coords @ spec.lattice.inv().T).astype(np.int64)
 
 
@@ -396,10 +392,10 @@ def tail_event_rate(spec: DiscreteGaussianSpec) -> tuple:
             norms = np.einsum("ij,ij->i", emb, emb)
             outside[lo:lo + norms.size] = norms > r2
         return bound, float(np.sum(spec.table_probs[outside]))
-    steps = spec.axis_scale
-    if (spec.backend == "product" and np.all(spec.shift == 0.0)
+    steps = lat.structure.steps
+    if (not lat.structure.even_sum and np.all(spec.shift == 0.0)
             and np.all(steps == steps[0])):
-        # one coset, no filter: the axes are independent
+        # no filter: one coset at 0, and the axes are independent
         step = float(steps[0])
         dist = None
         for ks, _, probs, _ in spec.axis_tables[0]:
@@ -442,7 +438,7 @@ def support_moment(spec: DiscreteGaussianSpec) -> float:
     out = 0.0
     for t, tables in enumerate(spec.axis_tables):
         ma = [float(np.sum(p * x * x)) for _, x, p, _ in tables]
-        if not spec.even_sum:
+        if not spec.lattice.structure.even_sum:
             out += float(spec.coset_probs[t]) * sum(ma)
             continue
         b = [_alt_sum(k, p) for k, _, p, _ in tables]
@@ -464,7 +460,7 @@ def support_peak(spec: DiscreteGaussianSpec) -> float:
         return max(float(np.max(np.einsum("ij,ij->i", emb, emb)))
                    for _, emb in _table_chunks(spec))
     # DP over axes: best achievable sum of x^2 per running parity of sum(k)
-    ends = (0,) if spec.even_sum else (0, 1)
+    ends = (0,) if spec.lattice.structure.even_sum else (0, 1)
     best = 0.0
     for tables in spec.axis_tables:
         dp = {0: 0.0}

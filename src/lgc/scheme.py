@@ -155,8 +155,8 @@ def map_decode(spec: DiscreteGaussianSpec, params: GaussianParams, y) -> Lattice
     tq = target @ q
     e = r @ u - tq
     bound = float(e @ e)
-    lows, highs = zip(*[(spec.axis_scale * k_lo + off,
-                         spec.axis_scale * k_hi + off)
+    steps = lat.structure.steps
+    lows, highs = zip(*[(steps * k_lo + off, steps * k_hi + off)
                         for off, k_lo, k_hi in _axis_ranges(spec)])
     p = np.clip(target, np.min(lows, axis=0), np.max(highs, axis=0))
     gap = float((target - p) @ (target - p))
@@ -175,12 +175,13 @@ def map_decode(spec: DiscreteGaussianSpec, params: GaussianParams, y) -> Lattice
 def _axis_ranges(spec: DiscreteGaussianSpec) -> list:
     """(coset offset, lowest k, highest k) per coset of an axis-layout spec.
 
-    The coset's support points are B u = axis_scale * k + offset with every
-    k_i inside its table's range (and sum(k) even under even_sum).
+    The coset's support points are B u = steps * k + offset with every k_i
+    inside its table's range (and sum(k) even under the layout's filter).
     """
     return [(off, np.array([tab[0][0] for tab in tables]),
              np.array([tab[0][-1] for tab in tables]))
-            for off, tables in zip(spec.coset_offsets, spec.axis_tables)]
+            for off, tables in zip(spec.lattice.structure.offsets,
+                                   spec.axis_tables)]
 
 
 def _in_support(spec: DiscreteGaussianSpec, u: np.ndarray) -> np.ndarray:
@@ -193,7 +194,7 @@ def _in_support(spec: DiscreteGaussianSpec, u: np.ndarray) -> np.ndarray:
     x = u @ spec.lattice.basis.T
     ok = np.zeros(u.shape[0], dtype=bool)
     for off, k_lo, k_hi in _axis_ranges(spec):
-        z = (x - off) / spec.axis_scale
+        z = (x - off) / spec.lattice.structure.steps
         k = np.rint(z)
         ok |= np.all((np.abs(z - k) < 0.25) & (k >= k_lo) & (k <= k_hi),
                      axis=1)
@@ -209,18 +210,18 @@ def _box_nearest(spec: DiscreteGaussianSpec, target: np.ndarray) -> np.ndarray:
     distance, which is optimal because the distance is a sum over axes.
     The nearer coset wins.
     """
-    scale = spec.axis_scale
+    ax = spec.lattice.structure
     best, point = math.inf, None
     for off, k_lo, k_hi in _axis_ranges(spec):
-        z = (target - off) / scale
+        z = (target - off) / ax.steps
         k = np.clip(np.rint(z), k_lo, k_hi)
-        if spec.even_sum and k.sum() % 2:
+        if ax.even_sum and k.sum() % 2:
             alt = k + np.where(z > k, 1.0, -1.0)
             alt = np.where((alt < k_lo) | (alt > k_hi), 2.0 * k - alt, alt)
-            cost = (scale * (alt - z)) ** 2 - (scale * (k - z)) ** 2
+            cost = (ax.steps * (alt - z)) ** 2 - (ax.steps * (k - z)) ** 2
             i = int(np.argmin(cost))
             k[i] = alt[i]
-        x = scale * k + off
+        x = ax.steps * k + off
         d2 = float((x - target) @ (x - target))
         if d2 < best:
             best, point = d2, x
@@ -404,10 +405,12 @@ def _run_blocks(fn, plan, threads: int) -> int:
 
 
 def _warm_decoder(lat: Lattice) -> None:
-    """Build the batch decoder's lazy caches before any worker thread reads them."""
-    lat._dfs_tabs()
+    """Build the caches closest_points_batch reads before threads read them."""
+    lat.qr()
+    lat.inv()
+    lat.sigma_min()
     if lat.structure is None:
-        lat.reduced()[0]._dfs_tabs()
+        lat.reduced()
 
 
 def simulate_error(lat: Lattice, c, params: GaussianParams, trials: int,

@@ -186,6 +186,7 @@ def _watch_fallback(monkeypatch, frame=None):
 
 _HALF8 = [0.5] * 8
 _E1 = [1.0] + [0.0] * 7
+_DIAG4 = [0.5, 1.0, 1.5, 2.0]
 
 
 @pytest.mark.parametrize("scale", [1.0, 1.37])
@@ -194,10 +195,15 @@ _E1 = [1.0] + [0.0] * 7
     pytest.param("Dn", 4, [_HALF8[:4], _E1[:4]], id="D4"),
     pytest.param("Dn", 8, [_HALF8, _E1], id="D8"),
     pytest.param("E8", None, [_E1], id="E8"),
+    # unequal steps: each axis keeps its own margin; holes at half-steps
+    pytest.param("diag", None, [[0.5 * v for v in _DIAG4]], id="diag"),
 ])
 def test_batch_matches_enum_nearest(name, n, holes, scale, monkeypatch):
     """Structured decoding equals the exact search's first tie on every row."""
-    lat = standard_lattice(name, n)
+    if name == "diag":
+        lat = make_lattice(np.diag(_DIAG4), label="diag")
+    else:
+        lat = standard_lattice(name, n)
     if scale != 1.0:
         lat = lat.scale(scale)
     rng = np.random.default_rng(1302)
@@ -327,7 +333,9 @@ def test_untagged_batch_matches_closest_point(name, monkeypatch):
     assert lat.lambda1_lb() == build().lambda1_lb()
 
 
-def test_far_ties_take_the_guard_band(monkeypatch):
+@pytest.mark.parametrize("lo,hi", [(3.0, 4.0), (5.5, 6.0)],
+                         ids=["1e3-1e4", "1e5.5-1e6"])
+def test_far_ties_take_the_guard_band(lo, hi, monkeypatch):
     """Exact ties far from the origin on a skewed A2 basis: the two points
     are equidistant, but the rounding of the reduced and the caller's
     frames differs by more than closest_point's tie band, so the second
@@ -335,22 +343,34 @@ def test_far_ties_take_the_guard_band(monkeypatch):
     the guard band in the reduced pass's search radius keeps it, and sends
     the row to the caller's-basis pass that breaks the tie as closest_point
     does; that pass in turn needs _ball_search's edge margin to grow with
-    the coordinates, or it loses points on its ball's edge."""
+    the coordinates, or it loses points on its ball's edge.  The band grows
+    like |y|, as the rounding does, so no ball holds more than the four
+    points nearest a midpoint of a minimal vector, up to |y| = 1e6."""
     a2 = standard_lattice("A2")
     lat = make_lattice(a2.basis @ np.array([[2, 5], [1, 3]]), label="skewA2")
     assert not np.array_equal(lat.reduced()[1], np.eye(2))
     mins = np.array([[1.0, 0.0], [0.5, _SQRT3 / 2.0], [-0.5, _SQRT3 / 2.0]])
     rng = np.random.default_rng(5)
     k = 1500
-    mag = 10.0 ** rng.uniform(3.0, 4.0, size=(k, 1))
+    mag = 10.0 ** rng.uniform(lo, hi, size=(k, 1))
     base = np.rint(mag * rng.normal(size=(k, 2))) @ a2.basis.T
     ys = base + 0.5 * mins[rng.integers(3, size=k)]
     tie_pass = _watch_fallback(monkeypatch, lat)
+    per_row = []
+    ball_search = lattice_mod._ball_search
+
+    def counting(r, tmat, *args, **kwargs):
+        out = ball_search(r, tmat, *args, **kwargs)
+        per_row.append(np.bincount(out[0], minlength=len(tmat)).max())
+        return out
+
+    monkeypatch.setattr(lattice_mod, "_ball_search", counting)
     got = closest_points_batch(lat, ys)
     monkeypatch.undo()
     want = np.array([closest_point(lat, y).coeffs for y in ys])
     assert np.array_equal(got, want)
     assert sum(tie_pass) > k // 2
+    assert max(per_row) <= 4
 
 
 def test_batch_matches_closest_point_on_benchmark_lattice():
@@ -519,6 +539,8 @@ def test_ball_search_matches_enumerate_ball_per_center(fresh_lattice, name):
                 assert u is None and want_u is None
     assert np.count_nonzero(root == 3) == 0
     assert root.size > 30
+    one, _, _ = _ball_search(r, tmat[:1], radii[:1] ** 2)
+    assert one.size > 1 and one.strides == (0,)  # one center: no root array
 
 
 def _box_ball(lat, tmat, rad2):

@@ -70,10 +70,11 @@ def _structured_pmf_at(spec, coeffs):
     coordinates, then applies the even-sum conditional within the coset
     when the layout has the filter.
     """
+    ax = spec.lattice.structure
     emb = coeffs @ spec.lattice.basis.T
     out = np.zeros(coeffs.shape[0])
-    for t, off in enumerate(spec.coset_offsets):
-        k_real = (emb - off) / spec.axis_scale
+    for t, off in enumerate(ax.offsets):
+        k_real = (emb - off) / ax.steps
         k = np.rint(k_real).astype(int)
         sel = np.all(np.abs(k_real - k) < 1e-9, axis=1)
         prod = np.ones(coeffs.shape[0])
@@ -82,7 +83,7 @@ def _structured_pmf_at(spec, coeffs):
             prod *= _axis_lookup(ks, probs, k[:, i])
             b *= float(np.sum(np.where(ks % 2 == 0, probs, -probs)))
         mass = 1.0
-        if spec.even_sum:
+        if ax.even_sum:
             sel &= (k.sum(axis=1) % 2) == 0
             mass = 0.5 * (1.0 + b)
         out[sel] = float(spec.coset_probs[t]) * prod[sel] / mass

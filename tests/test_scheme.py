@@ -12,7 +12,12 @@ from lgc.errors import (
     MuBelowOne,
     NonpositiveSigma,
 )
-from lgc.lattice import closest_point, closest_points_batch, standard_lattice
+from lgc.lattice import (
+    closest_point,
+    closest_points_batch,
+    enumerate_ball,
+    standard_lattice,
+)
 from lgc.rng import RngSeed
 import lgc.scheme as scheme_mod
 from lgc.sampler import build_spec, sample_coeffs
@@ -304,7 +309,8 @@ def test_map_parity_matches_exhaustive_box(shift):
               for tab in spec.axis_tables[0]]
     ks = np.stack(np.meshgrid(*ranges, indexing="ij"), -1).reshape(-1, 4)
     ks = ks[ks.sum(axis=1) % 2 == 0]
-    pts = ks * spec.axis_scale + spec.coset_offsets[0]
+    ax = spec.lattice.structure
+    pts = ks * ax.steps + ax.offsets[0]
     coeffs = np.rint(pts @ D4.inv().T).astype(np.int64)
     rng = np.random.default_rng(8)
     for _ in range(60):
@@ -416,6 +422,32 @@ def test_threads_do_not_change_counts_on_lift(fresh_lattice):
     two = simulate_poltyrev(fresh_lattice("lift"), noise, 2 * BLOCK + 7,
                             RngSeed(12, 1), threads=2)
     assert one.errors == two.errors > 0
+
+
+@pytest.mark.parametrize("name", ["E8", "lift"])
+def test_warm_decoder_builds_what_the_batch_decoder_reads(fresh_lattice, name):
+    """After _warm_decoder, closest_points_batch builds no cache of its own,
+    on rows that take every pass: certified rows and exact ties (midpoints
+    of minimal vectors, found on a second copy of the lattice)."""
+    probe = fresh_lattice(name)
+    reach = float(np.min(np.linalg.norm(probe.reduced()[0].basis, axis=0)))
+    u, d2 = enumerate_ball(probe, np.zeros(probe.n), reach * (1 + 1e-9))
+    short = u[(d2 > 0) & (d2 <= d2[d2 > 0].min() * (1 + 1e-9))]
+    rng = np.random.default_rng(3)
+    ys = np.concatenate([0.5 * short @ probe.basis.T,
+                         0.3 * reach * rng.normal(size=(200, probe.n))])
+    lat = fresh_lattice(name)
+    scheme_mod._warm_decoder(lat)
+    assert lat._qr is not None and lat._inv is not None
+    assert lat._sigma_min is not None
+    assert (lat._reduced is None) == (lat.structure is not None)
+    frames = [lat] + ([] if lat._reduced is None else [lat._reduced[0]])
+    caches = ("_qr", "_inv", "_sigma_min", "_reduced", "_cols", "lambda1")
+    warm = [[getattr(f, c) for c in caches] for f in frames]
+    closest_points_batch(lat, ys)
+    for f, before in zip(frames, warm):
+        assert all(getattr(f, c) is v for c, v in zip(caches, before))
+    assert lat._cols is None
 
 
 def test_sim_result_csv():

@@ -1,0 +1,202 @@
+"""Print one sha256 per output family of lgc, to compare two trees bit for bit.
+
+Run from the root of a checkout:
+
+    PYTHONPATH=src python3 tools/exactness.py
+
+Every family hashes exact bytes (float64 arrays as raw bytes, scalars as
+float.hex), computed from fixed seeds, so two trees whose outputs agree to
+the bit print the same lines.  The families:
+
+- flatness: flatness reports and theta values on Z4, D4, E8 and a
+  Construction-A lift;
+- table: the inverse-CDF table of the criterion-4 configuration (E8 at the
+  design volume, SNR 10, shift 0.25);
+- axes: the structured samplers' axis tables on Z8 and E8, with draws,
+  exact moments, peaks and tail masses (plus D4 and a diagonal basis);
+- batch: closest_points_batch on seeded batches, ties included, over Z8,
+  D4, E8, a diagonal basis and the lift;
+- map: per-row MAP decodes and decode_agreement counts on structured specs;
+- sandwich_csv: the `lgc sandwich` CSV of the criterion-4 configuration at
+  2^16 trials, seed 2024.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import math
+import os
+import sys
+import tempfile
+
+import numpy as np
+
+from lgc.analytics import flatness, theta
+from lgc.cli import main as lgc_main
+from lgc.construction_a import lift, random_code
+from lgc.lattice import closest_points_batch, make_lattice, standard_lattice
+from lgc.rng import RngSeed, stream
+from lgc.sampler import (
+    build_spec,
+    sample_coeffs,
+    support_moment,
+    support_peak,
+    tail_event_rate,
+)
+from lgc.scheme import decode_agreement, design_volume, make_params, map_decode
+
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+class _Hash:
+    def __init__(self):
+        self.h = hashlib.sha256()
+
+    def add(self, *values) -> None:
+        for v in values:
+            if isinstance(v, np.ndarray):
+                self.h.update(str((v.dtype.str, v.shape)).encode())
+                self.h.update(np.ascontiguousarray(v).tobytes())
+            elif isinstance(v, (float, np.floating)):
+                self.h.update(float(v).hex().encode())
+            else:
+                self.h.update(repr(v).encode())
+
+    def hexdigest(self) -> str:
+        return self.h.hexdigest()
+
+
+def _lattices() -> dict:
+    return {
+        "Z4": standard_lattice("Zn", 4),
+        "Z8": standard_lattice("Zn", 8),
+        "D4": standard_lattice("Dn", 4),
+        "E8": standard_lattice("E8"),
+        "diag": make_lattice(np.diag([0.5, 1.0, 1.5, 2.0]), label="diag"),
+        "lift": lift(random_code(7, 8, 4, RngSeed(2025, 0)), 0.6),
+    }
+
+
+def family_flatness(lats: dict) -> str:
+    h = _Hash()
+    for name in ("Z4", "D4", "E8", "lift"):
+        lat = lats[name]
+        unit = lat.volume ** (1.0 / lat.n)
+        for s in (0.25, 0.35, 0.45, 0.6, 0.9):
+            rep = flatness(lat, s * unit)
+            h.add(name, rep.sigma, rep.gsnr, rep.epsilon, rep.theta.value,
+                  rep.theta.truncation_bound, rep.theta.radius)
+        for tau in (0.3, 1.0, 2.5):
+            tv = theta(lat, tau / unit ** 2)
+            h.add(tv.value, tv.truncation_bound, tv.radius)
+    return h.hexdigest()
+
+
+def _criterion4():
+    params = make_params(math.sqrt(10.0), 1.0)
+    vol = design_volume(params.sigma_tilde, 1.0, 8)
+    return standard_lattice("E8").scale(vol ** 0.125), params
+
+
+def family_table() -> str:
+    lat, params = _criterion4()
+    spec = build_spec(lat, params.sigma0, np.full(8, 0.25))
+    h = _Hash()
+    h.add(spec.backend, spec.table_coeffs, spec.table_probs, spec.table_cdf,
+          spec.deficit, spec.truncation_radius)
+    return h.hexdigest()
+
+
+def family_axes(lats: dict) -> str:
+    h = _Hash()
+    rng = np.random.default_rng(31)
+    for name in ("Z8", "E8", "D4", "diag"):
+        lat = lats[name]
+        for sigma0 in (0.7, 3.0):
+            for shift in (np.zeros(lat.n), 0.5 * rng.random(lat.n)):
+                spec = build_spec(lat, sigma0, shift, table_cap=1)
+                h.add(name, spec.backend, spec.deficit, spec.truncation_radius,
+                      spec.coset_probs)
+                for tables in spec.axis_tables:
+                    for ks, xs, probs, cdf in tables:
+                        h.add(ks, xs, probs, cdf)
+                h.add(sample_coeffs(spec, stream(RngSeed(7, 0)), 1 << 14))
+                h.add(support_moment(spec), support_peak(spec))
+                if spec.backend == "product" and not shift.any() \
+                        and np.all(np.diag(lat.basis) == lat.basis[0, 0]):
+                    h.add(*tail_event_rate(spec))
+    return h.hexdigest()
+
+
+def _batch_rows(lat, rng, m: int) -> np.ndarray:
+    """Gaussian rows plus rows at half-integer coefficients, exact and
+    nudged, on and near the Voronoi faces."""
+    gauss = 3.0 * lat.volume ** (1.0 / lat.n) * rng.normal(size=(m, lat.n))
+    half = rng.integers(-4, 5, size=(m, lat.n)) \
+        + 0.5 * rng.integers(0, 2, size=(m, lat.n))
+    faces = half @ lat.basis.T
+    faces[m // 2:] += 1e-9 * rng.normal(size=(m - m // 2, lat.n))
+    return np.concatenate([gauss, faces])
+
+
+def family_batch(lats: dict) -> str:
+    h = _Hash()
+    for name in ("Z8", "D4", "E8", "diag", "lift"):
+        lat = lats[name]
+        rng = np.random.default_rng(1302)
+        h.add(name, closest_points_batch(lat, _batch_rows(lat, rng, 10_000)))
+    e8 = lats["E8"].scale(1.37)
+    h.add(closest_points_batch(e8, _batch_rows(e8, np.random.default_rng(5),
+                                               10_000)))
+    return h.hexdigest()
+
+
+def family_map(lats: dict) -> str:
+    h = _Hash()
+    for name, sigma0, shift in (("Z8", 2.0, 0.0), ("D4", 1.0, 0.25),
+                                ("E8", 1.2, 0.25), ("diag", 1.5, 0.1)):
+        lat = lats[name]
+        c = np.full(lat.n, shift)
+        params = make_params(sigma0, 1.0)
+        spec = build_spec(lat, sigma0, c, table_cap=1)
+        rng = np.random.default_rng(44)
+        ys = 2.0 * spec.truncation_radius / math.sqrt(lat.n) \
+            * rng.normal(size=(200, lat.n))
+        h.add(name, np.array([map_decode(spec, params, y).coeffs for y in ys]))
+        h.add(tuple(decode_agreement(lat, c, params, 3000, RngSeed(303, 0),
+                                     spec=spec)))
+    return h.hexdigest()
+
+
+def family_sandwich_csv() -> str:
+    cfg = os.path.join(_ROOT, "perfbench", "sandwich_e8.cfg")
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "sandwich.csv")
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = lgc_main(["sandwich", "--config", cfg, "--seed", "2024",
+                             "--trials", str(1 << 16), "--out", out])
+        if code != 0:
+            raise SystemExit(f"lgc sandwich exited with {code}")
+        with open(out, "rb") as fh:
+            return hashlib.sha256(fh.read()).hexdigest()
+
+
+def main() -> int:
+    lats = _lattices()
+    families = (
+        ("flatness", lambda: family_flatness(lats)),
+        ("table", family_table),
+        ("axes", lambda: family_axes(lats)),
+        ("batch", lambda: family_batch(lats)),
+        ("map", lambda: family_map(lats)),
+        ("sandwich_csv", family_sandwich_csv),
+    )
+    for name, run in families:
+        print(f"{name:13s} {run()}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
