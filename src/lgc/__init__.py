@@ -50,7 +50,6 @@ from .analytics import (
 from .sampler import (
     DiscreteGaussianSpec,
     build_spec,
-    dump_samples_csv,
     sample,
     sample_coeffs,
     sphere_tail_bound,

@@ -117,29 +117,23 @@ def _check_positive(name: str, value: float) -> None:
         raise NonpositiveSigma(f"{name} must be finite and positive, got {value}")
 
 
-def _grow_ball(lat: Lattice, center: np.ndarray, tau: float, radius: float,
-               weigh, what: str, balls: dict | None = None) -> tuple:
-    """Grow a ball around center until its packing tail bound certifies.
+def _grow_radius(lat: Lattice, tau: float, radius: float, grow: float,
+                 rel: float, weigh, what: str) -> tuple:
+    """Grow radius by `grow` until the packing tail bound certifies it.
 
-    weigh(d2) turns the squared distances inside the current radius into
-    (result, anchor); the radius grows by GROW until the bound on the
-    omitted exp(-pi tau |v|^2) mass drops under TAIL_REL * anchor.  balls,
-    when given, memoizes each enumeration by (lattice, radius), so sums
-    over one lattice around one center enumerate each radius once.
-    Returns (result, tail_bound, radius).
+    weigh(radius) returns (result, anchor); the first radius whose bound on
+    the omitted exp(-pi tau |v|^2) mass is under rel * anchor is kept.
+    Returns (result, tail_bound, radius).  The one truncation policy of
+    every certified lattice sum; each caller keeps its own start, factor
+    and threshold.
     """
     lam1 = lat.lambda1_lb()
     for _ in range(200):
-        d2 = None if balls is None else balls.get((lat, radius))
-        if d2 is None:
-            _, d2 = enumerate_ball(lat, center, radius, coeffs=False)
-            if balls is not None:
-                balls[(lat, radius)] = d2
-        result, anchor = weigh(d2)
+        result, anchor = weigh(radius)
         tail = _tail_bound(lat.n, lam1, tau, radius)
-        if tail < TAIL_REL * anchor:
+        if tail < rel * anchor:
             return result, tail, radius
-        radius *= GROW
+        radius *= grow
     raise BudgetExceeded(f"{what} did not certify its tail")
 
 
@@ -148,15 +142,22 @@ def _gauss_sum(lat: Lattice, center: np.ndarray, tau: float,
                balls: dict | None = None) -> tuple:
     """Truncated sum of exp(-pi tau |v - center|^2) over lattice points v.
 
-    Grows the enumeration radius until the packing tail bound drops under
-    TAIL_REL of the partial sum (measured against the full sum including
-    the zero term even when skip_zero drops it from the returned value, so
-    tiny sums still terminate).  balls is passed to _grow_ball.  Returns
-    (value, tail_bound, radius).
+    Grows the enumeration radius by GROW (_grow_radius) until the packing
+    tail bound drops under TAIL_REL of the partial sum (measured against
+    the full sum including the zero term even when skip_zero drops it from
+    the returned value, so tiny sums still terminate).  balls, when given,
+    memoizes each enumeration by (lattice, radius), so sums over one
+    lattice around one center enumerate each radius once.  Returns (value,
+    tail_bound, radius).
     """
     zero_cut = (0.5 * lat.lambda1_lb()) ** 2
 
-    def weigh(d2):
+    def weigh(radius):
+        d2 = None if balls is None else balls.get((lat, radius))
+        if d2 is None:
+            _, d2 = enumerate_ball(lat, center, radius, coeffs=False)
+            if balls is not None:
+                balls[(lat, radius)] = d2
         if skip_zero:
             d2 = d2[d2 > zero_cut]
         # ascending weights for a stable, order-fixed summation
@@ -164,7 +165,8 @@ def _gauss_sum(lat: Lattice, center: np.ndarray, tau: float,
         return value, value + 1.0 if skip_zero else value
 
     radius = max(math.sqrt(X_START / (math.pi * tau)), min_radius)
-    return _grow_ball(lat, center, tau, radius, weigh, "gaussian sum", balls)
+    return _grow_radius(lat, tau, radius, GROW, TAIL_REL, weigh,
+                        "gaussian sum")
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +181,7 @@ def theta(lat: Lattice, tau: float, *, balls: dict | None = None) -> ThetaValue:
         Theta_L(tau) = tau^{-n/2} / V * Theta_dual(1/tau)
     needs fewer points, preferring the primal side while it stays under
     PRIMAL_PREF points.  Raises BudgetExceeded when the chosen side's
-    estimate passes lattice.POINT_CAP.  balls is passed to _grow_ball.
+    estimate passes lattice.POINT_CAP.  balls is passed to _gauss_sum.
     """
     _check_positive("tau", tau)
     n = lat.n
@@ -256,11 +258,10 @@ def flatness_direct(lat: Lattice, sigma: float, grid_points_per_dim: int) -> flo
     if m < 1:
         raise DimensionMismatch("need at least one grid point per dimension")
     tau = 1.0 / (2.0 * math.pi * sigma * sigma)
-    lam1 = lat.lambda1_lb()
     scale = lat.volume * (2.0 * math.pi * sigma * sigma) ** (-n / 2.0)
-    radius = math.sqrt(X_START / (math.pi * tau))
-    while scale * _tail_bound(n, lam1, tau, radius) >= 1e-12:
-        radius *= GROW
+    _, _, radius = _grow_radius(lat, tau, math.sqrt(X_START / (math.pi * tau)),
+                                GROW, 1e-12, lambda _: (None, 1.0 / scale),
+                                "flatness grid")
     # one super-ball covers every grid point's radius-R neighborhood
     half = lat.basis @ np.full(n, 0.5)
     reach = 0.5 * float(np.sum(np.linalg.norm(lat.basis, axis=0)))
@@ -287,9 +288,7 @@ def partition_sandwich_check(lat: Lattice, sigma: float, c) -> PartitionCheck:
     check is independent of the dual-series shortcut inside flatness).
     Tolerance 1e-9 on V*value at the bracket edges.
     """
-    c = np.asarray(c, dtype=float)
-    if c.shape != (lat.n,):
-        raise DimensionMismatch(f"shift has shape {c.shape}, lattice dim {lat.n}")
+    c = lattice._vector(c, lat.n, "shift")
     _check_positive("sigma", sigma)
     n = lat.n
     tau = 1.0 / (2.0 * math.pi * sigma * sigma)
@@ -358,15 +357,16 @@ def _support_stats(lat: Lattice, sigma0: float, c: np.ndarray) -> tuple:
     tau = 1.0 / (2.0 * math.pi * sigma0 * sigma0)
     two_s2 = 2.0 * sigma0 * sigma0
 
-    def weigh(d2):
+    def weigh(radius):
+        _, d2 = enumerate_ball(lat, c, radius, coeffs=False)
         d2 = np.sort(d2)[::-1]
         w = np.exp(-d2 / two_s2)
         z = float(np.sum(w))
         return (d2, w, z), z
 
-    (d2, w, z), _, _ = _grow_ball(lat, c, tau,
-                                  math.sqrt(X_START / (math.pi * tau)),
-                                  weigh, "support sum")
+    (d2, w, z), _, _ = _grow_radius(lat, tau,
+                                    math.sqrt(X_START / (math.pi * tau)),
+                                    GROW, TAIL_REL, weigh, "support sum")
     mom = float(np.sum(w * d2)) / z
     q = d2 / two_s2
     ent = math.log(z) + float(np.sum(w * q)) / z
@@ -375,9 +375,7 @@ def _support_stats(lat: Lattice, sigma0: float, c: np.ndarray) -> tuple:
 
 def _lemma_args(lat: Lattice, sigma0: float, c, what: str) -> np.ndarray:
     """The shift as an array, after the checks every lemma check makes."""
-    c = np.asarray(c, dtype=float)
-    if c.shape != (lat.n,):
-        raise DimensionMismatch(f"shift has shape {c.shape}, lattice dim {lat.n}")
+    c = lattice._vector(c, lat.n, "shift")
     _check_positive("sigma0", sigma0)
     if lat.n > 8:
         raise DimensionTooLarge(f"{what} limited to n <= 8, got {lat.n}")

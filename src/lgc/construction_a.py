@@ -19,6 +19,8 @@ from .analytics import FlatnessReport, flatness, gsnr
 from .lattice import Lattice, make_lattice
 from .rng import RngSeed, stream
 
+MAX_CODE_ATTEMPTS = 1000
+
 
 def _is_prime(p: int) -> bool:
     if p < 2:
@@ -115,21 +117,21 @@ def lift(code: LinearCode, scale: float) -> Lattice:
     return lat
 
 
-def random_code(p: int, n: int, k: int, seed: RngSeed, lane: int = 0,
-                max_attempts: int = 1000) -> LinearCode:
+def random_code(p: int, n: int, k: int, seed: RngSeed,
+                lane: int = 0) -> LinearCode:
     """Uniform full-rank k x n generator over Z_p, deterministic per seed."""
     if not _is_prime(p):
         raise ConfigError(f"p must be prime, got {p}")
     if not (1 <= k <= n):
         raise ConfigError(f"need 1 <= k <= n, got k={k} n={n}")
     rng = stream(seed, lane)
-    for _ in range(max_attempts):
+    for _ in range(MAX_CODE_ATTEMPTS):
         g = rng.integers(0, p, size=(k, n), dtype=np.int64)
         _, pivots = _row_reduce_modp(g, p)
         if len(pivots) == k:
             return LinearCode(p, n, k, g)
     raise RandomnessExhausted(
-        f"no full-rank generator in {max_attempts} attempts")
+        f"no full-rank generator in {MAX_CODE_ATTEMPTS} attempts")
 
 
 def theorem1_bound(lat: Lattice, sigma: float, delta: float = 1.0) -> float:
@@ -149,14 +151,12 @@ ENSEMBLE_CSV_HEADER = "sample_index,p,n,k,a,gsnr,epsilon,bound"
 
 
 def ensemble_search(p: int, n: int, k: int, scale: float, sigma: float,
-                    samples: int, seed: RngSeed, delta: float = 1.0,
-                    out_path: str | None = None) -> list:
+                    samples: int, seed: RngSeed, delta: float = 1.0) -> list:
     """Flatness-ranked random mod-p lattices at a common (a, sigma).
 
     Sample i draws its code from RNG lane i, so the ensemble is
     reproducible and independent of any sharding.  Entries come back
-    sorted ascending by flatness factor; out_path additionally writes
-    them as CSV rows in ranked order.
+    sorted ascending by flatness factor; ensemble_csv gives their CSV rows.
     """
     if samples < 1:
         raise ConfigError(f"samples must be >= 1, got {samples}")
@@ -168,10 +168,6 @@ def ensemble_search(p: int, n: int, k: int, scale: float, sigma: float,
         entries.append(EnsembleEntry(i, code, lat, rep,
                                      theorem1_bound(lat, sigma, delta)))
     entries.sort(key=lambda e: (e.report.epsilon, e.sample_index))
-    if out_path is not None:
-        header, rows = ensemble_csv(entries, scale)
-        with open(out_path, "w") as fh:
-            fh.writelines(line + "\n" for line in (header, *rows))
     return entries
 
 

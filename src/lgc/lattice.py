@@ -66,15 +66,18 @@ class LatticePoint:
 
 
 # A structured decision whose squared-distance margin is inside
-# _GUARD_REL * (1 + |best|^2 + |y|^2) is left to the exact search.  The
-# factor is 1000 times _enum_nearest's relative tie band, and the |y|^2 term
-# covers the rounding error of both paths for points far from the origin,
-# so an accepted row has one nearest point and no lexicographic tie-break.
+# _GUARD_REL * (1 + best) * (1 + |y|) is left to the exact search, best
+# being the squared distance.  The factor is 1000 times _enum_nearest's
+# relative tie band.  In either path each residual coordinate is off by some
+# ulps of |y|, so a squared distance d2 by some ulps of 2 |y| sqrt(d2) <=
+# |y| (1 + d2): the band covers the rounding of both paths for points far
+# from the origin, and an accepted row has one nearest point and no
+# lexicographic tie-break.
 _GUARD_REL = 1e-9
 
 
 def _guard(best: np.ndarray, yt: np.ndarray) -> np.ndarray:
-    return _GUARD_REL * (1.0 + best + np.einsum("ij,ij->j", yt, yt))
+    return _GUARD_REL * (1.0 + best) * (1.0 + np.linalg.norm(yt, axis=0))
 
 
 # The structured decoders work on the transposed batch, one point per
@@ -425,17 +428,23 @@ def _enum_nearest(diag, cols, t, tie_rel=1e-12):
     return ties, best, nodes
 
 
+def _vector(x, n: int, what: str) -> np.ndarray:
+    """x as a finite float array of shape (n,); else DimensionMismatch."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (n,):
+        raise DimensionMismatch(f"{what} has shape {x.shape}, lattice dim {n}")
+    if not np.all(np.isfinite(x)):
+        raise DimensionMismatch(f"{what} must be finite")
+    return x
+
+
 def closest_point(lat: Lattice, y) -> LatticePoint:
     """Exact nearest lattice point to y.
 
     Ties (squared-distance difference inside a relative 1e-12 band) are
     broken toward the lexicographically smallest coefficient vector.
     """
-    y = np.asarray(y, dtype=float)
-    if y.shape != (lat.n,):
-        raise DimensionMismatch(f"point has shape {y.shape}, lattice dim {lat.n}")
-    if not np.all(np.isfinite(y)):
-        raise DimensionMismatch("point must be finite")
+    y = _vector(y, lat.n, "point")
     q, _ = lat.qr()
     t = (y @ q).tolist()
     diag, cols = lat._dfs_tabs()
@@ -457,9 +466,9 @@ def closest_points_batch(lat: Lattice, ys: np.ndarray) -> np.ndarray:
     pass in the caller's basis resolves the rest lexicographically.
     """
     ys = np.asarray(ys, dtype=float)
+    if ys.ndim != 2 or ys.shape[1] != lat.n:
+        raise DimensionMismatch(f"batch has shape {ys.shape}, lattice dim {lat.n}")
     m, n = ys.shape
-    if n != lat.n:
-        raise DimensionMismatch(f"batch has width {n}, lattice dim {lat.n}")
     if not np.all(np.isfinite(ys)):
         raise DimensionMismatch("point must be finite")
     if lat.structure is None:
@@ -594,17 +603,14 @@ def coset_decode(lat: Lattice, c, y) -> LatticePoint:
     Equals closest_point(L, y + c) shifted back; the embedding field holds
     lambda - c while coeffs index lambda.
     """
-    c = np.asarray(c, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if c.shape != (lat.n,):
-        raise DimensionMismatch(f"shift has shape {c.shape}, lattice dim {lat.n}")
-    p = closest_point(lat, y + c)
+    c = _vector(c, lat.n, "shift")
+    p = closest_point(lat, _vector(y, lat.n, "point") + c)
     return LatticePoint(p.coeffs, p.embedding - c)
 
 
 def contains(lat: Lattice, x, tol: float = 1e-6) -> bool:
     """Membership test: x is a lattice vector up to the given residual."""
-    x = np.asarray(x, dtype=float)
+    x = _vector(x, lat.n, "point")
     u = np.round(lat.inv() @ x)
     return bool(np.linalg.norm(lat.basis @ u - x) < tol)
 
@@ -623,10 +629,10 @@ def enumerate_ball(lat: Lattice, center, radius: float,
     coeffs=False, U is None and the per-level coefficient gathers are
     skipped; d2 is the same array either way.
     """
-    center = np.asarray(center, dtype=float)
     n = lat.n
-    if center.shape != (n,):
-        raise DimensionMismatch(f"center has shape {center.shape}, lattice dim {n}")
+    center = _vector(center, n, "center")
+    if not radius < math.inf:
+        raise DimensionMismatch(f"radius must be finite, got {radius}")
     if radius < 0:
         return (np.empty((0, n), dtype=np.int64) if coeffs else None,
                 np.empty(0))

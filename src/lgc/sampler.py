@@ -30,8 +30,8 @@ from .errors import (
     FlatnessTooLarge,
     RandomnessExhausted,
 )
-from .analytics import _ball_volume, _check_positive, _tail_bound, flatness
-from .lattice import Lattice, LatticePoint, enumerate_ball
+from .analytics import _ball_volume, _check_positive, _grow_radius, flatness
+from .lattice import Lattice, LatticePoint, _vector, enumerate_ball
 from .rng import RngSeed, stream
 
 TABLE_CAP = 4_000_000
@@ -135,21 +135,16 @@ def build_spec(lat: Lattice, sigma0: float, c,
     structured backend for diagonal or checkerboard bases.
     """
     _check_positive("sigma0", sigma0)
-    c = np.asarray(c, dtype=float)
     n = lat.n
-    if c.shape != (n,):
-        raise DimensionMismatch(f"shift has shape {c.shape}, lattice dim {n}")
-    if not np.all(np.isfinite(c)):
-        raise DimensionMismatch("shift must be finite")
+    c = _vector(c, n, "shift")
     if n > 12:
         raise DimensionTooLarge(f"support sampling limited to n <= 12, got {n}")
     tau = 1.0 / (2.0 * math.pi * sigma0 * sigma0)
-    lam1 = lat.lambda1_lb()
     vol = lat.volume
-    radius = math.sqrt(2.0 * math.pi * n) * sigma0
     partial_floor = max(1.0, 0.5 * (2.0 * math.pi * sigma0 * sigma0) ** (n / 2.0) / vol)
-    while _tail_bound(n, lam1, tau, radius) >= DEFICIT_TARGET * partial_floor:
-        radius *= 1.15
+    _, _, radius = _grow_radius(lat, tau, math.sqrt(2.0 * math.pi * n) * sigma0,
+                                1.15, DEFICIT_TARGET,
+                                lambda _: (None, partial_floor), "support radius")
     est = _ball_volume(n, radius) / vol
     if est <= table_cap:
         return _build_table(lat, sigma0, c, radius)
@@ -161,19 +156,15 @@ def build_spec(lat: Lattice, sigma0: float, c,
 
 
 def _build_table(lat, sigma0, c, radius):
-    n = lat.n
-    tau = 1.0 / (2.0 * math.pi * sigma0 * sigma0)
-    lam1 = lat.lambda1_lb()
-    for _ in range(60):
+    def weigh(radius):
         coeffs, d2 = enumerate_ball(lat, c, radius)
         w = np.exp(-d2 / (2.0 * sigma0 * sigma0))
         z = float(w.sum())
-        tail = _tail_bound(n, lam1, tau, radius)
-        if tail < DEFICIT_TARGET * z:
-            break
-        radius *= 1.15
-    else:
-        raise BudgetExceeded("support enumeration did not certify its tail")
+        return (coeffs, w, z), z
+
+    (coeffs, w, z), tail, radius = _grow_radius(
+        lat, 1.0 / (2.0 * math.pi * sigma0 * sigma0), radius, 1.15,
+        DEFICIT_TARGET, weigh, "support enumeration")
     # the points are distinct, so their packed keys are too and one argsort
     # gives np.lexsort's order; the enumeration's columns are released
     # before the sorted table is unpacked
@@ -355,13 +346,6 @@ def sample_csv(points: list) -> tuple:
     return header, rows
 
 
-def dump_samples_csv(points: list, path: str) -> None:
-    """Write sampled points as the CSV of sample_csv."""
-    header, rows = sample_csv(points)
-    with open(path, "w") as fh:
-        fh.writelines(line + "\n" for line in (header, *rows))
-
-
 # ---------------------------------------------------------------------------
 # tail statistics
 # ---------------------------------------------------------------------------
@@ -415,14 +399,14 @@ def tail_event_rate(spec: DiscreteGaussianSpec) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _table_chunks(spec: DiscreteGaussianSpec, chunk: int = _TABLE_CHUNK):
-    """Yield (lo, emb) over the support table in blocks of `chunk` rows.
+def _table_chunks(spec: DiscreteGaussianSpec):
+    """Yield (lo, emb) over the support table in blocks of _TABLE_CHUNK rows.
 
     emb holds the coset points B u - c of table rows lo, lo + 1, ...
     """
     basis_t = spec.lattice.basis.T
-    for lo in range(0, spec.table_coeffs.shape[0], chunk):
-        yield lo, spec.table_coeffs[lo:lo + chunk] @ basis_t - spec.shift
+    for lo in range(0, spec.table_coeffs.shape[0], _TABLE_CHUNK):
+        yield lo, spec.table_coeffs[lo:lo + _TABLE_CHUNK] @ basis_t - spec.shift
 
 
 def support_moment(spec: DiscreteGaussianSpec) -> float:

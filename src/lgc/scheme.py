@@ -48,13 +48,13 @@ from .lattice import (
     _edge_slop,
     _enum_nearest,  # noqa: F401  bound here for perfbench/tracing.py
     _lex_best,
+    _vector,
     closest_point,
     closest_points_batch,
     enumerate_ball,
 )
 from .rng import RngSeed, stream
 from .sampler import (
-    _TABLE_CHUNK,
     DiscreteGaussianSpec,
     _table_chunks,
     build_spec,
@@ -103,8 +103,9 @@ def make_params(sigma0: float, sigma: float) -> GaussianParams:
 
 def awgn(x, sigma: float, seed: RngSeed):
     """x plus i.i.d. zero-mean Gaussian noise of deviation sigma."""
-    if sigma < 0:
-        raise NonpositiveSigma(f"noise deviation must be >= 0, got {sigma}")
+    if not 0.0 <= sigma < math.inf:
+        raise NonpositiveSigma(
+            f"noise deviation must be finite and >= 0, got {sigma}")
     x = np.asarray(x, dtype=float)
     if sigma == 0.0:
         return x.copy()
@@ -140,12 +141,8 @@ def map_decode(spec: DiscreteGaussianSpec, params: GaussianParams, y) -> Lattice
     (squared distance within 1e-12 * (1 + best)) break to the
     lexicographically smallest coefficient vector.
     """
-    y = np.asarray(y, dtype=float)
     lat = spec.lattice
-    if y.shape != (lat.n,):
-        raise DimensionMismatch(f"y has shape {y.shape}, lattice dim {lat.n}")
-    if not np.all(np.isfinite(y)):
-        raise DimensionMismatch("y must be finite")
+    y = _vector(y, lat.n, "y")
     c = spec.shift
     if spec.backend == "table":
         return _map_table(spec, params, y)
@@ -242,7 +239,7 @@ def _map_table(spec, params, y):
     best = -math.inf
     idx = np.empty(0, dtype=np.int64)
     vals = np.empty(0)
-    for lo, emb in _table_chunks(spec, _TABLE_CHUNK):
+    for lo, emb in _table_chunks(spec):
         diff = emb - y
         score = (logp[lo:lo + emb.shape[0]]
                  - np.einsum("ij,ij->i", diff, diff) / two_ssq)

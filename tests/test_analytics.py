@@ -8,6 +8,8 @@ import pytest
 import lgc.analytics as analytics_mod
 import lgc.lattice as lattice_mod
 from lgc.analytics import (
+    _grow_radius,
+    _tail_bound,
     entropy_check,
     entropy_deviation,
     flatness,
@@ -82,6 +84,39 @@ def test_theta_budget(monkeypatch):
     monkeypatch.setattr(analytics_mod, "PRIMAL_PREF", 10)
     with pytest.raises(BudgetExceeded):
         theta(Z8, 1.0)
+
+
+@pytest.mark.parametrize("grow,rel", [(1.25, 1e-12), (1.15, 1e-12),
+                                      (1.25, 1e-6)])
+def test_grow_radius_keeps_first_certified_radius(grow, rel):
+    lat = standard_lattice("Dn", 4)
+    tau, anchor = 0.7, 3.5
+    seen = []
+
+    def weigh(radius):
+        seen.append(radius)
+        return len(seen), anchor
+
+    result, tail, radius = _grow_radius(lat, tau, 0.5, grow, rel, weigh,
+                                        "probe")
+    assert len(seen) > 1 and result == len(seen) and radius == seen[-1]
+    # each radius is the previous one times grow, from the start
+    expect = 0.5
+    for r in seen:
+        assert r == expect
+        expect *= grow
+
+    def bound(r):
+        return _tail_bound(lat.n, lat.lambda1_lb(), tau, r)
+
+    assert tail == bound(radius) < rel * anchor
+    assert not bound(seen[-2]) < rel * anchor
+
+
+def test_grow_radius_budget_names_caller():
+    with pytest.raises(BudgetExceeded, match="probe sum did not certify"):
+        _grow_radius(Z2, 1.0, 1.0, 1.25, 1e-12, lambda r: (None, 0.0),
+                     "probe sum")
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,10 @@ from lgc.cli import (
     RATE_HEADER,
     main,
 )
-from lgc.construction_a import ENSEMBLE_CSV_HEADER, ensemble_search
+from lgc.construction_a import ENSEMBLE_CSV_HEADER, ensemble_csv, ensemble_search
 from lgc.lattice import standard_lattice
 from lgc.rng import RngSeed
-from lgc.sampler import build_spec, dump_samples_csv, sample
+from lgc.sampler import build_spec, sample, sample_csv
 
 
 def _write_config(tmp_path, text, name="run.cfg"):
@@ -228,6 +228,11 @@ def test_sandwich_run(tmp_path):
     assert s["ratio_lo"] <= s["ratio"] <= s["ratio_hi"]
 
 
+def _csv_bytes(header: str, rows: list) -> bytes:
+    """The bytes of a CSV file holding header and rows, one line each."""
+    return "".join(line + "\n" for line in (header, *rows)).encode()
+
+
 def test_cli_rows_match_library_writers(tmp_path):
     cfg = _write_config(tmp_path, """
         lattice = E8
@@ -238,10 +243,9 @@ def test_cli_rows_match_library_writers(tmp_path):
     """)
     out = tmp_path / "draws.csv"
     assert main(["sample", "--config", cfg, "--out", str(out)]) == 0
-    lib = tmp_path / "lib_draws.csv"
     spec = build_spec(standard_lattice("E8"), 3.0, np.full(8, 0.25))
-    dump_samples_csv(sample(spec, RngSeed(9), 300), str(lib))
-    assert out.read_bytes() == lib.read_bytes()
+    header, rows = sample_csv(sample(spec, RngSeed(9), 300))
+    assert out.read_bytes() == _csv_bytes(header, rows)
 
     cfg = _write_config(tmp_path, """
         p = 7
@@ -255,10 +259,8 @@ def test_cli_rows_match_library_writers(tmp_path):
     out = tmp_path / "ens.csv"
     assert main(["ensemble", "--config", cfg, "--out", str(out),
                  "--seed", "17"]) == 0
-    lib = tmp_path / "lib_ens.csv"
-    ensemble_search(7, 6, 3, 0.9, 1.0, 5, RngSeed(17), 0.5,
-                    out_path=str(lib))
-    assert out.read_bytes() == lib.read_bytes()
+    entries = ensemble_search(7, 6, 3, 0.9, 1.0, 5, RngSeed(17), 0.5)
+    assert out.read_bytes() == _csv_bytes(*ensemble_csv(entries, 0.9))
 
 
 def test_ensemble_run(tmp_path):

@@ -9,6 +9,7 @@ from lgc.analytics import flatness, gsnr
 from lgc.construction_a import (
     ENSEMBLE_CSV_HEADER,
     LinearCode,
+    ensemble_csv,
     ensemble_search,
     lift,
     load_code,
@@ -155,12 +156,10 @@ def test_theorem1_bound_decays_geometrically():
     assert vals[2] == pytest.approx(2.0 * 0.5 ** 8, rel=1e-12)
 
 
-def test_ensemble_search_good_gsnr(tmp_path):
+def test_ensemble_search_good_gsnr():
     p, n, k = 7, 8, 4
     scale = math.sqrt(0.7 * 2.0 * math.pi / 7.0)
-    out = tmp_path / "ranked.csv"
-    entries = ensemble_search(p, n, k, scale, 1.0, 12, RngSeed(2025, 0),
-                              out_path=str(out))
+    entries = ensemble_search(p, n, k, scale, 1.0, 12, RngSeed(2025, 0))
     assert len(entries) == 12
     eps = [e.report.epsilon for e in entries]
     assert eps == sorted(eps)
@@ -169,10 +168,10 @@ def test_ensemble_search_good_gsnr(tmp_path):
         assert e.bound == pytest.approx(2.0 * 0.7 ** 4, rel=1e-12)
     # the best draw of a modest ensemble already sits under the guarantee
     assert eps[0] < entries[0].bound
-    lines = out.read_text().strip().split("\n")
-    assert lines[0] == ENSEMBLE_CSV_HEADER
-    assert len(lines) == 13
-    first = lines[1].split(",")
+    header, rows = ensemble_csv(entries, scale)
+    assert header == ENSEMBLE_CSV_HEADER
+    assert len(rows) == 12
+    first = rows[0].split(",")
     assert int(first[0]) == entries[0].sample_index
     assert float(first[6]) == eps[0]
 

@@ -373,6 +373,25 @@ def test_far_ties_take_the_guard_band(lo, hi, monkeypatch):
     assert max(per_row) <= 4
 
 
+@pytest.mark.parametrize("mag", [1e4, 1e5, 1e6], ids=["1e4", "1e5", "1e6"])
+@pytest.mark.parametrize("name", ["E8", "D4", "diag"])
+def test_structured_guard_accepts_far_rows(name, mag):
+    """Rows near lattice points with coefficients up to mag: the structured
+    decoder's guard grows like |y|, as its rounding does, so it refuses
+    only the rows whose margin is inside that band, a small share even at
+    |y| ~ 1e6; every row still equals closest_point."""
+    lat = {"E8": standard_lattice("E8"), "D4": standard_lattice("Dn", 4),
+           "diag": make_lattice(np.diag(_DIAG4))}[name]
+    rng = np.random.default_rng(7)
+    m = 4096
+    u = rng.integers(-int(mag), int(mag) + 1, size=(m, lat.n))
+    ys = u @ lat.basis.T + 0.3 * rng.normal(size=(m, lat.n))
+    _, ok = lat.structure.decode_batch(ys)
+    assert np.count_nonzero(~ok) <= m // 40
+    want = np.array([closest_point(lat, y).coeffs for y in ys])
+    assert np.array_equal(closest_points_batch(lat, ys), want)
+
+
 def test_batch_matches_closest_point_on_benchmark_lattice():
     """The Poltyrev arm's traffic: the best lift of the p=7, n=8, k=4
     ensemble at gsnr 0.7 (ensemble seed 2025), Gaussian noise at VNR 2.2."""
@@ -459,7 +478,8 @@ def test_enumerate_ball_offcenter_and_empty():
 
 def test_budgets_are_module_constants():
     # the search budgets are lattice.NODE_CAP and lattice.POINT_CAP (tests
-    # override them with monkeypatch), never a parameter
+    # override them with monkeypatch), and the code draws are capped by
+    # construction_a.MAX_CODE_ATTEMPTS, never a parameter
     for name in dir(lgc):
         obj = getattr(lgc, name)
         if not callable(obj):
@@ -468,7 +488,8 @@ def test_budgets_are_module_constants():
             params = inspect.signature(obj).parameters
         except (TypeError, ValueError):
             continue
-        assert not {"point_cap", "node_cap", "primal_pref"} & set(params), name
+        assert not {"point_cap", "node_cap", "primal_pref",
+                    "max_attempts"} & set(params), name
 
 
 def test_enumerate_ball_budget(monkeypatch):

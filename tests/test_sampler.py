@@ -23,9 +23,9 @@ from lgc.sampler import (
     DEFICIT_TARGET,
     _pack_rows,
     build_spec,
-    dump_samples_csv,
     sample,
     sample_coeffs,
+    sample_csv,
     sphere_tail_bound,
     support_moment,
     support_peak,
@@ -449,13 +449,11 @@ def test_spec_dict_round_trip():
     assert d["truncation_radius"] == spec.truncation_radius
 
 
-def test_dump_samples_csv(tmp_path):
+def test_sample_csv():
     spec = build_spec(Z2, 1.0, np.full(2, 0.25))
     pts = sample(spec, RngSeed(9, 0), 50)
-    path = tmp_path / "draws.csv"
-    dump_samples_csv(pts, str(path))
-    with open(path) as fh:
-        rows = list(csv.reader(fh))
+    header, lines = sample_csv(pts)
+    rows = list(csv.reader([header, *lines]))
     assert rows[0] == ["coeffs0", "coeffs1", "embedding0", "embedding1"]
     assert len(rows) == 51
     for row, pt in zip(rows[1:], pts):
@@ -464,4 +462,4 @@ def test_dump_samples_csv(tmp_path):
         assert np.array_equal(u, pt.coeffs)
         assert np.allclose(x, u @ Z2.basis.T - 0.25, atol=0)
     with pytest.raises(DimensionMismatch):
-        dump_samples_csv([], str(path))
+        sample_csv([])

@@ -12,13 +12,21 @@ from lgc.errors import (
     MuBelowOne,
     NonpositiveSigma,
 )
+from lgc.analytics import (
+    entropy_deviation,
+    moment_check,
+    partition_sandwich_check,
+)
 from lgc.lattice import (
     closest_point,
     closest_points_batch,
+    contains,
+    coset_decode,
     enumerate_ball,
     standard_lattice,
 )
 from lgc.rng import RngSeed
+import lgc.sampler as sampler_mod
 import lgc.scheme as scheme_mod
 from lgc.sampler import build_spec, sample_coeffs
 from lgc.scheme import (
@@ -51,6 +59,7 @@ Z4 = standard_lattice("Zn", 4)
 Z8 = standard_lattice("Zn", 8)
 D4 = standard_lattice("Dn", 4)
 E8 = standard_lattice("E8")
+A2 = standard_lattice("A2")
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +118,31 @@ def test_params_values():
         "map-batch-table-nan", "map-batch-parity-inf"])
 def test_nonfinite_library_inputs_rejected(call, error):
     with pytest.raises(error, match="finite"):
+        call()
+
+
+_NAN2 = [math.nan, 0.0]
+
+
+@pytest.mark.parametrize("call,error", [
+    (lambda: enumerate_ball(Z2, _NAN2, 1.0), DimensionMismatch),
+    (lambda: enumerate_ball(Z2, np.zeros(2), math.nan), DimensionMismatch),
+    (lambda: partition_sandwich_check(A2, 1.0, _NAN2), DimensionMismatch),
+    (lambda: moment_check(Z2, 3.0, _NAN2), DimensionMismatch),
+    (lambda: entropy_deviation(Z2, 3.0, _NAN2), DimensionMismatch),
+    (lambda: contains(Z2, [0.0, 0.0, 1.0]), DimensionMismatch),
+    (lambda: contains(Z2, [math.inf, 0.0]), DimensionMismatch),
+    (lambda: coset_decode(Z2, np.zeros(2), [0.0, 0.0, 1.0]),
+     DimensionMismatch),
+    (lambda: closest_points_batch(Z2, np.zeros(2)), DimensionMismatch),
+    (lambda: awgn(np.zeros(2), math.nan, RngSeed(1, 0)), NonpositiveSigma),
+    (lambda: awgn(np.zeros(2), math.inf, RngSeed(1, 0)), NonpositiveSigma),
+], ids=["ball-center-nan", "ball-radius-nan", "partition-shift-nan",
+        "moment-shift-nan", "entropy-shift-nan", "contains-shape",
+        "contains-inf", "coset-point-shape", "batch-1d", "awgn-sigma-nan",
+        "awgn-sigma-inf"])
+def test_vector_arguments_rejected(call, error):
+    with pytest.raises(error, match="finite|shape"):
         call()
 
 
@@ -182,7 +216,7 @@ def test_map_table_forced_tie_takes_lowest_index(chunk, monkeypatch):
     # D_{Z-1/2} is symmetric: at y = 0 the points -1/2 (k = 0) and 1/2
     # (k = 1) have equal posteriors, and the lower table index wins
     if chunk is not None:
-        monkeypatch.setattr(scheme_mod, "_TABLE_CHUNK", chunk)
+        monkeypatch.setattr(sampler_mod, "_TABLE_CHUNK", chunk)
     spec = build_spec(Z1, 1.0, np.array([0.5]))
     assert spec.backend == "table"
     got = map_decode(spec, make_params(1.0, 1.0), np.zeros(1))
@@ -196,7 +230,7 @@ def test_map_table_chunking_does_not_change_output(chunk, monkeypatch):
     ys = [np.zeros(2), np.array([0.0, 0.7]), *(2.0 * np.random.default_rng(3)
                                                .standard_normal((40, 2)))]
     whole = [map_decode(spec, p, y).coeffs.tolist() for y in ys]
-    monkeypatch.setattr(scheme_mod, "_TABLE_CHUNK", chunk)
+    monkeypatch.setattr(sampler_mod, "_TABLE_CHUNK", chunk)
     assert [map_decode(spec, p, y).coeffs.tolist() for y in ys] == whole
 
 

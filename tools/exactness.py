@@ -17,6 +17,9 @@ the bit print the same lines.  The families:
 - batch: closest_points_batch on seeded batches, ties included, over Z8,
   D4, E8, a diagonal basis and the lift;
 - map: per-row MAP decodes and decode_agreement counts on structured specs;
+- lemmas: flatness_direct on Z2, A2 and D4; moment_check and
+  entropy_deviation on Z4 (40-digit axis sums), D4 and A2 (enumerated
+  support sums); partition_sandwich_check at fixed shifts;
 - sandwich_csv: the `lgc sandwich` CSV of the criterion-4 configuration at
   2^16 trials, seed 2024.
 """
@@ -33,7 +36,14 @@ import tempfile
 
 import numpy as np
 
-from lgc.analytics import flatness, theta
+from lgc.analytics import (
+    entropy_deviation,
+    flatness,
+    flatness_direct,
+    moment_check,
+    partition_sandwich_check,
+    theta,
+)
 from lgc.cli import main as lgc_main
 from lgc.construction_a import lift, random_code
 from lgc.lattice import closest_points_batch, make_lattice, standard_lattice
@@ -170,6 +180,27 @@ def family_map(lats: dict) -> str:
     return h.hexdigest()
 
 
+def family_lemmas(lats: dict) -> str:
+    h = _Hash()
+    a2 = standard_lattice("A2")
+    for name, lat in (("Z2", standard_lattice("Zn", 2)), ("A2", a2),
+                      ("D4", lats["D4"])):
+        unit = lat.volume ** (1.0 / lat.n)
+        for s in (0.3, 0.5):
+            h.add(name, flatness_direct(lat, s * unit, 6))
+    rng = np.random.default_rng(12)
+    for name, lat in (("Z4", lats["Z4"]), ("D4", lats["D4"]), ("A2", a2)):
+        unit = lat.volume ** (1.0 / lat.n)
+        for s in (1.5, 2.5):
+            for c in (np.zeros(lat.n), rng.random(lat.n) @ lat.basis.T):
+                mom = moment_check(lat, s * unit, c)
+                h.add(name, *mom, entropy_deviation(lat, s * unit, c))
+        for s in (0.45, 0.8):
+            for c in (np.zeros(lat.n), rng.random(lat.n) @ lat.basis.T):
+                h.add(*partition_sandwich_check(lat, s * unit, c))
+    return h.hexdigest()
+
+
 def family_sandwich_csv() -> str:
     cfg = os.path.join(_ROOT, "perfbench", "sandwich_e8.cfg")
     with tempfile.TemporaryDirectory() as tmp:
@@ -191,6 +222,7 @@ def main() -> int:
         ("axes", lambda: family_axes(lats)),
         ("batch", lambda: family_batch(lats)),
         ("map", lambda: family_map(lats)),
+        ("lemmas", lambda: family_lemmas(lats)),
         ("sandwich_csv", family_sandwich_csv),
     )
     for name, run in families:
