@@ -254,9 +254,9 @@ def flatness_direct(lat: Lattice, sigma: float, grid_points_per_dim: int) -> flo
     if n > 4:
         raise DimensionTooLarge(f"grid search limited to n <= 4, got {n}")
     _check_positive("sigma", sigma)
-    m = int(grid_points_per_dim)
-    if m < 1:
+    if not 1 <= grid_points_per_dim < math.inf:
         raise DimensionMismatch("need at least one grid point per dimension")
+    m = int(grid_points_per_dim)
     tau = 1.0 / (2.0 * math.pi * sigma * sigma)
     scale = lat.volume * (2.0 * math.pi * sigma * sigma) ** (-n / 2.0)
     _, _, radius = _grow_radius(lat, tau, math.sqrt(X_START / (math.pi * tau)),

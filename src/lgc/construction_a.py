@@ -96,8 +96,8 @@ def lift(code: LinearCode, scale: float) -> Lattice:
     every non-pivot coordinate contributes p times a unit vector; the
     resulting triangular-by-permutation basis has |det| = a^n p^{n-k}.
     """
-    if scale <= 0:
-        raise ConfigError(f"scale must be positive, got {scale}")
+    if not 0.0 < scale < math.inf:
+        raise ConfigError(f"scale must be finite and positive, got {scale}")
     g, pivots = _row_reduce_modp(code.generator, code.p)
     if len(pivots) != code.k:
         raise RankDeficientCode(
@@ -136,6 +136,8 @@ def random_code(p: int, n: int, k: int, seed: RngSeed,
 
 def theorem1_bound(lat: Lattice, sigma: float, delta: float = 1.0) -> float:
     """(1+delta) * gsnr^{n/2}: the ensemble flatness guarantee level."""
+    if not 0.0 <= delta < math.inf:
+        raise ConfigError(f"delta must be finite and >= 0, got {delta}")
     return (1.0 + delta) * gsnr(lat, sigma) ** (lat.n / 2.0)
 
 

@@ -240,8 +240,8 @@ class Lattice:
         return self._reduced
 
     def scale(self, a: float) -> "Lattice":
-        if a <= 0:
-            raise SingularBasis("scale factor must be positive")
+        if not 0.0 < a < math.inf:
+            raise SingularBasis(f"scale factor must be finite and positive, got {a}")
         ax = self.structure
         structure = None if ax is None else Axes(
             ax.steps * a, tuple(off * a for off in ax.offsets), ax.even_sum)

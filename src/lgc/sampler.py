@@ -353,8 +353,8 @@ def sample_csv(points: list) -> tuple:
 
 def sphere_tail_bound(n: int, eps: float) -> float:
     """(1+eps)/(1-eps) * 2^-n, the escape bound for radius sqrt(2 pi n) sigma0."""
-    if eps >= 1.0:
-        raise FlatnessTooLarge(f"flatness factor {eps:.3g} >= 1")
+    if not eps < 1.0:
+        raise FlatnessTooLarge(f"flatness factor must be below 1, got {eps:.3g}")
     return (1.0 + eps) / (1.0 - eps) * 2.0 ** (-n)
 
 

@@ -14,10 +14,11 @@ trial and brackets the scheme's error rate between flatness-factor
 multiples of the plain Voronoi-escape rate at sigma_tilde.
 
 The two sides of the equivalence are decoded apart, a block of trials at a
-time: MMSE by the batch nearest-point decoder, MAP by enumerating the
-lattice points in a ball around each target c + alpha*y and ranking the
-feasible ones by distance to it, the posterior in completed-square form
-(or, for tabulated supports, scoring every support point).
+time: MMSE by the batch nearest-point decoder, MAP by searching a lattice
+ball around each target c + alpha*y and ranking the feasible points by
+distance to it, the posterior in completed-square form (or, for tabulated
+supports, scoring every support point).  The per-row MAP reference,
+map_decode, searches the support's per-axis box instead of a ball.
 
 Simulation trials are sharded into fixed blocks of 2^14; block b always
 draws from RNG lanes 2b (signal) and 2b+1 (noise), so results depend only
@@ -51,7 +52,6 @@ from .lattice import (
     _vector,
     closest_point,
     closest_points_batch,
-    enumerate_ball,
 )
 from .rng import RngSeed, stream
 from .sampler import (
@@ -130,41 +130,19 @@ def map_decode(spec: DiscreteGaussianSpec, params: GaussianParams, y) -> Lattice
 
     Table specs score every support point exhaustively.  Structured specs
     minimize the completed-square metric |B u - (c + alpha*y)|^2 over the
-    support box of the spec's axis layout.  The incumbent is the support
-    point that _box_nearest decodes axis by axis.  With p the target t
-    clamped into the box, every support point x satisfies |x - t|^2 >=
-    |x - p|^2 + |p - t|^2, so one enumerate_ball around p holds every
-    candidate that can beat or tie the incumbent, however far t lies
-    outside the support; ranking them is what breaks ties.
-    This per-row search is the reference for the batched decoder of
-    decode_agreement, which sends it only the rows it cannot settle.  Ties
-    (squared distance within 1e-12 * (1 + best)) break to the
-    lexicographically smallest coefficient vector.
+    support box of the spec's axis layout by _box_search, which walks the
+    axes themselves and searches no lattice ball: this per-row reference
+    stays apart from the ball search that _map_batch, the batched decoder
+    of decode_agreement, runs on the rows it can settle.  Ties (squared
+    distance within 1e-12 * (1 + best)) break to the lexicographically
+    smallest coefficient vector.
     """
     lat = spec.lattice
     y = _vector(y, lat.n, "y")
     c = spec.shift
     if spec.backend == "table":
         return _map_table(spec, params, y)
-    target = c + params.alpha * y
-    u = _box_nearest(spec, target)
-    q, r = lat.qr()
-    tq = target @ q
-    e = r @ u - tq
-    bound = float(e @ e)
-    steps = lat.structure.steps
-    lows, highs = zip(*[(steps * k_lo + off, steps * k_hi + off)
-                        for off, k_lo, k_hi in _axis_ranges(spec)])
-    p = np.clip(target, np.min(lows, axis=0), np.max(highs, axis=0))
-    gap = float((target - p) @ (target - p))
-    # the slack covers the tie band and the rounding of bound and gap
-    rad2 = bound - gap + 1e-9 * (1.0 + bound + float(tq @ tq))
-    cand, _ = enumerate_ball(lat, p, math.sqrt(max(rad2, 0.0)))
-    cand = cand[_in_support(spec, cand)]
-    e = cand @ r.T - tq
-    d2 = np.einsum("ij,ij->i", e, e)
-    best = d2.min()
-    ties = cand[d2 <= best + 1e-12 * (1.0 + best)]
+    ties = _box_search(spec, c + params.alpha * y)
     coeffs = ties[np.lexsort(ties.T[::-1])[0]]
     return LatticePoint(coeffs, lat.basis @ coeffs.astype(float) - c)
 
@@ -198,31 +176,49 @@ def _in_support(spec: DiscreteGaussianSpec, u: np.ndarray) -> np.ndarray:
     return ok
 
 
-def _box_nearest(spec: DiscreteGaussianSpec, target: np.ndarray) -> np.ndarray:
-    """Coefficients of a support point nearest target (ties aside).
+def _box_search(spec: DiscreteGaussianSpec, target: np.ndarray) -> np.ndarray:
+    """Coefficient rows of the support points within the tie band of the best.
 
-    Coset by coset, every axis value k_i is the target's, rounded and then
-    clamped to its table's range; under even_sum an odd sum moves the one
-    axis whose next-nearest value in range costs the least squared
-    distance, which is optimal because the distance is a sum over axes.
-    The nearer coset wins.
+    The squared distance from steps * k + offset to target is a sum of
+    per-axis terms, so each coset (_axis_ranges) is searched depth first
+    over its axes, Schnorr-Euchner style: axis i walks its table's k range
+    outward from k0, the target's k rounded and then clamped, and in each
+    direction its term only grows.  A branch stops once acc + rest[i + 1]
+    passes the bound, rest[i] summing the smallest terms of axes i, i+1,
+    ...; the even-sum filter is tested at the leaves.  The bound, the best
+    leaf so far plus the tie band 1e-12 * (1 + best), only shrinks, so
+    nothing it cuts lies in the final band.
     """
     ax = spec.lattice.structure
-    best, point = math.inf, None
+    n = spec.lattice.n
+    steps, t = ax.steps.tolist(), target.tolist()
+    best, leaves = math.inf, []
     for off, k_lo, k_hi in _axis_ranges(spec):
-        z = (target - off) / ax.steps
-        k = np.clip(np.rint(z), k_lo, k_hi)
-        if ax.even_sum and k.sum() % 2:
-            alt = k + np.where(z > k, 1.0, -1.0)
-            alt = np.where((alt < k_lo) | (alt > k_hi), 2.0 * k - alt, alt)
-            cost = (ax.steps * (alt - z)) ** 2 - (ax.steps * (k - z)) ** 2
-            i = int(np.argmin(cost))
-            k[i] = alt[i]
-        x = ax.steps * k + off
-        d2 = float((x - target) @ (x - target))
-        if d2 < best:
-            best, point = d2, x
-    return np.rint(point @ spec.lattice.inv().T).astype(np.int64)
+        k0 = np.clip(np.rint((target - off) / ax.steps), k_lo, k_hi)
+        low = (ax.steps * k0 + off - target) ** 2
+        rest = np.append(np.cumsum(low[::-1])[::-1], 0.0).tolist()
+        k0, k_lo, k_hi = (v.astype(np.int64).tolist() for v in (k0, k_lo, k_hi))
+
+        def walk(i, acc, ks):
+            nonlocal best
+            if i == n:
+                if not (ax.even_sum and sum(ks) % 2):
+                    best = min(best, acc)
+                    leaves.append((acc, ks, off))
+                return
+            for ki_range in (range(k0[i], k_hi[i] + 1),
+                             range(k0[i] - 1, k_lo[i] - 1, -1)):
+                for ki in ki_range:
+                    d = acc + (steps[i] * ki + off - t[i]) ** 2
+                    if d + rest[i + 1] > best + 1e-12 * (1.0 + best):
+                        break
+                    walk(i + 1, d, ks + (ki,))
+
+        walk(0, 0.0, ())
+    band = best + 1e-12 * (1.0 + best)
+    x = np.array([ax.steps * np.array(ks) + off
+                  for d2, ks, off in leaves if d2 <= band])
+    return np.rint(x @ spec.lattice.inv().T).astype(np.int64)
 
 
 def _map_table(spec, params, y):
@@ -263,10 +259,10 @@ def _map_batch(spec: DiscreteGaussianSpec, params: GaussianParams,
     the ball through it beats every point outside, and one _ball_search
     over the whole batch, each ball's radius being the distance to it,
     holds every candidate of a row that has one.  The candidates in the
-    support (_in_support) are scored as map_decode scores them, by the
-    squared distance |B u - (c + alpha*y)|^2 in the QR frame; distances
-    within 1e-12 * (1 + best) of a row's best tie, and the
-    lexicographically smallest coefficients win (_lex_best).  A row with
+    support (_in_support) are scored by the squared distance
+    |B u - (c + alpha*y)|^2 in the QR frame; distances within
+    1e-12 * (1 + best) of a row's best tie, and the lexicographically
+    smallest coefficients win (_lex_best), as in map_decode.  A row with
     no candidate in the support (its MMSE point lies outside it) goes to
     map_decode.
     """
@@ -411,14 +407,12 @@ def _warm_decoder(lat: Lattice) -> None:
 
 
 def simulate_error(lat: Lattice, c, params: GaussianParams, trials: int,
-                   seed: RngSeed, threads: int = 1, label: str = "",
-                   spec: DiscreteGaussianSpec | None = None) -> SimResult:
+                   seed: RngSeed, threads: int = 1, label: str = "") -> SimResult:
     """Scheme error rate: x ~ D_{L-c}, y = x + noise, decode by MMSE scaling."""
     if trials < 1:
         raise DimensionMismatch(f"trials must be >= 1, got {trials}")
     c = np.asarray(c, dtype=float)
-    if spec is None:
-        spec = build_spec(lat, params.sigma0, c)
+    spec = build_spec(lat, params.sigma0, c)
     _warm_decoder(lat)
     basis_t = lat.basis.T.copy()
 
@@ -442,8 +436,7 @@ def simulate_poltyrev(lat: Lattice, noise_sigma: float, trials: int,
                       seed: RngSeed, threads: int = 1,
                       label: str = "") -> SimResult:
     """Voronoi-escape rate of plain nearest-point decoding around zero."""
-    if noise_sigma <= 0:
-        raise NonpositiveSigma(f"noise deviation must be positive, got {noise_sigma}")
+    _check_positive("noise deviation", noise_sigma)
     if trials < 1:
         raise DimensionMismatch(f"trials must be >= 1, got {trials}")
     _warm_decoder(lat)
@@ -520,7 +513,7 @@ class PoltyrevPoint(NamedTuple):
 
 def poltyrev_exponent(mu: float, n: int = 1) -> PoltyrevPoint:
     """Piecewise error exponent of unconstrained lattice decoding."""
-    if mu < 1.0:
+    if not mu >= 1.0:
         raise MuBelowOne(f"exponent defined for mu >= 1, got {mu}")
     if mu <= 2.0:
         e = 0.5 * ((mu - 1.0) - math.log(mu))
@@ -538,9 +531,8 @@ def vnr(lat: Lattice, sigma_tilde: float) -> float:
 
 def design_volume(sigma_tilde: float, eps_dprime: float, n: int) -> float:
     """Codebook volume putting the VNR at 1 + eps_dprime."""
-    if sigma_tilde <= 0:
-        raise NonpositiveSigma(f"sigma_tilde must be positive, got {sigma_tilde}")
-    if eps_dprime < 0 or n < 1:
+    _check_positive("sigma_tilde", sigma_tilde)
+    if not (0.0 <= eps_dprime < math.inf and n >= 1):
         raise DimensionMismatch(
             f"need eps_dprime >= 0 and n >= 1, got {eps_dprime}, {n}")
     return (2.0 * math.pi * math.e * sigma_tilde ** 2
@@ -602,8 +594,8 @@ class RateBudget:
 
 def eps_prime_formula(n: int, eps: float) -> float:
     """Entropy-rate slack from a flatness factor eps at sigma0/2."""
-    if eps >= 1.0:
-        raise FlatnessTooLarge(f"flatness factor {eps:.3g} >= 1")
+    if not eps < 1.0:
+        raise FlatnessTooLarge(f"flatness factor must be below 1, got {eps:.3g}")
     if eps == 0.0:
         return 0.0
     return -math.log(1.0 - eps) / n + math.pi * eps / (n * (1.0 - eps))
@@ -612,8 +604,11 @@ def eps_prime_formula(n: int, eps: float) -> float:
 def rate_lower_formula(n: int, snr: float, eps: float,
                        eps_dprime: float) -> float:
     """Achievable-rate lower bound in nats per dimension."""
-    if eps >= 1.0:
-        raise FlatnessTooLarge(f"flatness factor {eps:.3g} >= 1")
+    _check_positive("snr", snr)
+    if not eps < 1.0:
+        raise FlatnessTooLarge(f"flatness factor must be below 1, got {eps:.3g}")
+    if not 0.0 <= eps_dprime < math.inf:
+        raise DimensionMismatch(f"need eps_dprime >= 0, got {eps_dprime}")
     slack = math.pi * eps / (n * (1.0 - eps)) if eps else 0.0
     return (0.5 * math.log1p(snr) - slack - 0.5 * eps_dprime
             - eps_prime_formula(n, eps))

@@ -26,10 +26,11 @@ from lgc.errors import (
     DimensionTooLarge,
     NonpositiveSigma,
 )
-from lgc.lattice import standard_lattice
+from lgc.lattice import make_lattice, standard_lattice
 
 Z1 = standard_lattice("Zn", 1)
 Z2 = standard_lattice("Zn", 2)
+Z4 = standard_lattice("Zn", 4)
 Z8 = standard_lattice("Zn", 8)
 A2 = standard_lattice("A2")
 
@@ -271,6 +272,26 @@ def test_entropy_check_grid(n, sigma0):
     assert abs(rep.entropy_rate - rep.reference) <= rep.epsilon_prime + 1e-15
     # and at full working precision the deviation honors the bound too
     assert entropy_deviation(lat, sigma0, c) <= rep.epsilon_prime + 1e-30
+
+
+@pytest.mark.parametrize("sigma0", [1.5, 2.5])
+@pytest.mark.parametrize("shift", [0.0, 1.0], ids=["zero", "shifted"])
+def test_enumerated_support_stats_match_axis_sums(sigma0, shift):
+    # Z4 on a skewed unimodular basis is left untagged, so _support_stats
+    # enumerates its support in float64; tagged Z4 sums the same support
+    # axis by axis in 40 digits
+    basis = np.eye(4)
+    basis[0, 1], basis[1, 3], basis[2, 3] = 1.0, 1.0, -2.0
+    skew = make_lattice(basis, label="skewZ4")
+    assert skew.structure is None
+    c = shift * np.array([0.3, -0.45, 0.2, 0.05])
+    mom, ent = analytics_mod._support_stats(skew, sigma0, c)
+    ref_mom, ref_ent = analytics_mod._support_stats(Z4, sigma0, c)
+    assert mom == pytest.approx(float(ref_mom), rel=1e-12)
+    assert ent == pytest.approx(float(ref_ent), rel=1e-12)
+    assert moment_check(skew, sigma0, c).passed
+    rep = entropy_check(skew, sigma0, c)
+    assert entropy_deviation(skew, sigma0, c) <= rep.epsilon_prime
 
 
 def test_moment_check_dimension_guard():

@@ -6,17 +6,21 @@ import numpy as np
 import pytest
 
 from lgc.errors import (
+    ConfigError,
     DimensionMismatch,
     FlatnessTooLarge,
     InsufficientErrors,
     MuBelowOne,
     NonpositiveSigma,
+    SingularBasis,
 )
 from lgc.analytics import (
     entropy_deviation,
+    flatness_direct,
     moment_check,
     partition_sandwich_check,
 )
+from lgc.construction_a import lift, random_code, theorem1_bound
 from lgc.lattice import (
     closest_point,
     closest_points_batch,
@@ -26,9 +30,10 @@ from lgc.lattice import (
     standard_lattice,
 )
 from lgc.rng import RngSeed
+import lgc.lattice as lattice_mod
 import lgc.sampler as sampler_mod
 import lgc.scheme as scheme_mod
-from lgc.sampler import build_spec, sample_coeffs
+from lgc.sampler import build_spec, sample_coeffs, sphere_tail_bound
 from lgc.scheme import (
     BLOCK,
     CSV_HEADER,
@@ -118,6 +123,34 @@ def test_params_values():
         "map-batch-table-nan", "map-batch-parity-inf"])
 def test_nonfinite_library_inputs_rejected(call, error):
     with pytest.raises(error, match="finite"):
+        call()
+
+
+@pytest.mark.parametrize("call,error", [
+    (lambda: Z2.scale(math.nan), SingularBasis),
+    (lambda: Z2.scale(math.inf), SingularBasis),
+    (lambda: simulate_poltyrev(Z2, math.nan, 10, RngSeed(1, 0)),
+     NonpositiveSigma),
+    (lambda: simulate_poltyrev(Z2, math.inf, 10, RngSeed(1, 0)),
+     NonpositiveSigma),
+    (lambda: design_volume(math.nan, 0.1, 4), NonpositiveSigma),
+    (lambda: design_volume(1.0, math.nan, 4), DimensionMismatch),
+    (lambda: poltyrev_exponent(math.nan), MuBelowOne),
+    (lambda: eps_prime_formula(4, math.nan), FlatnessTooLarge),
+    (lambda: rate_lower_formula(4, math.nan, 0.1, 0.1), NonpositiveSigma),
+    (lambda: rate_lower_formula(4, 10.0, math.nan, 0.1), FlatnessTooLarge),
+    (lambda: rate_lower_formula(4, 10.0, 0.1, math.nan), DimensionMismatch),
+    (lambda: sphere_tail_bound(4, math.nan), FlatnessTooLarge),
+    (lambda: theorem1_bound(Z2, 1.0, delta=math.nan), ConfigError),
+    (lambda: lift(random_code(3, 4, 2, RngSeed(1, 0)), math.nan), ConfigError),
+    (lambda: flatness_direct(Z2, 1.0, math.nan), DimensionMismatch),
+], ids=["scale-nan", "scale-inf", "poltyrev-sigma-nan", "poltyrev-sigma-inf",
+        "volume-sigma-nan", "volume-slack-nan", "exponent-mu-nan",
+        "eps-prime-nan", "rate-snr-nan", "rate-eps-nan", "rate-slack-nan",
+        "sphere-tail-nan", "theorem1-delta-nan", "lift-scale-nan",
+        "flatness-grid-nan"])
+def test_nonfinite_formula_scalars_rejected(call, error):
+    with pytest.raises(error):
         call()
 
 
@@ -277,7 +310,11 @@ def test_map_batch_matches_map_decode(case, monkeypatch):
     x = closest_points_batch(lat, v + c) @ lat.basis.T - c
     far = x[np.einsum("ij,ij->i", x, x) > spec.truncation_radius ** 2][:10]
     assert far.shape[0] == 10
-    ys = np.concatenate([noisy, mid, near, np.zeros((1, lat.n)),
+    # y out to about two truncation radii in random directions, some
+    # coordinates near 0, so the clamped box point is not the answer
+    wide = 2.0 * spec.truncation_radius / math.sqrt(lat.n) \
+        * rng.standard_normal((100, lat.n))
+    ys = np.concatenate([noisy, mid, near, wide, np.zeros((1, lat.n)),
                          far / p.alpha])
     calls = []
 
@@ -299,6 +336,39 @@ def test_map_batch_matches_map_decode(case, monkeypatch):
         assert len(calls) >= 10
         nearer = np.all(got[1100:1200] == u[outer] + up, axis=1)
         assert np.count_nonzero(nearer) >= 50
+
+
+@pytest.mark.parametrize("case", ["Z8-product", "D4-parity", "E8-parity"])
+def test_map_decode_searches_no_ball(case, monkeypatch):
+    # the per-row reference walks the support box's axes: with the ball
+    # engine and the nearest-point decoders disabled it still decodes
+    # in-box, halfway-tie and far targets, as the batched ball search does
+    lat, s0, s, shift, table_cap = MAP_CASES[case]
+    p = make_params(s0, s)
+    c = np.full(lat.n, shift)
+    spec = (build_spec(lat, s0, c) if table_cap is None
+            else build_spec(lat, s0, c, table_cap=table_cap))
+    assert spec.backend != "table"
+    rng = np.random.default_rng(5)
+    pts = sample_coeffs(spec, rng, 30) @ lat.basis.T
+    inside = pts - c + s * rng.standard_normal(pts.shape)
+    half = (pts + 0.5 * lat.basis[:, rng.integers(0, lat.n, 30)].T - c) \
+        / p.alpha
+    far = 2.0 * spec.truncation_radius / math.sqrt(lat.n) \
+        * rng.standard_normal((30, lat.n))
+    ys = np.concatenate([inside, half, far])
+    want = scheme_mod._map_batch(spec, p, ys,
+                                 closest_points_batch(lat, p.alpha * ys + c))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("map_decode searched a lattice ball")
+
+    for mod, name in ((lattice_mod, "_ball_search"), (scheme_mod, "_ball_search"),
+                      (scheme_mod, "closest_point"),
+                      (scheme_mod, "closest_points_batch")):
+        monkeypatch.setattr(mod, name, refuse)
+    got = np.array([map_decode(spec, p, y).coeffs for y in ys])
+    assert np.array_equal(got, want)
 
 
 def test_map_stays_in_the_support_box():
