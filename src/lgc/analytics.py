@@ -100,16 +100,24 @@ def _tail_bound(n: int, lam1: float, tau: float, radius: float) -> float:
     Shell k (norms in (radius+k, radius+k+1]) holds at most
     (2(radius+k+1)/lam1 + 1)^n points, each weighing at most
     exp(-pi tau (radius+k)^2); evaluated in log space to dodge overflow.
+    The ratio of consecutive terms falls as k grows, so when 2000 shells
+    do not settle the series, the rest is at most term * rho / (1 - rho),
+    rho being the ratio of the next term to the last one summed.
     """
+    def ln_term(r):
+        return n * math.log(2.0 * (r + 1.0) / lam1 + 1.0) - math.pi * tau * r * r
+
     acc = 0.0
     for k in range(2000):
-        r = radius + k
-        ln_term = n * math.log(2.0 * (r + 1.0) / lam1 + 1.0) - math.pi * tau * r * r
-        term = math.exp(ln_term) if ln_term > -745.0 else 0.0
+        ln_t = ln_term(radius + k)
+        term = math.exp(ln_t) if ln_t > -745.0 else 0.0
         acc += term
         if term <= acc * 1e-17 or term == 0.0:
-            break
-    return acc
+            return acc
+    rho = math.exp(ln_term(radius + 2000) - ln_t)
+    if rho >= 1.0:
+        raise BudgetExceeded("packing tail series does not converge")
+    return acc + term * rho / (1.0 - rho)
 
 
 def _check_positive(name: str, value: float) -> None:
@@ -137,6 +145,29 @@ def _grow_radius(lat: Lattice, tau: float, radius: float, grow: float,
     raise BudgetExceeded(f"{what} did not certify its tail")
 
 
+def _ball_d2(lat: Lattice, center: np.ndarray, radius: float) -> np.ndarray:
+    """Squared distances of the lattice points within radius of center,
+    in descending order.
+
+    Bit for bit np.sort(enumerate_ball(lat, center, radius, coeffs=False)[1])
+    reversed.  A zero center (-0.0 too) enumerates only the origin and one
+    point of each +-u pair (lattice._ball_search's half mode), whose d2
+    have the bits of the other half's: each nonzero value is emitted twice
+    and the origin's 0.0 last.
+    """
+    if np.any(center) or not 0.0 <= radius < math.inf:
+        _, d2 = enumerate_ball(lat, center, radius, coeffs=False)
+        return np.sort(d2)[::-1]
+    _, r = lat.qr()
+    tmat = np.zeros((1, lat.n))
+    rad2 = np.array([radius * radius])
+    _, _, d2 = lattice._ball_search(r, tmat, rad2, False,
+                                    lattice._edge_slop(lat, tmat, rad2),
+                                    half=True)
+    d2 = np.sort(d2)[::-1]
+    return np.append(np.repeat(d2[:-1], 2), d2[-1])
+
+
 def _gauss_sum(lat: Lattice, center: np.ndarray, tau: float,
                skip_zero: bool = False, min_radius: float = 0.0,
                balls: dict | None = None) -> tuple:
@@ -146,22 +177,23 @@ def _gauss_sum(lat: Lattice, center: np.ndarray, tau: float,
     tail bound drops under TAIL_REL of the partial sum (measured against
     the full sum including the zero term even when skip_zero drops it from
     the returned value, so tiny sums still terminate).  balls, when given,
-    memoizes each enumeration by (lattice, radius), so sums over one
-    lattice around one center enumerate each radius once.  Returns (value,
-    tail_bound, radius).
+    memoizes by (lattice, radius) the one descending-sorted d2 array of
+    each ball (_ball_d2), so sums over one lattice around one center
+    enumerate and sort each radius once.  Returns (value, tail_bound,
+    radius).
     """
     zero_cut = (0.5 * lat.lambda1_lb()) ** 2
 
     def weigh(radius):
         d2 = None if balls is None else balls.get((lat, radius))
         if d2 is None:
-            _, d2 = enumerate_ball(lat, center, radius, coeffs=False)
+            d2 = _ball_d2(lat, center, radius)
             if balls is not None:
                 balls[(lat, radius)] = d2
         if skip_zero:
             d2 = d2[d2 > zero_cut]
         # ascending weights for a stable, order-fixed summation
-        value = float(np.sum(np.exp(-math.pi * tau * np.sort(d2)[::-1])))
+        value = float(np.sum(np.exp(-math.pi * tau * d2)))
         return value, value + 1.0 if skip_zero else value
 
     radius = max(math.sqrt(X_START / (math.pi * tau)), min_radius)
@@ -218,8 +250,9 @@ def flatness(lat: Lattice, sigma: float) -> FlatnessReport:
     theta value is always taken at tau = 1/(2 pi sigma^2).
 
     Reports are cached on the lattice by float(sigma); a raised error is
-    not.  The dual-side theta sum and the epsilon sum share one
-    enumeration per radius.
+    not.  The dual-side theta sum and the epsilon sum share one memo that
+    holds one sorted d2 array per ball, so each radius is enumerated and
+    sorted once; at the origin only half of each ball is enumerated.
     """
     _check_positive("sigma", sigma)
     key = float(sigma)
@@ -341,7 +374,7 @@ def _support_stats(lat: Lattice, sigma0: float, c: np.ndarray) -> tuple:
     """(E|x-c|^2, entropy) for the discrete Gaussian on L - c.
 
     Diagonal bases factorize axis by axis in 40-digit arithmetic; other
-    bases enumerate the truncated support directly in float64.
+    bases sum the truncated support's sorted d2 (_ball_d2) in float64.
     """
     n = lat.n
     if lat.structure is not None and not lat.structure.even_sum:  # diagonal
@@ -358,8 +391,7 @@ def _support_stats(lat: Lattice, sigma0: float, c: np.ndarray) -> tuple:
     two_s2 = 2.0 * sigma0 * sigma0
 
     def weigh(radius):
-        _, d2 = enumerate_ball(lat, c, radius, coeffs=False)
-        d2 = np.sort(d2)[::-1]
+        d2 = _ball_d2(lat, c, radius)
         w = np.exp(-d2 / two_s2)
         z = float(np.sum(w))
         return (d2, w, z), z

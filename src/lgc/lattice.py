@@ -656,7 +656,8 @@ def _edge_slop(lat: Lattice, tmat: np.ndarray, rad2: np.ndarray) -> float:
 
 
 def _ball_search(r: np.ndarray, tmat: np.ndarray, rad2: np.ndarray,
-                 coeffs: bool = True, slop: float = 1e-12) -> tuple:
+                 coeffs: bool = True, slop: float = 1e-12,
+                 half: bool = False) -> tuple:
     """Lattice points inside a ball around each of a batch of centers.
 
     tmat holds the centers in the QR frame of the lattice (centers @ q),
@@ -673,6 +674,15 @@ def _ball_search(r: np.ndarray, tmat: np.ndarray, rad2: np.ndarray,
     widens each level's integer range past the ball's edge, so that the
     rounding of the level's real centers c cuts no point off; it must
     exceed a few ulps of the largest |c| (_edge_slop).
+
+    half=True takes one center at the origin and returns the origin plus
+    one point of each +-u pair: those whose last nonzero coefficient is
+    positive.  There every level of -u negates u's tau, level center and
+    integer range exactly (rounding is sign-symmetric, ceil(-x) =
+    -floor(x)), so d2(-u) has the bits of d2(u).  Only the all-zero prefix
+    has its range clamped to k >= 0; it stays row 0, since it comes first
+    and its first candidate, 0, always survives.  The budget counts the
+    full ball's candidates, 2 * total - 1, so the caps are the same.
     """
     m, n = tmat.shape
     slack = rad2 * (1.0 + 1e-12) + 1e-12
@@ -697,12 +707,15 @@ def _ball_search(r: np.ndarray, tmat: np.ndarray, rad2: np.ndarray,
         lo = np.ceil(c - w - slop).astype(np.int64)
         cnt = np.maximum(np.floor(c + w + slop).astype(np.int64) - lo + 1, 0)
         del c, w
+        if half:
+            cnt[0] += lo[0]
+            lo[0] = 0
         total = int(cnt.sum())
         if total == 0:
             return (np.empty(0, dtype=np.intp),
                     np.empty((0, n), dtype=np.int64) if coeffs else None,
                     np.empty(0))
-        if total > POINT_CAP:
+        if (2 * total - 1 if half else total) > POINT_CAP:
             raise BudgetExceeded(f"ball enumeration passed {POINT_CAP} points")
         # the candidates of each prefix are contiguous: per-prefix values
         # spread by np.repeat, in place where possible, and every array

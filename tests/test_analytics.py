@@ -8,6 +8,8 @@ import pytest
 import lgc.analytics as analytics_mod
 import lgc.lattice as lattice_mod
 from lgc.analytics import (
+    X_START,
+    _ball_d2,
     _grow_radius,
     _tail_bound,
     entropy_check,
@@ -26,7 +28,7 @@ from lgc.errors import (
     DimensionTooLarge,
     NonpositiveSigma,
 )
-from lgc.lattice import make_lattice, standard_lattice
+from lgc.lattice import enumerate_ball, make_lattice, standard_lattice
 
 Z1 = standard_lattice("Zn", 1)
 Z2 = standard_lattice("Zn", 2)
@@ -118,6 +120,113 @@ def test_grow_radius_budget_names_caller():
     with pytest.raises(BudgetExceeded, match="probe sum did not certify"):
         _grow_radius(Z2, 1.0, 1.0, 1.25, 1e-12, lambda r: (None, 0.0),
                      "probe sum")
+
+
+@pytest.mark.parametrize("sigma", [1e3, 1e5])
+def test_tail_bound_closes_series_past_its_shells(sigma):
+    # at large sigma 2000 unit shells past the start radius leave most of
+    # the series unsummed; the bound must still cover all of it
+    tau = 1.0 / (2.0 * math.pi * sigma * sigma)
+    lam1 = Z1.lambda1_lb()
+    radius = math.sqrt(X_START / (math.pi * tau))
+    r = radius + np.arange(2_000_000, dtype=float)
+    series = math.fsum(np.exp(np.log(2.0 * (r + 1.0) / lam1 + 1.0)
+                              - math.pi * tau * r * r))
+    assert series <= _tail_bound(1, lam1, tau, radius) <= 1.01 * series
+
+
+def test_tail_bound_raises_while_terms_grow():
+    # at tau = 1e-12 the 8-dim shell counts still outgrow the weights
+    # 2000 shells past radius 1, so no geometric remainder closes them
+    with pytest.raises(BudgetExceeded):
+        _tail_bound(8, 1.0, 1e-12, 1.0)
+
+
+def _sorted_ball(lat, center, radius):
+    return np.sort(enumerate_ball(lat, center, radius, coeffs=False)[1])[::-1]
+
+
+def _half_points(monkeypatch):
+    """Record the number of points of each lattice._ball_search call."""
+    seen = []
+    search = lattice_mod._ball_search
+
+    def counting(*args, **kwargs):
+        res = search(*args, **kwargs)
+        seen.append(res[2].size)
+        return res
+
+    monkeypatch.setattr(lattice_mod, "_ball_search", counting)
+    return seen
+
+
+def _check_half_ball(lat, radius, monkeypatch):
+    want = _sorted_ball(lat, np.zeros(lat.n), radius)
+    for center in (np.zeros(lat.n), np.full(lat.n, -0.0)):
+        with monkeypatch.context() as patch:
+            seen = _half_points(patch)
+            got = _ball_d2(lat, center, radius)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+        # one point of each +-v pair plus the origin
+        assert seen == [(want.size + 1) // 2]
+    return want
+
+
+@pytest.mark.parametrize("dual", [False, True], ids=["primal", "dual"])
+@pytest.mark.parametrize("name", ["Z4", "D4", "E8", "A2", "lift"])
+def test_ball_d2_half_ball_is_full_ball(fresh_lattice, name, dual,
+                                        monkeypatch):
+    lat = fresh_lattice(name)
+    lat = lat.dual() if dual else lat
+    unit = lat.volume ** (1.0 / lat.n)
+    rng = np.random.default_rng(sum(map(ord, name)) + dual)
+    for radius in (lat.lambda1_lb() * (1.0 + 1e-9),
+                   *rng.uniform(0.3, 2.2, 4) * unit, 2.2 * unit):
+        want = _check_half_ball(lat, radius, monkeypatch)
+    assert want.size > 15
+    # the smallest cap the full ball passes is the half ball's too
+    center = np.zeros(lat.n)
+    lo, hi = 0, want.size * 1000
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        monkeypatch.setattr(lattice_mod, "POINT_CAP", mid)
+        try:
+            enumerate_ball(lat, center, radius, coeffs=False)
+            hi = mid
+        except BudgetExceeded:
+            lo = mid
+    monkeypatch.setattr(lattice_mod, "POINT_CAP", lo)
+    with pytest.raises(BudgetExceeded):
+        _ball_d2(lat, center, radius)
+    monkeypatch.setattr(lattice_mod, "POINT_CAP", hi)
+    assert _ball_d2(lat, center, radius).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name,radius", [
+    ("Z2", 1.0), ("Z2", 2.0), ("D4", math.sqrt(2.0) * (1.0 + 1e-9))])
+def test_ball_d2_points_on_the_sphere(name, radius, monkeypatch):
+    lat = standard_lattice(name[0] + "n", int(name[1]))
+    want = _check_half_ball(lat, radius, monkeypatch)
+    # every point at norm exactly radius is in, the origin is last
+    assert want.size == {1.0: 5, 2.0: 13}.get(radius, 25)
+    assert want[-1] == 0.0
+
+
+@pytest.mark.parametrize("name", ["Z4", "D4", "E8", "A2", "lift"])
+def test_ball_d2_off_center_is_the_full_ball(fresh_lattice, name,
+                                             monkeypatch):
+    lat = fresh_lattice(name)
+    rng = np.random.default_rng(41)
+    tiny = np.zeros(lat.n)
+    tiny[-1] = 1e-300
+    for center in (rng.uniform(-1.0, 1.0, lat.n) @ lat.basis.T, tiny):
+        for radius in (-1.0, 0.0, 1e-3, 1.7, 2.6):
+            want = _sorted_ball(lat, center, radius)
+            seen = _half_points(monkeypatch)
+            assert _ball_d2(lat, center, radius).tobytes() == want.tobytes()
+            assert seen == ([want.size] if radius >= 0.0 else [])
+            monkeypatch.undo()
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,10 @@ the bit print the same lines.  The families:
   entropy_deviation on Z4 (40-digit axis sums), D4 and A2 (enumerated
   support sums); partition_sandwich_check at fixed shifts;
 - sandwich_csv: the `lgc sandwich` CSV of the criterion-4 configuration at
-  2^16 trials, seed 2024.
+  2^16 trials, seed 2024;
+- ensemble: the ensemble_csv rows of ensemble_search over (p, n, k) =
+  (7, 8, 4), sigma 1, 4 samples, seed 2025, at gsnr 0.7 and 1.5, with
+  each entry's theta value, truncation bound and radius.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from lgc.analytics import (
     theta,
 )
 from lgc.cli import main as lgc_main
-from lgc.construction_a import lift, random_code
+from lgc.construction_a import ensemble_csv, ensemble_search, lift, random_code
 from lgc.lattice import closest_points_batch, make_lattice, standard_lattice
 from lgc.rng import RngSeed, stream
 from lgc.sampler import (
@@ -214,6 +217,19 @@ def family_sandwich_csv() -> str:
             return hashlib.sha256(fh.read()).hexdigest()
 
 
+def family_ensemble() -> str:
+    h = _Hash()
+    p, n, k = 7, 8, 4
+    for g in (0.7, 1.5):
+        scale = math.sqrt(g * 2.0 * math.pi / p ** (2.0 * (n - k) / n))
+        entries = ensemble_search(p, n, k, scale, 1.0, 4, RngSeed(2025, 0))
+        h.add(ensemble_csv(entries, scale))
+        for e in entries:
+            th = e.report.theta
+            h.add(th.value, th.truncation_bound, th.radius)
+    return h.hexdigest()
+
+
 def main() -> int:
     lats = _lattices()
     families = (
@@ -224,6 +240,7 @@ def main() -> int:
         ("map", lambda: family_map(lats)),
         ("lemmas", lambda: family_lemmas(lats)),
         ("sandwich_csv", family_sandwich_csv),
+        ("ensemble", family_ensemble),
     )
     for name, run in families:
         print(f"{name:13s} {run()}", flush=True)
