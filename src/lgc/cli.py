@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, LgcError, MultipleAxes
 from .analytics import flatness
-from .lattice import load_basis, standard_lattice
+from .lattice import _read_lines, load_basis, standard_lattice
 from .rng import RngSeed
 from .sampler import build_spec, sample, sample_csv
 from .scheme import (
@@ -81,22 +81,19 @@ class _Parser(argparse.ArgumentParser):
 
 def parse_config(path: str) -> dict:
     """Flat `key = value` lines into a raw string dict."""
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
     raw = {}
-    with open(path) as fh:
-        for ln_no, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{ln_no}: expected 'key = value'")
-            key, val = (s.strip() for s in line.split("=", 1))
-            if not key or not val:
-                raise ConfigError(f"{path}:{ln_no}: empty key or value")
-            if key in raw:
-                raise ConfigError(f"{path}:{ln_no}: duplicate key '{key}'")
-            raw[key] = val
+    for ln_no, line in enumerate(_read_lines(path, "config file"), 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{ln_no}: expected 'key = value'")
+        key, val = (s.strip() for s in line.split("=", 1))
+        if not key or not val:
+            raise ConfigError(f"{path}:{ln_no}: empty key or value")
+        if key in raw:
+            raise ConfigError(f"{path}:{ln_no}: duplicate key '{key}'")
+        raw[key] = val
     return raw
 
 

@@ -47,6 +47,8 @@ _LLL_DELTA = 0.99
 # rows per structured decode call and per exact-fallback ball search:
 # keeps their temporaries in cache
 _DECODE_CHUNK = 4096
+# rows per step of the packed-key unpacking: keeps its temporaries in cache
+_KEY_CHUNK = 16384
 
 # ---------------------------------------------------------------------------
 # types
@@ -620,14 +622,49 @@ def contains(lat: Lattice, x, tol: float = 1e-6) -> bool:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True, eq=False)
+class PackedRows:
+    """Integer coefficient rows stored as one int64 key per row.
+
+    Column k, less lows[k], takes bits[k] bits, and column 0 the highest,
+    so the keys order the rows lexicographically.  Indexing unpacks:
+    rows[sel] is the int64 array that the unpacked (N, n) rows would give
+    for [sel], one row for an integer index.
+    """
+
+    key: np.ndarray
+    bits: tuple
+    lows: tuple
+
+    def __len__(self) -> int:
+        return self.key.size
+
+    def __getitem__(self, sel) -> np.ndarray:
+        key = self.key[sel]
+        flat = np.atleast_1d(key)
+        shifts = np.cumsum((0,) + self.bits[:0:-1])[::-1, None]
+        masks = np.array([(1 << b) - 1 for b in self.bits],
+                         dtype=np.int64)[:, None]
+        lows = np.array(self.lows, dtype=np.int64)[:, None]
+        out = np.empty((flat.size, len(self.bits)), dtype=np.int64)
+        for lo in range(0, flat.size, _KEY_CHUNK):
+            cols = flat[lo:lo + _KEY_CHUNK] >> shifts  # row k: column k
+            cols &= masks
+            cols += lows
+            out[lo:lo + _KEY_CHUNK] = cols.T
+        return out.reshape(key.shape + (len(self.bits),))
+
+
 def enumerate_ball(lat: Lattice, center, radius: float,
-                   coeffs: bool = True) -> tuple:
+                   coeffs: bool = True, *, _packed: bool = False) -> tuple:
     """All lattice points with ||B u - center|| <= radius.
 
     Returns (U, d2): integer coefficients, one point per row, plus squared
     distances to the center.  The one-center case of _ball_search.  With
     coeffs=False, U is None and the per-level coefficient gathers are
-    skipped; d2 is the same array either way.
+    skipped; d2 is the same array either way.  _packed=True returns U as
+    a PackedRows, the keys in enumeration order, unless the coefficient
+    spans pass 63 bits.
     """
     n = lat.n
     center = _vector(center, n, "center")
@@ -639,7 +676,8 @@ def enumerate_ball(lat: Lattice, center, radius: float,
     q, r = lat.qr()
     tmat = (center @ q)[None, :]
     rad2 = np.array([radius * radius])
-    _, u, d2 = _ball_search(r, tmat, rad2, coeffs, _edge_slop(lat, tmat, rad2))
+    _, u, d2 = _ball_search(r, tmat, rad2, coeffs, _edge_slop(lat, tmat, rad2),
+                            packed=_packed)
     return u, d2
 
 
@@ -657,7 +695,7 @@ def _edge_slop(lat: Lattice, tmat: np.ndarray, rad2: np.ndarray) -> float:
 
 def _ball_search(r: np.ndarray, tmat: np.ndarray, rad2: np.ndarray,
                  coeffs: bool = True, slop: float = 1e-12,
-                 half: bool = False) -> tuple:
+                 half: bool = False, packed: bool = False) -> tuple:
     """Lattice points inside a ball around each of a batch of centers.
 
     tmat holds the centers in the QR frame of the lattice (centers @ q),
@@ -669,8 +707,13 @@ def _ball_search(r: np.ndarray, tmat: np.ndarray, rad2: np.ndarray,
     Level-by-level expansion over r (Fincke & Pohst), vectorized over the
     surviving prefixes of every center at once.  Each level keeps only its
     new coefficients and the indices of their parent prefixes; one walk up
-    those pointers at the end fills the coefficient columns of an (n, N)
-    C-order array, and U is its transpose, so U[:, k] is contiguous.  slop
+    those pointers at the end counts the points below each prefix and fills
+    the coefficient columns of an (n, N) C-order array, and U is its
+    transpose, so U[:, k] is contiguous.  packed=True fills no columns: U
+    is a PackedRows, one int64 key per point summed from the same repeats
+    of each level's shifted coefficients, each column's low and bit width
+    taken over the prefixes with a point below them; only when the widths
+    pass 63 bits is U the array.  slop
     widens each level's integer range past the ball's edge, so that the
     rounding of the level's real centers c cuts no point off; it must
     exceed a few ulps of the largest |c| (_edge_slop).
@@ -745,14 +788,32 @@ def _ball_search(r: np.ndarray, tmat: np.ndarray, rad2: np.ndarray,
         return root, None, d2
     # a prefix's points are contiguous, so column k repeats each level-k
     # coefficient once per point below it; the counts sum up the pointers
+    below = [None] * n
+    for k in range(1, n):
+        below[k] = np.bincount(parent[k - 1], weights=below[k - 1],
+                               minlength=ucol[k].size).astype(np.int64)
+        parent[k - 1] = None
+    if packed:
+        # a column's span over the points is its span over the prefixes
+        # with a point below them
+        live = [ucol[0]] + [u[b > 0] for u, b in zip(ucol[1:], below[1:])]
+        lows = [int(v.min()) for v in live]
+        bits = [(int(v.max()) - low).bit_length() for v, low in zip(live, lows)]
+        del live
+        if sum(bits) <= 63:
+            shift = sum(bits) - bits[0]
+            key = ucol[0] - lows[0]
+            key <<= shift
+            for k in range(1, n):
+                ucol[k - 1] = None
+                shift -= bits[k]
+                key += np.repeat((ucol[k] - lows[k]) << shift, below[k])
+            return root, PackedRows(key, tuple(bits), tuple(lows)), d2
     cols = np.empty((n, d2.size), dtype=np.int64)
     cols[0] = ucol[0]
-    below = None
     for k in range(1, n):
-        below = np.bincount(parent[k - 1], weights=below,
-                            minlength=ucol[k].size).astype(np.int64)
-        ucol[k - 1] = parent[k - 1] = None
-        cols[k] = np.repeat(ucol[k], below)
+        ucol[k - 1] = None
+        cols[k] = np.repeat(ucol[k], below[k])
     return root, cols.T, d2
 
 
@@ -787,9 +848,26 @@ def save_basis(lat: Lattice, path: str) -> None:
             fh.write(" ".join(repr(float(v)) for v in row) + "\n")
 
 
+def _read_lines(path: str, what: str) -> list:
+    """The lines of a UTF-8 text file; ConfigError when it cannot be read.
+
+    A missing file, a directory or undecodable bytes are bad input, not a
+    failed run.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.readlines()
+    except FileNotFoundError:
+        raise ConfigError(f"{what} not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{what} {path} is not UTF-8 text: byte "
+                          f"{exc.start}: {exc.reason}") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc.strerror}") from None
+
+
 def load_basis(path: str, label: str = "") -> Lattice:
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    lines = [ln.strip() for ln in _read_lines(path, "basis file") if ln.strip()]
     if not lines:
         raise ConfigError(f"empty basis file: {path}")
     try:
@@ -799,4 +877,6 @@ def load_basis(path: str, label: str = "") -> Lattice:
         raise ConfigError(f"malformed basis file {path}: {exc}") from None
     if len(rows) != n or any(len(row) != n for row in rows):
         raise ConfigError(f"basis file {path} does not hold {n} rows of {n} entries")
+    if not np.all(np.isfinite(rows)):
+        raise ConfigError(f"basis file {path} holds a non-finite entry")
     return make_lattice(np.array(rows), label=label or path)

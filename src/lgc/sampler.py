@@ -31,22 +31,25 @@ from .errors import (
     RandomnessExhausted,
 )
 from .analytics import _ball_volume, _check_positive, _grow_radius, flatness
-from .lattice import Lattice, LatticePoint, _vector, enumerate_ball
+from .lattice import Lattice, LatticePoint, PackedRows, _vector, enumerate_ball
 from .rng import RngSeed, stream
 
 TABLE_CAP = 4_000_000
 # table rows embedded per step of a pass over the support
 _TABLE_CHUNK = 262144
-# table rows per step of the sort-key packing and unpacking: keeps their
-# temporaries in cache
-_KEY_CHUNK = 16384
 DEFICIT_TARGET = 1e-12
 MAX_REJECTION_ROUNDS = 1000
 
 
 @dataclass(eq=False)
 class DiscreteGaussianSpec:
-    """Sampling plan for D over (lattice - shift) at deviation sigma0."""
+    """Sampling plan for D over (lattice - shift) at deviation sigma0.
+
+    The table backend stores its support as sorted packed keys
+    (lattice.PackedRows): table_rows[sel] unpacks just the rows sel, and
+    table_coeffs unpacks the whole table on demand.  When the coefficient
+    spans pass 63 bits, table_rows holds the int64 rows themselves.
+    """
 
     lattice: Lattice
     sigma0: float
@@ -55,7 +58,7 @@ class DiscreteGaussianSpec:
     deficit: float
     backend: str
     # table backend: support rows sorted lexicographically by coeffs
-    table_coeffs: np.ndarray | None = None
+    table_rows: PackedRows | np.ndarray | None = None
     table_probs: np.ndarray | None = None
     table_cdf: np.ndarray | None = None
     # product / parity backends: per-coset, per-axis tables over the layout
@@ -63,15 +66,21 @@ class DiscreteGaussianSpec:
     axis_tables: tuple | None = None
     coset_probs: np.ndarray | None = None  # exact relative coset masses
 
+    @property
+    def table_coeffs(self) -> np.ndarray | None:
+        """The (N, n) int64 support rows in table order; None off the table."""
+        return None if self.table_rows is None else self.table_rows[:]
+
     def support(self) -> list:
         """Ordered (LatticePoint, probability) pairs; table backend only."""
         if self.backend != "table":
             raise BudgetExceeded(
                 f"{self.backend} backend keeps the support implicit")
         out = []
-        emb = self.table_coeffs @ self.lattice.basis.T - self.shift
-        for i in range(self.table_coeffs.shape[0]):
-            pt = LatticePoint(self.table_coeffs[i].copy(), emb[i].copy())
+        coeffs = self.table_coeffs
+        emb = coeffs @ self.lattice.basis.T - self.shift
+        for i in range(coeffs.shape[0]):
+            pt = LatticePoint(coeffs[i].copy(), emb[i].copy())
             out.append((pt, float(self.table_probs[i])))
         return out
 
@@ -157,68 +166,29 @@ def build_spec(lat: Lattice, sigma0: float, c,
 
 def _build_table(lat, sigma0, c, radius):
     def weigh(radius):
-        coeffs, d2 = enumerate_ball(lat, c, radius)
+        rows, d2 = enumerate_ball(lat, c, radius, _packed=True)
         w = np.exp(-d2 / (2.0 * sigma0 * sigma0))
         z = float(w.sum())
-        return (coeffs, w, z), z
+        return (rows, w, z), z
 
-    (coeffs, w, z), tail, radius = _grow_radius(
+    (rows, w, z), tail, radius = _grow_radius(
         lat, 1.0 / (2.0 * math.pi * sigma0 * sigma0), radius, 1.15,
         DEFICIT_TARGET, weigh, "support enumeration")
     # the points are distinct, so their packed keys are too and one argsort
-    # gives np.lexsort's order; the enumeration's columns are released
-    # before the sorted table is unpacked
-    packed = _pack_rows(coeffs)
-    if packed is None:
-        order = np.lexsort(coeffs.T[::-1])
-        coeffs = np.ascontiguousarray(coeffs[order])
+    # gives np.lexsort's order
+    if isinstance(rows, PackedRows):
+        order = np.argsort(rows.key)
+        rows = PackedRows(rows.key[order], rows.bits, rows.lows)
     else:
-        del coeffs
-        key, bits, lows = packed
-        order = np.argsort(key)
-        coeffs = _unpack_rows(key[order], bits, lows)
+        order = np.lexsort(rows.T[::-1])
+        rows = np.ascontiguousarray(rows[order])
     probs = w[order] / z
     cdf = np.cumsum(probs)
     cdf[-1] = 1.0
     return DiscreteGaussianSpec(
         lattice=lat, sigma0=sigma0, shift=c, truncation_radius=radius,
         deficit=tail / z, backend="table",
-        table_coeffs=coeffs, table_probs=probs, table_cdf=cdf)
-
-
-def _pack_rows(coeffs: np.ndarray):
-    """(key, bits, lows) packing each coefficient row into one int64, or None.
-
-    Column k, less its minimum lows[k], takes bits[k] bits, the bit width
-    of its observed span, and column 0 the highest bits, so the keys order
-    the rows lexicographically.  None when the spans need more than 63 bits.
-    """
-    lows = coeffs.min(axis=0).tolist()
-    bits = [(int(hi) - lo).bit_length()
-            for lo, hi in zip(lows, coeffs.max(axis=0).tolist())]
-    if sum(bits) > 63:
-        return None
-    key = np.zeros(coeffs.shape[0], dtype=np.int64)
-    for lo in range(0, key.size, _KEY_CHUNK):
-        part = key[lo:lo + _KEY_CHUNK]
-        for k, (b, low) in enumerate(zip(bits, lows)):
-            part <<= b
-            part |= coeffs[lo:lo + _KEY_CHUNK, k] - low
-    return key, bits, lows
-
-
-def _unpack_rows(key: np.ndarray, bits: list, lows: list) -> np.ndarray:
-    """The C-order coefficient rows of _pack_rows keys."""
-    shifts = np.cumsum([0] + bits[:0:-1])[::-1, None]
-    masks = np.array([(1 << b) - 1 for b in bits], dtype=np.int64)[:, None]
-    lows = np.array(lows, dtype=np.int64)[:, None]
-    out = np.empty((key.size, len(bits)), dtype=np.int64)
-    for lo in range(0, key.size, _KEY_CHUNK):
-        cols = key[lo:lo + _KEY_CHUNK] >> shifts  # row k: column k
-        cols &= masks
-        cols += lows
-        out[lo:lo + _KEY_CHUNK] = cols.T
-    return out
+        table_rows=rows, table_probs=probs, table_cdf=cdf)
 
 
 def _alt_sum(ks, probs) -> float:
@@ -304,7 +274,7 @@ def sample_coeffs(spec: DiscreteGaussianSpec, rng: np.random.Generator,
         u = rng.random(count)
         idx = np.searchsorted(spec.table_cdf, u, side="right")
         idx = np.minimum(idx, spec.table_cdf.size - 1)
-        return spec.table_coeffs[idx].copy()
+        return spec.table_rows[idx]
     # axis layout: the coset by its exact mass, then the coordinates; one
     # coset needs no per-coset split of the rows (and no copy through it)
     ax = spec.lattice.structure
@@ -402,11 +372,12 @@ def tail_event_rate(spec: DiscreteGaussianSpec) -> tuple:
 def _table_chunks(spec: DiscreteGaussianSpec):
     """Yield (lo, emb) over the support table in blocks of _TABLE_CHUNK rows.
 
-    emb holds the coset points B u - c of table rows lo, lo + 1, ...
+    emb holds the coset points B u - c of table rows lo, lo + 1, ...,
+    unpacked one block at a time.
     """
     basis_t = spec.lattice.basis.T
-    for lo in range(0, spec.table_coeffs.shape[0], _TABLE_CHUNK):
-        yield lo, spec.table_coeffs[lo:lo + _TABLE_CHUNK] @ basis_t - spec.shift
+    for lo in range(0, len(spec.table_rows), _TABLE_CHUNK):
+        yield lo, spec.table_rows[lo:lo + _TABLE_CHUNK] @ basis_t - spec.shift
 
 
 def support_moment(spec: DiscreteGaussianSpec) -> float:

@@ -245,7 +245,7 @@ def _map_table(spec, params, y):
         new = np.nonzero(score >= floor)[0]
         idx = np.concatenate([idx[keep], lo + new])
         vals = np.concatenate([vals[keep], score[new]])
-    coeffs = spec.table_coeffs[int(idx.min())].astype(np.int64)
+    coeffs = spec.table_rows[int(idx.min())].astype(np.int64)
     return LatticePoint(coeffs, lat.basis @ coeffs.astype(float) - c)
 
 

@@ -300,6 +300,40 @@ def test_missing_lattice_file_is_config_error(tmp_path, capsys):
     assert capsys.readouterr().err == "config: lattice file not found\n"
 
 
+_UTF8 = "is not UTF-8 text: byte 9: invalid continuation byte"
+
+
+@pytest.mark.parametrize("which,bad,message", [
+    ("config", "latin1", _UTF8),
+    ("config", "dir", "cannot read config file"),
+    ("basis", "latin1", _UTF8),
+    ("basis", "dir", "cannot read basis file"),
+    ("basis", "nan", "holds a non-finite entry"),
+    ("basis", "inf", "holds a non-finite entry"),
+], ids=["config-latin1", "config-dir", "basis-latin1", "basis-dir",
+        "basis-nan", "basis-inf"])
+def test_bad_input_files_are_config_errors(tmp_path, capsys, which, bad,
+                                           message):
+    """A config or basis file that is not UTF-8 text, a directory, or a
+    basis holding nan or inf exits with code 2 and a message."""
+    bad_path = tmp_path / "bad"
+    if bad == "dir":
+        bad_path.mkdir()
+    elif bad == "latin1":
+        bad_path.write_bytes("sigma = 1\xe9\n".encode("latin-1"))
+    else:
+        bad_path.write_text(f"2\n1.0 0.0\n0.0 {bad}\n")
+    if which == "config":
+        cfg = str(bad_path)
+    else:
+        cfg = _write_config(tmp_path, f"lattice = {bad_path}\nsigma = 1.0\n")
+    out = tmp_path / "x.csv"
+    assert main(["flatness", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config: ") and message in err
+    assert not out.exists()
+
+
 def test_unknown_key_rejected(tmp_path, capsys):
     cfg = _write_config(tmp_path, """
         lattice = Zn:2

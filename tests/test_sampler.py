@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,12 +17,17 @@ from lgc.errors import (
     NonpositiveSigma,
 )
 from lgc.analytics import _tail_bound
-from lgc.lattice import Lattice, enumerate_ball, make_lattice, standard_lattice
+from lgc.lattice import (
+    Lattice,
+    PackedRows,
+    enumerate_ball,
+    make_lattice,
+    standard_lattice,
+)
 from lgc.rng import RngSeed, stream
 from lgc.scheme import design_volume, make_params
 from lgc.sampler import (
     DEFICIT_TARGET,
-    _pack_rows,
     build_spec,
     sample,
     sample_coeffs,
@@ -147,7 +153,7 @@ _TABLE_CASES = {
 @pytest.mark.parametrize("case", list(_TABLE_CASES))
 def test_table_matches_lexsort_reference(case):
     """build_spec's table equals, to the bit, enumerate_ball at the spec's
-    radius followed by np.lexsort; the packed-key sort and its lexsort
+    radius followed by np.lexsort; the sorted packed keys and their lexsort
     fallback (spans over 63 bits) both run."""
     lat, sigma0, c = _TABLE_CASES[case]()
     spec = build_spec(lat, sigma0, c)
@@ -170,7 +176,24 @@ def test_table_matches_lexsort_reference(case):
     assert spec.table_probs.tobytes() == probs.tobytes()
     assert spec.table_cdf.tobytes() == cdf.tobytes()
     assert spec.deficit == deficit
-    assert (_pack_rows(table) is None) == (case == "skew8")
+    # packed keys, except where the spans pass 63 bits (lexsort fallback)
+    assert isinstance(spec.table_rows, PackedRows) == (case != "skew8")
+
+
+def test_table_build_memory():
+    """The criterion-4 build holds sorted packed keys, not the 2.65M x 8
+    coefficient table: under tracemalloc it peaks below 170 MiB and keeps
+    below 80 MiB (267.0 and 202.5 MiB when the rows were unpacked)."""
+    lat, sigma0, c = _sandwich_e8_case()
+    tracemalloc.start()
+    try:
+        spec = build_spec(lat, sigma0, c)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(spec.table_rows) == 2_654_137
+    assert peak < 170 * 2**20
+    assert held < 80 * 2**20
 
 
 def test_shift_moves_support():

@@ -226,6 +226,43 @@ def test_map_matches_exhaustive_posterior():
         assert np.array_equal(got.coeffs, want)
 
 
+def test_hot_paths_never_unpack_the_whole_table(monkeypatch):
+    """The table's hot paths read its rows by index or one chunk at a time:
+    with table_coeffs raising and chunks of 512 rows, no unpack of the
+    sorted keys covers the whole table."""
+    def whole_table(spec):
+        raise AssertionError("table_coeffs read on a hot path")
+
+    unpack = lattice_mod.PackedRows.__getitem__
+
+    def partial_unpack(rows, sel):
+        out = unpack(rows, sel)
+        assert out.size < rows.key.size * len(rows.bits), "whole table unpacked"
+        return out
+
+    monkeypatch.setattr(sampler_mod.DiscreteGaussianSpec, "table_coeffs",
+                        property(whole_table))
+    monkeypatch.setattr(lattice_mod.PackedRows, "__getitem__", partial_unpack)
+    monkeypatch.setattr(sampler_mod, "_TABLE_CHUNK", 512)
+    lat, c, p = D4, np.array([0.3, -0.2, 0.7, 0.1]), make_params(1.3, 0.6)
+    spec = build_spec(lat, p.sigma0, c)
+    # more rows than a block of 2000 trials draws
+    assert isinstance(spec.table_rows, lattice_mod.PackedRows)
+    assert len(spec.table_rows) > 2000
+    simulate_error(lat, c, p, 2000, RngSeed(3, 0))
+    sandwich_check(lat, c, p, 2000, RngSeed(4, 0))
+    assert sampler_mod.support_moment(spec) > 0.0
+    assert sampler_mod.support_peak(spec) > 0.0
+    _, mass = sampler_mod.tail_event_rate(spec)
+    assert 0.0 <= mass <= 1.0
+    ys = np.random.default_rng(8).normal(size=(3, lat.n))
+    for y in ys:
+        map_decode(spec, p, y)
+    mmse = closest_points_batch(lat, c + p.alpha * ys)
+    scheme_mod._map_batch(spec, p, ys, mmse)
+    decode_agreement(lat, c, p, 64, RngSeed(5, 0), spec=spec)
+
+
 @pytest.mark.parametrize("shift", [0.0, 0.25])
 def test_branch_and_bound_matches_table_map(shift):
     p = make_params(0.9, 0.7)

@@ -12,6 +12,10 @@ the bit print the same lines.  The families:
   Construction-A lift;
 - table: the inverse-CDF table of the criterion-4 configuration (E8 at the
   design volume, SNR 10, shift 0.25);
+- table_stats: on the criterion-4 table, a D4 table and a table whose
+  coefficient spans pass 63 bits (the lexsort fallback), the exact moment
+  and peak, the tail masses (not on the fallback), 4,096 draws and a few
+  per-row MAP decodes;
 - axes: the structured samplers' axis tables on Z8 and E8, with draws,
   exact moments, peaks and tail masses (plus D4 and a diagonal basis);
 - batch: closest_points_batch on seeded batches, ties included, over Z8,
@@ -49,7 +53,12 @@ from lgc.analytics import (
 )
 from lgc.cli import main as lgc_main
 from lgc.construction_a import ensemble_csv, ensemble_search, lift, random_code
-from lgc.lattice import closest_points_batch, make_lattice, standard_lattice
+from lgc.lattice import (
+    Lattice,
+    closest_points_batch,
+    make_lattice,
+    standard_lattice,
+)
 from lgc.rng import RngSeed, stream
 from lgc.sampler import (
     build_spec,
@@ -119,6 +128,32 @@ def family_table() -> str:
     h = _Hash()
     h.add(spec.backend, spec.table_coeffs, spec.table_probs, spec.table_cdf,
           spec.deficit, spec.truncation_radius)
+    return h.hexdigest()
+
+
+def family_table_stats(lats: dict) -> str:
+    lat, params = _criterion4()
+    skew8 = Lattice(np.eye(8) + 4.0 * np.eye(8, k=1), label="skew8",
+                    lambda1=1.0)
+    # tail_event_rate's bound needs flatness < 1, which skew8 cannot certify
+    # at a sigma0 whose table stays small (its flatness is 9.4 at 0.3)
+    cases = (
+        (lat, params.sigma0, np.full(8, 0.25), params.sigma, True),
+        (lats["D4"], 1.3, np.array([0.3, -0.2, 0.7, 0.1]), 0.6, True),
+        (skew8, 0.3, np.full(8, 0.1), 0.2, False),
+    )
+    h = _Hash()
+    for lat, sigma0, c, sigma, tail in cases:
+        spec = build_spec(lat, sigma0, c)
+        h.add(lat.label, spec.backend, support_moment(spec), support_peak(spec))
+        if tail:
+            h.add(*tail_event_rate(spec))
+        h.add(sample_coeffs(spec, stream(RngSeed(9, 0)), 4096))
+        rng = np.random.default_rng(77)
+        ys = spec.truncation_radius / math.sqrt(lat.n) \
+            * rng.normal(size=(4, lat.n))
+        params = make_params(sigma0, sigma)
+        h.add(np.array([map_decode(spec, params, y).coeffs for y in ys]))
     return h.hexdigest()
 
 
@@ -235,6 +270,7 @@ def main() -> int:
     families = (
         ("flatness", lambda: family_flatness(lats)),
         ("table", family_table),
+        ("table_stats", lambda: family_table_stats(lats)),
         ("axes", lambda: family_axes(lats)),
         ("batch", lambda: family_batch(lats)),
         ("map", lambda: family_map(lats)),
