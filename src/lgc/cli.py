@@ -316,7 +316,12 @@ def _run_sandwich(raw, seed, trials, threads):
         summaries.append({"ratio": res.ratio, "ratio_lo": res.ratio_lo,
                           "ratio_hi": res.ratio_hi, "lo": res.lo,
                           "hi": res.hi, "eps1": res.eps1, "eps2": res.eps2,
-                          "passed": res.passed})
+                          "passed": res.passed,
+                          "errors_scheme": res.scheme.errors,
+                          "errors_poltyrev": res.poltyrev.errors,
+                          "errors_both": res.both_errors,
+                          "paired_lo": res.paired_lo,
+                          "paired_hi": res.paired_hi})
     return CSV_HEADER, rows, {"sandwich": summaries}
 
 

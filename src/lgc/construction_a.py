@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, RandomnessExhausted, RankDeficientCode
 from .analytics import FlatnessReport, flatness, gsnr
-from .lattice import Lattice, make_lattice
+from .lattice import Lattice, _read_lines, make_lattice
 from .rng import RngSeed, stream
 
 MAX_CODE_ATTEMPTS = 1000
@@ -195,8 +195,7 @@ def save_code(code: LinearCode, path: str) -> None:
 
 
 def load_code(path: str) -> LinearCode:
-    with open(path) as fh:
-        raw = [ln.strip() for ln in fh if ln.strip()]
+    raw = [ln.strip() for ln in _read_lines(path, "code file") if ln.strip()]
     if not raw:
         raise ConfigError(f"{path}: empty code file")
     head = raw[0].split()

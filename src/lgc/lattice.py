@@ -770,9 +770,16 @@ def _ball_search(r: np.ndarray, tmat: np.ndarray, rad2: np.ndarray,
         nd *= nd
         nd += np.repeat(d2, cnt)
         keep = nd <= (np.repeat(lim, cnt) if per else lim)
-        rows = np.repeat(np.arange(cnt.size, dtype=np.int32), cnt)[keep]
-        uk = uk[keep]
-        d2 = nd[keep]
+        # the integer ranges hold few candidates outside the ball, often
+        # none, and then no copy goes through the mask
+        every = keep.all()
+        d2 = nd if every else nd[keep]
+        # the last level of a one-center d2-only search needs no parents
+        if k or per or coeffs:
+            rows = np.repeat(np.arange(cnt.size, dtype=np.int32), cnt)
+            if not every:
+                rows = rows[keep]
+                uk = uk[keep]
         del nd, keep, lo, cnt
         if per:
             root = root[rows]

@@ -272,8 +272,13 @@ def sample_coeffs(spec: DiscreteGaussianSpec, rng: np.random.Generator,
     """Basis-coefficient rows of `count` i.i.d. draws from the spec."""
     if spec.backend == "table":
         u = rng.random(count)
-        idx = np.searchsorted(spec.table_cdf, u, side="right")
-        idx = np.minimum(idx, spec.table_cdf.size - 1)
+        # sorted uniforms walk the CDF in order, each search starting where
+        # the last one ended; equal uniforms find equal indices, so the
+        # scatter back gives every draw the index an unsorted search would
+        order = np.argsort(u)
+        idx = np.empty(count, dtype=np.intp)
+        idx[order] = np.searchsorted(spec.table_cdf, u[order], side="right")
+        np.minimum(idx, spec.table_cdf.size - 1, out=idx)
         return spec.table_rows[idx]
     # axis layout: the coset by its exact mass, then the coordinates; one
     # coset needs no per-coset split of the rows (and no copy through it)

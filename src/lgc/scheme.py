@@ -406,25 +406,25 @@ def _warm_decoder(lat: Lattice) -> None:
         lat.reduced()
 
 
-def simulate_error(lat: Lattice, c, params: GaussianParams, trials: int,
-                   seed: RngSeed, threads: int = 1, label: str = "") -> SimResult:
-    """Scheme error rate: x ~ D_{L-c}, y = x + noise, decode by MMSE scaling."""
-    if trials < 1:
-        raise DimensionMismatch(f"trials must be >= 1, got {trials}")
-    c = np.asarray(c, dtype=float)
-    spec = build_spec(lat, params.sigma0, c)
-    _warm_decoder(lat)
-    basis_t = lat.basis.T.copy()
+def _scheme_wrong(lat: Lattice, c: np.ndarray, params: GaussianParams,
+                  basis_t: np.ndarray, U: np.ndarray,
+                  N: np.ndarray) -> np.ndarray:
+    """Trials of one block the scheme decodes wrongly: x = U B^T - c is
+    sent, y = x + sigma N received and alpha y + c decoded."""
+    Y = U @ basis_t - c + params.sigma * N
+    dec = closest_points_batch(lat, params.alpha * Y + c)
+    return np.any(dec != U, axis=1)
 
-    def run(b: int, m: int) -> int:
-        rng_x = stream(seed, 2 * b)
-        rng_w = stream(seed, 2 * b + 1)
-        U = sample_coeffs(spec, rng_x, m)
-        Y = U @ basis_t - c + params.sigma * rng_w.standard_normal((m, lat.n))
-        dec = closest_points_batch(lat, params.alpha * Y + c)
-        return int(np.sum(np.any(dec != U, axis=1)))
 
-    errors = _run_blocks(run, _block_plan(trials), threads)
+def _poltyrev_wrong(lat: Lattice, noise_sigma: float,
+                    N: np.ndarray) -> np.ndarray:
+    """Trials of one block whose noise noise_sigma N leaves the Voronoi
+    cell of the origin."""
+    return np.any(closest_points_batch(lat, noise_sigma * N) != 0, axis=1)
+
+
+def _scheme_result(lat: Lattice, params: GaussianParams, trials: int,
+                   errors: int, seed: RngSeed, label: str) -> SimResult:
     p, lo, hi = wilson_interval(errors, trials)
     return SimResult(lat.label, label, lat.n, params.sigma0, params.sigma,
                      params.alpha, params.sigma_tilde, lat.volume,
@@ -432,26 +432,66 @@ def simulate_error(lat: Lattice, c, params: GaussianParams, trials: int,
                      seed.tag())
 
 
+def _poltyrev_result(lat: Lattice, noise_sigma: float, trials: int,
+                     errors: int, seed: RngSeed, label: str) -> SimResult:
+    p, lo, hi = wilson_interval(errors, trials)
+    return SimResult(lat.label, label, lat.n, math.nan, noise_sigma, math.nan,
+                     noise_sigma, lat.volume, vnr(lat, noise_sigma), trials,
+                     errors, p, lo, hi, seed.tag())
+
+
+def _check_trials(trials: int) -> None:
+    if trials < 1:
+        raise DimensionMismatch(f"trials must be >= 1, got {trials}")
+
+
+def simulate_error(lat: Lattice, c, params: GaussianParams, trials: int,
+                   seed: RngSeed, threads: int = 1, label: str = "") -> SimResult:
+    """Scheme error rate: x ~ D_{L-c}, y = x + noise, decode by MMSE scaling."""
+    _check_trials(trials)
+    c = np.asarray(c, dtype=float)
+    spec = build_spec(lat, params.sigma0, c)
+    _warm_decoder(lat)
+    basis_t = lat.basis.T.copy()
+
+    def run(b: int, m: int) -> int:
+        U = sample_coeffs(spec, stream(seed, 2 * b), m)
+        N = stream(seed, 2 * b + 1).standard_normal((m, lat.n))
+        return int(np.sum(_scheme_wrong(lat, c, params, basis_t, U, N)))
+
+    errors = _run_blocks(run, _block_plan(trials), threads)
+    return _scheme_result(lat, params, trials, errors, seed, label)
+
+
 def simulate_poltyrev(lat: Lattice, noise_sigma: float, trials: int,
                       seed: RngSeed, threads: int = 1,
                       label: str = "") -> SimResult:
     """Voronoi-escape rate of plain nearest-point decoding around zero."""
     _check_positive("noise deviation", noise_sigma)
-    if trials < 1:
-        raise DimensionMismatch(f"trials must be >= 1, got {trials}")
+    _check_trials(trials)
     _warm_decoder(lat)
 
     def run(b: int, m: int) -> int:
-        rng_w = stream(seed, 2 * b + 1)
-        W = noise_sigma * rng_w.standard_normal((m, lat.n))
-        dec = closest_points_batch(lat, W)
-        return int(np.sum(np.any(dec != 0, axis=1)))
+        N = stream(seed, 2 * b + 1).standard_normal((m, lat.n))
+        return int(np.sum(_poltyrev_wrong(lat, noise_sigma, N)))
 
     errors = _run_blocks(run, _block_plan(trials), threads)
-    p, lo, hi = wilson_interval(errors, trials)
-    return SimResult(lat.label, label, lat.n, math.nan, noise_sigma, math.nan,
-                     noise_sigma, lat.volume, vnr(lat, noise_sigma), trials,
-                     errors, p, lo, hi, seed.tag())
+    return _poltyrev_result(lat, noise_sigma, trials, errors, seed, label)
+
+
+def paired_ratio_interval(n_s: int, n_p: int, n_both: int) -> tuple:
+    """95% delta-method interval of the ratio n_s/n_p of two error counts
+    over the same trials, n_both of which both arms got wrong.
+
+    Multinomial counts give the log ratio the variance 1/n_s + 1/n_p -
+    2 n_both/(n_s n_p) (the 1/trials terms cancel); the more failures the
+    arms share, the narrower the interval (Agresti, Categorical Data
+    Analysis, ch. 11).
+    """
+    var = 1.0 / n_s + 1.0 / n_p - 2.0 * n_both / (n_s * n_p)
+    half = Z95 * math.sqrt(max(var, 0.0))
+    log_ratio = math.log(n_s / n_p)
+    return math.exp(log_ratio - half), math.exp(log_ratio + half)
 
 
 class SandwichResult(NamedTuple):
@@ -465,16 +505,25 @@ class SandwichResult(NamedTuple):
     eps2: float
     scheme: SimResult
     poltyrev: SimResult
+    # trials both arms decoded wrongly, and the paired interval of the ratio
+    both_errors: int
+    paired_lo: float
+    paired_hi: float
 
 
 def sandwich_check(lat: Lattice, c, params: GaussianParams, trials: int,
                    seed: RngSeed, threads: int = 1) -> SandwichResult:
     """Paired test of the error-probability sandwich at effective noise.
 
-    Both arms reuse the same noise lanes (common random numbers).  The
-    bracket comes from the flatness factors at sigma0^2/sqrt(sigma0^2 +
-    sigma^2) and at sigma0; the test passes when the ratio's CI-inflated
-    interval intersects the bracket.
+    One pass runs both arms on common random numbers: each block draws its
+    signal coefficients U and standard normals N once, the scheme arm
+    decodes alpha (U B^T - c + sigma N) + c and the Poltyrev arm sigma_tilde
+    N, so either arm's counts equal those of simulate_error and
+    simulate_poltyrev.  The bracket comes from the flatness factors at
+    sigma0^2/sqrt(sigma0^2 + sigma^2) and at sigma0; the test passes when
+    the ratio's Wilson-inflated interval intersects the bracket.  The
+    paired interval (paired_ratio_interval) uses the trials both arms got
+    wrong and is narrower.
     """
     s0, s = params.sigma0, params.sigma
     sigma1 = s0 * s0 / math.sqrt(s0 * s0 + s * s)
@@ -485,19 +534,36 @@ def sandwich_check(lat: Lattice, c, params: GaussianParams, trials: int,
             f"flatness factors ({eps1:.3g}, {eps2:.3g}) must be < 1")
     lo = (1.0 - eps1) / (1.0 + eps2)
     hi = (1.0 + eps1) / (1.0 - eps2)
-    res_s = simulate_error(lat, c, params, trials, seed, threads,
-                           label="scheme")
-    res_p = simulate_poltyrev(lat, params.sigma_tilde, trials, seed, threads,
-                              label="poltyrev")
-    if res_s.errors < 50 or res_p.errors < 50:
+    _check_trials(trials)
+    c = np.asarray(c, dtype=float)
+    spec = build_spec(lat, s0, c)
+    _warm_decoder(lat)
+    basis_t = lat.basis.T.copy()
+
+    def run(b: int, m: int) -> np.ndarray:
+        U = sample_coeffs(spec, stream(seed, 2 * b), m)
+        N = stream(seed, 2 * b + 1).standard_normal((m, lat.n))
+        wrong_s = _scheme_wrong(lat, c, params, basis_t, U, N)
+        wrong_p = _poltyrev_wrong(lat, params.sigma_tilde, N)
+        return np.array([wrong_s.sum(), wrong_p.sum(),
+                         np.sum(wrong_s & wrong_p)])
+
+    n_s, n_p, n_both = (int(v) for v in
+                        _run_blocks(run, _block_plan(trials), threads))
+    if n_s < 50 or n_p < 50:
         raise InsufficientErrors(
-            f"need >= 50 errors per arm, got {res_s.errors} and {res_p.errors}")
+            f"need >= 50 errors per arm, got {n_s} and {n_p}")
+    res_s = _scheme_result(lat, params, trials, n_s, seed, "scheme")
+    res_p = _poltyrev_result(lat, params.sigma_tilde, trials, n_p, seed,
+                             "poltyrev")
     ratio = res_s.p_hat / res_p.p_hat
     ratio_lo = res_s.ci_low / res_p.ci_high
     ratio_hi = res_s.ci_high / res_p.ci_low
     passed = ratio_lo <= hi and ratio_hi >= lo
+    paired_lo, paired_hi = paired_ratio_interval(n_s, n_p, n_both)
     return SandwichResult(ratio, lo, hi, passed, ratio_lo, ratio_hi,
-                          eps1, eps2, res_s, res_p)
+                          eps1, eps2, res_s, res_p, n_both, paired_lo,
+                          paired_hi)
 
 
 # ---------------------------------------------------------------------------

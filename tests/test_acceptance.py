@@ -104,10 +104,14 @@ def test_criterion_04_error_probability_sandwich(capsys):
                          RngSeed(2024, 0))
     elapsed = time.perf_counter() - t0
     in_band = 1e-3 <= res.poltyrev.p_hat <= 1e-2
-    ok = res.passed and in_band and elapsed < 1800.0
+    # the paired interval, narrower than the Wilson ratio, must meet it too
+    paired = res.paired_lo <= res.hi and res.paired_hi >= res.lo
+    ok = res.passed and paired and in_band and elapsed < 1800.0
     _report(capsys, 4, ok,
             f"scheme/poltyrev ratio {res.ratio:.4f}, "
-            f"CI [{res.ratio_lo:.4f}, {res.ratio_hi:.4f}] vs bracket "
+            f"CI [{res.ratio_lo:.4f}, {res.ratio_hi:.4f}], paired CI "
+            f"[{res.paired_lo:.4f}, {res.paired_hi:.4f}] ({res.scheme.errors}, "
+            f"{res.poltyrev.errors}, {res.both_errors} errors) vs bracket "
             f"[{res.lo:.6f}, {res.hi:.6f}], poltyrev p = "
             f"{res.poltyrev.p_hat:.2e}, 10^6 paired trials in {elapsed:.1f}s")
 

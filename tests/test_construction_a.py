@@ -229,3 +229,15 @@ def test_load_code_malformed(tmp_path):
     path.write_text("5 3 2\n1 2 3\n")
     with pytest.raises(ConfigError):
         load_code(str(path))
+
+
+@pytest.mark.parametrize("case", ["missing", "directory", "not_utf8"])
+def test_load_code_unreadable_file_is_config_error(tmp_path, case):
+    """A code file that cannot be read as UTF-8 text is bad input."""
+    path = tmp_path / "code.txt"
+    if case == "directory":
+        path.mkdir()
+    elif case == "not_utf8":
+        path.write_bytes(b"7 8 4\xe9\n")
+    with pytest.raises(ConfigError):
+        load_code(str(path))

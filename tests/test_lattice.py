@@ -564,6 +564,49 @@ def test_ball_search_matches_enumerate_ball_per_center(fresh_lattice, name):
     assert one.size > 1 and one.strides == (0,)  # one center: no root array
 
 
+def _search_bytes(out):
+    """(root, U, d2) of _ball_search as comparable bytes."""
+    root, u, d2 = out
+    if isinstance(u, lattice_mod.PackedRows):
+        u = (u.key.tobytes(), u.bits, u.lows)
+    elif u is not None:
+        u = (u.dtype.str, u.shape, u.tobytes())
+    return np.asarray(root).tobytes(), u, d2.tobytes()
+
+
+@pytest.mark.parametrize("name", ["Z4", "D4", "E8", "A2", "lift"])
+def test_ball_search_masked_and_unmasked_levels_agree(fresh_lattice, name):
+    """A wide edge margin puts candidates outside the ball into the level
+    masks: at the top level for certain, since the first radius sets that
+    level's range half a step inside the ball's edge.  A narrow one leaves
+    most levels with no candidate to drop, and their masks are skipped.
+    Both give the same points, coefficients and d2, in every output mode:
+    one center with coefficients, packed or d2 only, the half ball, and
+    many centers."""
+    lat = fresh_lattice(name)
+    q, r = lat.qr()
+    unit = lat.volume ** (1.0 / lat.n)
+    rng = np.random.default_rng(41)
+    centers = np.concatenate([np.zeros((1, lat.n)),
+                              rng.uniform(-2.0, 2.0, (4, lat.n)) @ lat.basis.T])
+    top = abs(r[-1, -1])
+    radii = np.array([(math.ceil(1.2 * unit / top) + 0.5) * top, 1.1 * unit,
+                      0.7 * unit, 1.3 * unit, 0.2 * unit])
+    tmat = centers @ q
+    rad2 = radii * radii
+    calls = [((tmat[:1], rad2[:1]), {"coeffs": True}),
+             ((tmat[:1], rad2[:1]), {"coeffs": True, "packed": True}),
+             ((tmat[:1], rad2[:1]), {"coeffs": False}),
+             ((tmat[:1], rad2[:1]), {"coeffs": False, "half": True}),
+             ((tmat, rad2), {"coeffs": True}),
+             ((tmat, rad2), {"coeffs": False})]
+    for (t, r2), kw in calls:
+        narrow = _ball_search(r, t, r2, slop=1e-12, **kw)
+        wide = _ball_search(r, t, r2, slop=0.7, **kw)
+        assert narrow[2].size > 1
+        assert _search_bytes(wide) == _search_bytes(narrow)
+
+
 def _box_ball(lat, tmat, rad2):
     """(root, U, d2) of every lattice point in each ball, by brute force.
 

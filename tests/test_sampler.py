@@ -180,6 +180,40 @@ def test_table_matches_lexsort_reference(case):
     assert isinstance(spec.table_rows, PackedRows) == (case != "skew8")
 
 
+class _FixedUniforms:
+    """A generator stub whose random() returns the given uniforms."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, count):
+        assert count == self.u.size
+        return self.u.copy()
+
+
+@pytest.mark.parametrize("case", ["sandwich_e8", "D4"])
+def test_table_draws_match_unsorted_search(case):
+    """sample_coeffs looks up its uniforms in sorted order and scatters the
+    indices back; every draw gets the row an unsorted right-sided search of
+    the CDF gives, also for uniforms exactly on CDF entries, repeated
+    uniforms and uniforms past the last entry below 1."""
+    lat, sigma0, c = _TABLE_CASES[case]()
+    spec = build_spec(lat, sigma0, c)
+    cdf = spec.table_cdf
+    rng = np.random.default_rng(15)
+    on = cdf[rng.integers(0, cdf.size - 1, size=500)]
+    u = np.concatenate([
+        rng.random(3000), on, on[:50], np.nextafter(on, 0.0), cdf[:3],
+        [0.0, cdf[-2], np.nextafter(1.0, 0.0)]])
+    rng.shuffle(u)
+    idx = np.minimum(np.searchsorted(cdf, u, side="right"), cdf.size - 1)
+    want = spec.table_rows[idx]
+    got = sample_coeffs(spec, _FixedUniforms(u), u.size)
+    assert got.dtype == want.dtype == np.int64
+    assert np.array_equal(got, want)
+    assert len(set(map(tuple, got))) > 1000
+
+
 def test_table_build_memory():
     """The criterion-4 build holds sorted packed keys, not the 2.65M x 8
     coefficient table: under tracemalloc it peaks below 170 MiB and keeps

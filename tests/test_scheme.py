@@ -29,7 +29,7 @@ from lgc.lattice import (
     enumerate_ball,
     standard_lattice,
 )
-from lgc.rng import RngSeed
+from lgc.rng import RngSeed, stream
 import lgc.lattice as lattice_mod
 import lgc.sampler as sampler_mod
 import lgc.scheme as scheme_mod
@@ -47,6 +47,7 @@ from lgc.scheme import (
     mmse_decode,
     mmse_gap,
     awgn,
+    paired_ratio_interval,
     poltyrev_exponent,
     power_stats,
     rate_budget,
@@ -611,6 +612,86 @@ def test_sandwich_small_scale():
     assert res.ratio_lo <= res.ratio <= res.ratio_hi
     assert res.scheme.trials == res.poltyrev.trials == 3 * BLOCK
     assert 0.0 <= res.eps1 < 1.0 and 0.0 <= res.eps2 < 1.0
+
+
+_PAIRED_CASES = {
+    "E8": lambda: (E8, np.full(8, 0.25), make_params(0.8, 0.35)),
+    "D4-table": lambda: (D4, np.array([0.3, -0.2, 0.7, 0.1]),
+                         make_params(1.3, 0.45)),
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("case", list(_PAIRED_CASES))
+def test_sandwich_arms_equal_separate_runs(case, threads):
+    """The one paired pass gives each arm the SimResult of its own run."""
+    lat, c, p = _PAIRED_CASES[case]()
+    trials, seed = 2 * BLOCK + 300, RngSeed(7, 0)
+    res = sandwich_check(lat, c, p, trials, seed, threads)
+    want_s = simulate_error(lat, c, p, trials, seed, threads, label="scheme")
+    want_p = simulate_poltyrev(lat, p.sigma_tilde, trials, seed, threads,
+                               label="poltyrev")
+    # repr compares every field, the NaN ones of the Poltyrev arm included
+    assert repr(res.scheme) == repr(want_s)
+    assert repr(res.poltyrev) == repr(want_p)
+    assert res.scheme.csv_row() == want_s.csv_row()
+    assert res.poltyrev.csv_row() == want_p.csv_row()
+    assert build_spec(lat, p.sigma0, c).backend == (
+        "table" if case == "D4-table" else "parity")
+
+
+@pytest.mark.parametrize("case", list(_PAIRED_CASES))
+def test_sandwich_paired_counts_match_trial_indicators(case):
+    """The 2x2 counts equal those of per-trial error indicators, drawn
+    block by block from the lanes the scheme documents, and the paired
+    interval is the one their counts give."""
+    lat, c, p = _PAIRED_CASES[case]()
+    trials, seed = 2 * BLOCK + 300, RngSeed(8, 0)
+    res = sandwich_check(lat, c, p, trials, seed)
+    spec = build_spec(lat, p.sigma0, c)
+    basis_t = lat.basis.T.copy()
+    scheme_wrong, poltyrev_wrong = [], []
+    for b, start in enumerate(range(0, trials, BLOCK)):
+        m = min(BLOCK, trials - start)
+        u = sample_coeffs(spec, stream(seed, 2 * b), m)
+        noise = stream(seed, 2 * b + 1).standard_normal((m, lat.n))
+        y = u @ basis_t - c + p.sigma * noise
+        dec = closest_points_batch(lat, p.alpha * y + c)
+        scheme_wrong += [bool(np.any(d != x)) for d, x in zip(dec, u)]
+        dec = closest_points_batch(lat, p.sigma_tilde * noise)
+        poltyrev_wrong += [bool(np.any(d != 0)) for d in dec]
+    assert len(scheme_wrong) == trials
+    n_s = sum(scheme_wrong)
+    n_p = sum(poltyrev_wrong)
+    n_both = sum(a and b for a, b in zip(scheme_wrong, poltyrev_wrong))
+    assert (res.scheme.errors, res.poltyrev.errors, res.both_errors) \
+        == (n_s, n_p, n_both)
+    assert 0 < n_both < min(n_s, n_p)
+    assert (res.paired_lo, res.paired_hi) == paired_ratio_interval(
+        n_s, n_p, n_both)
+    # sharing most failures, the paired interval is inside the Wilson one
+    assert res.ratio_lo < res.paired_lo < res.ratio < res.paired_hi \
+        < res.ratio_hi
+
+
+def test_paired_ratio_interval_by_hand():
+    """Counts 3381, 3363 and 1713 (scheme, Poltyrev, both): the log ratio
+    has variance 1/3381 + 1/3363 - 2*1713/(3381*3363) = 3318/11370303
+    = 158/541443 = 2.9181280e-4, so the 95% half-width is 1.959964 *
+    0.0170825 = 0.0334811 around log(3381/3363) = 0.0053381."""
+    lo, hi = paired_ratio_interval(3381, 3363, 1713)
+    assert math.log(lo) == pytest.approx(0.0053380910 - 0.0334811420,
+                                         abs=1e-9)
+    assert math.log(hi) == pytest.approx(0.0053380910 + 0.0334811420,
+                                         abs=1e-9)
+    assert (lo, hi) == pytest.approx((0.97224928, 1.03958254), abs=1e-8)
+    # no shared failures: the independent delta-method interval
+    lo0, hi0 = paired_ratio_interval(100, 100, 0)
+    assert math.log(hi0) == pytest.approx(1.959963984540054 * math.sqrt(0.02),
+                                          rel=1e-12)
+    assert lo0 * hi0 == pytest.approx(1.0, rel=1e-12)
+    # the same failures in both arms: a point interval at 1
+    assert paired_ratio_interval(57, 57, 57) == (1.0, 1.0)
 
 
 def test_sandwich_insufficient_errors():

@@ -26,6 +26,9 @@ the bit print the same lines.  The families:
   support sums); partition_sandwich_check at fixed shifts;
 - sandwich_csv: the `lgc sandwich` CSV of the criterion-4 configuration at
   2^16 trials, seed 2024;
+- sandwich_paired: sandwich_check on the same configuration, trials and
+  seed: the scheme, Poltyrev and shared error counts and the paired
+  interval of their ratio;
 - ensemble: the ensemble_csv rows of ensemble_search over (p, n, k) =
   (7, 8, 4), sigma 1, 4 samples, seed 2025, at gsnr 0.7 and 1.5, with
   each entry's theta value, truncation bound and radius.
@@ -67,7 +70,13 @@ from lgc.sampler import (
     support_peak,
     tail_event_rate,
 )
-from lgc.scheme import decode_agreement, design_volume, make_params, map_decode
+from lgc.scheme import (
+    decode_agreement,
+    design_volume,
+    make_params,
+    map_decode,
+    sandwich_check,
+)
 
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -252,6 +261,16 @@ def family_sandwich_csv() -> str:
             return hashlib.sha256(fh.read()).hexdigest()
 
 
+def family_sandwich_paired() -> str:
+    lat, params = _criterion4()
+    res = sandwich_check(lat, np.full(8, 0.25), params, 1 << 16,
+                         RngSeed(2024, 0))
+    h = _Hash()
+    h.add(res.scheme.errors, res.poltyrev.errors, res.both_errors,
+          res.paired_lo, res.paired_hi)
+    return h.hexdigest()
+
+
 def family_ensemble() -> str:
     h = _Hash()
     p, n, k = 7, 8, 4
@@ -276,6 +295,7 @@ def main() -> int:
         ("map", lambda: family_map(lats)),
         ("lemmas", lambda: family_lemmas(lats)),
         ("sandwich_csv", family_sandwich_csv),
+        ("sandwich_paired", family_sandwich_paired),
         ("ensemble", family_ensemble),
     )
     for name, run in families:
