@@ -215,9 +215,14 @@ class Lattice:
         return self._sigma_min
 
     def dual(self) -> "Lattice":
-        """Cached dual lattice, basis inv(B).T; volume is 1/volume."""
+        """Cached dual lattice, basis inv(B).T; volume is 1/volume.
+
+        Built directly, with no axis layout: the dual basis of a skewed
+        one (I + 3S, S the shift matrix) is nonsingular, but its long
+        columns fail make_lattice's Hadamard-ratio test.
+        """
         if self._dual is None:
-            self._dual = make_lattice(self.inv().T, label=self.label + "*")
+            self._dual = Lattice(self.inv().T, label=self.label + "*")
         return self._dual
 
     def reduced(self) -> tuple:
@@ -537,7 +542,7 @@ def _reduced_exact(lat: Lattice, ys: np.ndarray) -> np.ndarray:
 
 
 def _ball_nearest(lat: Lattice, ys: np.ndarray, u: np.ndarray,
-                  tie_rel) -> tuple:
+                  tie_rel, keep=None) -> tuple:
     """(coeffs, count): the nearest points of lat to the rows of ys.
 
     u holds one lattice point per row, coefficients in lat's basis; its
@@ -548,8 +553,11 @@ def _ball_nearest(lat: Lattice, ys: np.ndarray, u: np.ndarray,
     just outside the incumbent's ball would be missed.  Each row gets the
     lexicographically smallest coefficients among its points with d2 <=
     best + tie_rel * (1 + best), as _enum_nearest breaks ties, and the
-    count of those points.  tie_rel is a scalar or one value per row.  Rows
-    go _DECODE_CHUNK at a time, so no level's prefix count nears POINT_CAP.
+    count of those points.  tie_rel is a scalar or one value per row.
+    keep, when given, maps coefficient rows to a bool mask, and only the
+    points it keeps compete; a row none of whose points is kept counts 0
+    and keeps its u.  Rows go _DECODE_CHUNK at a time, so no level's
+    prefix count nears POINT_CAP.
     """
     q, r = lat.qr()
     m = ys.shape[0]
@@ -563,6 +571,9 @@ def _ball_nearest(lat: Lattice, ys: np.ndarray, u: np.ndarray,
         rad2 = bound + band * (1.0 + bound)
         root, cand, d2 = _ball_search(r, tmat, rad2,
                                       slop=_edge_slop(lat, tmat, rad2))
+        if keep is not None:
+            ok = keep(cand)
+            root, cand, d2 = root[ok], cand[ok], d2[ok]
         rows, best, count[i:i + _DECODE_CHUNK] = _lex_best(
             tmat.shape[0], root, cand, d2, band)
         out[i + rows] = best

@@ -135,13 +135,13 @@ def _axis_table(step: float, offset: float, ci: float, sigma0: float) -> tuple:
     raise BudgetExceeded("axis table did not certify its tail")
 
 
-def build_spec(lat: Lattice, sigma0: float, c,
-               table_cap: int = TABLE_CAP) -> DiscreteGaussianSpec:
+def build_spec(lat: Lattice, sigma0: float, c) -> DiscreteGaussianSpec:
     """Build the sampling plan for D_{L-c, sigma0}.
 
     Chooses the enumerated inverse-CDF table when the support inside the
-    certified truncation radius stays under table_cap points, otherwise a
-    structured backend for diagonal or checkerboard bases.
+    certified truncation radius stays under TABLE_CAP points (read at call
+    time), otherwise a structured backend for diagonal or checkerboard
+    bases.
     """
     _check_positive("sigma0", sigma0)
     n = lat.n
@@ -155,12 +155,12 @@ def build_spec(lat: Lattice, sigma0: float, c,
                                 1.15, DEFICIT_TARGET,
                                 lambda _: (None, partial_floor), "support radius")
     est = _ball_volume(n, radius) / vol
-    if est <= table_cap:
+    if est <= TABLE_CAP:
         return _build_table(lat, sigma0, c, radius)
     if lat.structure is not None:
         return _build_axes(lat, sigma0, c)
     raise BudgetExceeded(
-        f"support ~{est:.2e} points exceeds the table budget ({table_cap}) "
+        f"support ~{est:.2e} points exceeds the table budget ({TABLE_CAP}) "
         "and the basis fits no structured sampler")
 
 

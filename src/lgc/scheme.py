@@ -14,15 +14,17 @@ trial and brackets the scheme's error rate between flatness-factor
 multiples of the plain Voronoi-escape rate at sigma_tilde.
 
 The two sides of the equivalence are decoded apart, a block of trials at a
-time: MMSE by the batch nearest-point decoder, MAP by searching a lattice
-ball around each target c + alpha*y and ranking the feasible points by
-distance to it, the posterior in completed-square form (or, for tabulated
-supports, scoring every support point).  The per-row MAP reference,
+time: MMSE by the batch nearest-point decoder, MAP by the lattice's one
+multi-center nearest-point search (lattice._ball_nearest) restricted to
+the support, which ranks the feasible points by distance to each target
+c + alpha*y, the posterior in completed-square form (or, for tabulated
+supports, by scoring every support point).  The per-row MAP reference,
 map_decode, searches the support's per-axis box instead of a ball.
 
-Simulation trials are sharded into fixed blocks of 2^14; block b always
-draws from RNG lanes 2b (signal) and 2b+1 (noise), so results depend only
-on (seed, trials), never on thread count.
+One block engine runs every Monte Carlo arm.  Trials are sharded into
+fixed blocks of 2^14; block b draws its signal from RNG lane 2b and its
+noise from lane 2b+1, so results depend only on (seed, trials), never on
+thread count, and the sandwich's two arms share each block's noise.
 """
 
 from __future__ import annotations
@@ -45,13 +47,12 @@ from .analytics import _check_positive, flatness, gsnr
 from .lattice import (
     Lattice,
     LatticePoint,
-    _ball_search,
-    _edge_slop,
+    _ball_nearest,
     _enum_nearest,  # noqa: F401  bound here for perfbench/tracing.py
-    _lex_best,
     _vector,
-    closest_point,
+    closest_point,  # noqa: F401  bound here for perfbench/tracing.py
     closest_points_batch,
+    coset_decode,
 )
 from .rng import RngSeed, stream
 from .sampler import (
@@ -119,10 +120,7 @@ def awgn(x, sigma: float, seed: RngSeed):
 
 def mmse_decode(lat: Lattice, c, params: GaussianParams, y) -> LatticePoint:
     """Scaled lattice decoding: nearest point of L - c to alpha*y."""
-    y = np.asarray(y, dtype=float)
-    c = np.asarray(c, dtype=float)
-    pt = closest_point(lat, params.alpha * y + c)
-    return LatticePoint(pt.coeffs, pt.embedding - c)
+    return coset_decode(lat, c, params.alpha * np.asarray(y, dtype=float))
 
 
 def map_decode(spec: DiscreteGaussianSpec, params: GaussianParams, y) -> LatticePoint:
@@ -256,35 +254,29 @@ def _map_batch(spec: DiscreteGaussianSpec, params: GaussianParams,
     mmse holds the nearest lattice points to the targets c + alpha*y.
     Table specs go row by row to _map_table.  On a structured spec no
     point lies nearer its target than that point, so a feasible point in
-    the ball through it beats every point outside, and one _ball_search
-    over the whole batch, each ball's radius being the distance to it,
-    holds every candidate of a row that has one.  The candidates in the
-    support (_in_support) are scored by the squared distance
-    |B u - (c + alpha*y)|^2 in the QR frame; distances within
-    1e-12 * (1 + best) of a row's best tie, and the lexicographically
-    smallest coefficients win (_lex_best), as in map_decode.  A row with
-    no candidate in the support (its MMSE point lies outside it) goes to
-    map_decode.
+    the ball through it beats every point outside: _ball_nearest searches
+    those balls with the support filter _in_support, and ranks the kept
+    points as map_decode does (squared distance within 1e-12 * (1 + best)
+    of the best, then the lexicographically smallest coefficients).  A
+    row with no candidate in the support (its MMSE point lies outside it)
+    goes to map_decode.
     """
     if not np.all(np.isfinite(ys)):
         raise DimensionMismatch("y must be finite")
     if spec.backend == "table":
         return np.array([_map_table(spec, params, y).coeffs for y in ys],
                         dtype=np.int64).reshape(mmse.shape)
-    lat = spec.lattice
-    c = spec.shift
-    q, r = lat.qr()
-    tmat = (c + params.alpha * ys) @ q
-    resid = tmat - mmse @ r.T
-    rad2 = np.einsum("ij,ij->i", resid, resid)
-    root, u, d2 = _ball_search(r, tmat, rad2, slop=_edge_slop(lat, tmat, rad2))
-    ok = _in_support(spec, u)
-    rows, best, count = _lex_best(ys.shape[0], root[ok], u[ok], d2[ok], 1e-12)
-    out = np.empty_like(mmse)
-    out[rows] = best
+    out, count = _ball_nearest(spec.lattice, spec.shift + params.alpha * ys,
+                               mmse, 1e-12,
+                               keep=lambda u: _in_support(spec, u))
     for i in np.nonzero(count == 0)[0].tolist():
         out[i] = map_decode(spec, params, ys[i]).coeffs
     return out
+
+
+def _check_trials(trials: int) -> None:
+    if trials < 1:
+        raise DimensionMismatch(f"trials must be >= 1, got {trials}")
 
 
 class AgreementReport(NamedTuple):
@@ -305,8 +297,7 @@ def decode_agreement(lat: Lattice, c, params: GaussianParams, trials: int,
     searches only the truncated support.  Exact posterior ties are counted
     separately and excluded from the agreement tally.
     """
-    if trials < 1:
-        raise DimensionMismatch(f"trials must be >= 1, got {trials}")
+    _check_trials(trials)
     c = np.asarray(c, dtype=float)
     if spec is None:
         spec = build_spec(lat, params.sigma0, c)
@@ -378,25 +369,6 @@ class SimResult:
         return ",".join(vals)
 
 
-def _block_plan(trials: int):
-    out = []
-    b = 0
-    done = 0
-    while done < trials:
-        m = min(BLOCK, trials - done)
-        out.append((b, m))
-        b += 1
-        done += m
-    return out
-
-
-def _run_blocks(fn, plan, threads: int) -> int:
-    if threads <= 1:
-        return sum(fn(b, m) for b, m in plan)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return sum(pool.map(lambda bm: fn(*bm), plan))
-
-
 def _warm_decoder(lat: Lattice) -> None:
     """Build the caches closest_points_batch reads before threads read them."""
     lat.qr()
@@ -406,61 +378,62 @@ def _warm_decoder(lat: Lattice) -> None:
         lat.reduced()
 
 
-def _scheme_wrong(lat: Lattice, c: np.ndarray, params: GaussianParams,
-                  basis_t: np.ndarray, U: np.ndarray,
-                  N: np.ndarray) -> np.ndarray:
-    """Trials of one block the scheme decodes wrongly: x = U B^T - c is
-    sent, y = x + sigma N received and alpha y + c decoded."""
-    Y = U @ basis_t - c + params.sigma * N
-    dec = closest_points_batch(lat, params.alpha * Y + c)
-    return np.any(dec != U, axis=1)
+def _count_errors(lat: Lattice, trials: int, seed: RngSeed, threads: int,
+                  spec: DiscreteGaussianSpec | None = None,
+                  params: GaussianParams | None = None,
+                  noise_sigma: float | None = None) -> tuple:
+    """(scheme errors, Poltyrev errors, trials both got wrong) over the blocks.
+
+    Block b draws standard normals N from lane 2b+1 and, when the scheme
+    arm runs (spec and params given), signal coefficients U from lane 2b.
+    The scheme arm sends x = U B^T - c, receives y = x + sigma N and
+    decodes alpha y + c; the Poltyrev arm (noise_sigma given) decodes
+    noise_sigma N around the origin.  An arm that does not run counts 0.
+    """
+    _warm_decoder(lat)
+    basis_t = lat.basis.T.copy()
+
+    def run(lo: int) -> np.ndarray:
+        b, m = lo // BLOCK, min(BLOCK, trials - lo)
+        U = None if spec is None else sample_coeffs(spec, stream(seed, 2 * b), m)
+        N = stream(seed, 2 * b + 1).standard_normal((m, lat.n))
+        wrong_s = wrong_p = np.zeros(m, dtype=bool)
+        if U is not None:
+            Y = U @ basis_t - spec.shift + params.sigma * N
+            dec = closest_points_batch(lat, params.alpha * Y + spec.shift)
+            wrong_s = np.any(dec != U, axis=1)
+        if noise_sigma is not None:
+            wrong_p = np.any(closest_points_batch(lat, noise_sigma * N) != 0,
+                             axis=1)
+        return np.array([wrong_s.sum(), wrong_p.sum(),
+                         np.sum(wrong_s & wrong_p)])
+
+    blocks = range(0, trials, BLOCK)
+    if threads <= 1:
+        counts = sum(map(run, blocks))
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            counts = sum(pool.map(run, blocks))
+    return tuple(int(v) for v in counts)
 
 
-def _poltyrev_wrong(lat: Lattice, noise_sigma: float,
-                    N: np.ndarray) -> np.ndarray:
-    """Trials of one block whose noise noise_sigma N leaves the Voronoi
-    cell of the origin."""
-    return np.any(closest_points_batch(lat, noise_sigma * N) != 0, axis=1)
-
-
-def _scheme_result(lat: Lattice, params: GaussianParams, trials: int,
-                   errors: int, seed: RngSeed, label: str) -> SimResult:
+def _sim_result(lat: Lattice, sigma0: float, sigma: float, alpha: float,
+                sigma_tilde: float, trials: int, errors: int, seed: RngSeed,
+                label: str) -> SimResult:
     p, lo, hi = wilson_interval(errors, trials)
-    return SimResult(lat.label, label, lat.n, params.sigma0, params.sigma,
-                     params.alpha, params.sigma_tilde, lat.volume,
-                     vnr(lat, params.sigma_tilde), trials, errors, p, lo, hi,
-                     seed.tag())
-
-
-def _poltyrev_result(lat: Lattice, noise_sigma: float, trials: int,
-                     errors: int, seed: RngSeed, label: str) -> SimResult:
-    p, lo, hi = wilson_interval(errors, trials)
-    return SimResult(lat.label, label, lat.n, math.nan, noise_sigma, math.nan,
-                     noise_sigma, lat.volume, vnr(lat, noise_sigma), trials,
+    return SimResult(lat.label, label, lat.n, sigma0, sigma, alpha,
+                     sigma_tilde, lat.volume, vnr(lat, sigma_tilde), trials,
                      errors, p, lo, hi, seed.tag())
-
-
-def _check_trials(trials: int) -> None:
-    if trials < 1:
-        raise DimensionMismatch(f"trials must be >= 1, got {trials}")
 
 
 def simulate_error(lat: Lattice, c, params: GaussianParams, trials: int,
                    seed: RngSeed, threads: int = 1, label: str = "") -> SimResult:
     """Scheme error rate: x ~ D_{L-c}, y = x + noise, decode by MMSE scaling."""
     _check_trials(trials)
-    c = np.asarray(c, dtype=float)
     spec = build_spec(lat, params.sigma0, c)
-    _warm_decoder(lat)
-    basis_t = lat.basis.T.copy()
-
-    def run(b: int, m: int) -> int:
-        U = sample_coeffs(spec, stream(seed, 2 * b), m)
-        N = stream(seed, 2 * b + 1).standard_normal((m, lat.n))
-        return int(np.sum(_scheme_wrong(lat, c, params, basis_t, U, N)))
-
-    errors = _run_blocks(run, _block_plan(trials), threads)
-    return _scheme_result(lat, params, trials, errors, seed, label)
+    errors, _, _ = _count_errors(lat, trials, seed, threads, spec, params)
+    return _sim_result(lat, params.sigma0, params.sigma, params.alpha,
+                       params.sigma_tilde, trials, errors, seed, label)
 
 
 def simulate_poltyrev(lat: Lattice, noise_sigma: float, trials: int,
@@ -469,14 +442,10 @@ def simulate_poltyrev(lat: Lattice, noise_sigma: float, trials: int,
     """Voronoi-escape rate of plain nearest-point decoding around zero."""
     _check_positive("noise deviation", noise_sigma)
     _check_trials(trials)
-    _warm_decoder(lat)
-
-    def run(b: int, m: int) -> int:
-        N = stream(seed, 2 * b + 1).standard_normal((m, lat.n))
-        return int(np.sum(_poltyrev_wrong(lat, noise_sigma, N)))
-
-    errors = _run_blocks(run, _block_plan(trials), threads)
-    return _poltyrev_result(lat, noise_sigma, trials, errors, seed, label)
+    _, errors, _ = _count_errors(lat, trials, seed, threads,
+                                 noise_sigma=noise_sigma)
+    return _sim_result(lat, math.nan, noise_sigma, math.nan, noise_sigma,
+                       trials, errors, seed, label)
 
 
 def paired_ratio_interval(n_s: int, n_p: int, n_both: int) -> tuple:
@@ -535,27 +504,16 @@ def sandwich_check(lat: Lattice, c, params: GaussianParams, trials: int,
     lo = (1.0 - eps1) / (1.0 + eps2)
     hi = (1.0 + eps1) / (1.0 - eps2)
     _check_trials(trials)
-    c = np.asarray(c, dtype=float)
     spec = build_spec(lat, s0, c)
-    _warm_decoder(lat)
-    basis_t = lat.basis.T.copy()
-
-    def run(b: int, m: int) -> np.ndarray:
-        U = sample_coeffs(spec, stream(seed, 2 * b), m)
-        N = stream(seed, 2 * b + 1).standard_normal((m, lat.n))
-        wrong_s = _scheme_wrong(lat, c, params, basis_t, U, N)
-        wrong_p = _poltyrev_wrong(lat, params.sigma_tilde, N)
-        return np.array([wrong_s.sum(), wrong_p.sum(),
-                         np.sum(wrong_s & wrong_p)])
-
-    n_s, n_p, n_both = (int(v) for v in
-                        _run_blocks(run, _block_plan(trials), threads))
+    n_s, n_p, n_both = _count_errors(lat, trials, seed, threads, spec, params,
+                                     params.sigma_tilde)
     if n_s < 50 or n_p < 50:
         raise InsufficientErrors(
             f"need >= 50 errors per arm, got {n_s} and {n_p}")
-    res_s = _scheme_result(lat, params, trials, n_s, seed, "scheme")
-    res_p = _poltyrev_result(lat, params.sigma_tilde, trials, n_p, seed,
-                             "poltyrev")
+    res_s = _sim_result(lat, s0, s, params.alpha, params.sigma_tilde, trials,
+                        n_s, seed, "scheme")
+    res_p = _sim_result(lat, math.nan, params.sigma_tilde, math.nan,
+                        params.sigma_tilde, trials, n_p, seed, "poltyrev")
     ratio = res_s.p_hat / res_p.p_hat
     ratio_lo = res_s.ci_low / res_p.ci_high
     ratio_hi = res_s.ci_high / res_p.ci_low

@@ -243,6 +243,18 @@ def test_flatness_z_frozen_values():
     assert abs(rep2.epsilon - 0.9947262692023107) < 1e-13
 
 
+def test_flatness_of_skewed_unimodular_basis():
+    # I + 3S (S the shift matrix) generates Z8, but its dual basis has
+    # columns up to 3^7 long: the dual is built directly, not refused as
+    # singular, and the flatness is Z8's
+    skew = make_lattice(np.eye(8) + 3.0 * np.eye(8, k=1))
+    assert abs(skew.dual().volume - 1.0) < 1e-9
+    assert flatness(skew, 1.5).epsilon == pytest.approx(
+        8.2357602951942425e-19, rel=1e-9)
+    assert flatness(Z8, 1.5).epsilon == pytest.approx(
+        8.2357602951942425e-19, rel=1e-15)
+
+
 def test_flatness_monotone_strictly_decreasing():
     eps = [flatness(Z1, s).epsilon for s in (1.0, 2.0, 4.0, 8.0)]
     assert all(eps[i] > eps[i + 1] for i in range(3))

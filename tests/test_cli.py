@@ -18,7 +18,7 @@ from lgc.cli import (
     main,
 )
 from lgc.construction_a import ENSEMBLE_CSV_HEADER, ensemble_csv, ensemble_search
-from lgc.lattice import standard_lattice
+from lgc.lattice import make_lattice, save_basis, standard_lattice
 from lgc.rng import RngSeed
 from lgc.sampler import build_spec, sample, sample_csv
 
@@ -85,6 +85,18 @@ def test_flatness_sweep(tmp_path):
     assert all(b < a for a, b in zip(eps, eps[1:]))
     assert rows[0].split(",")[0] == "Z2"
     assert int(rows[0].split(",")[1]) == 2
+
+
+def test_flatness_of_skewed_basis_file(tmp_path):
+    # a unimodular basis of Z8 whose dual has long columns
+    basis = tmp_path / "skew.txt"
+    save_basis(make_lattice(np.eye(8) + 3.0 * np.eye(8, k=1)), str(basis))
+    cfg = _write_config(tmp_path, f"lattice = {basis}\nsigma = 1.5\n")
+    out = tmp_path / "flat.csv"
+    assert main(["flatness", "--config", cfg, "--out", str(out)]) == 0
+    _, rows = _rows(out)
+    assert float(rows[0].split(",")[5]) == pytest.approx(
+        8.2357602951942425e-19, rel=1e-9)
 
 
 def test_rate_sweep(tmp_path):

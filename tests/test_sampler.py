@@ -26,6 +26,7 @@ from lgc.lattice import (
 )
 from lgc.rng import RngSeed, stream
 from lgc.scheme import design_volume, make_params
+import lgc.sampler as sampler_mod
 from lgc.sampler import (
     DEFICIT_TARGET,
     build_spec,
@@ -52,6 +53,13 @@ DIAG4 = make_lattice(np.diag([0.5, 1.0, 1.5, 2.0]))
 P_ZERO_Z1 = 0.398942278266861706
 # independently computed exact escape mass for Z, sigma0 = 1, c = 0
 TAIL_Z1 = 0.009134342835606503
+
+
+def axis_spec(lat, sigma0, c):
+    """build_spec with a table budget of 1 point, so the axis backend serves."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sampler_mod, "TABLE_CAP", 1)
+        return build_spec(lat, sigma0, c)
 
 
 def _support_pmf(spec):
@@ -275,7 +283,7 @@ def test_empirical_frequencies_z1():
 
 def test_product_matches_table_z4():
     table = build_spec(Z4, 1.0, np.zeros(4))
-    prod = build_spec(Z4, 1.0, np.zeros(4), table_cap=1)
+    prod = axis_spec(Z4, 1.0, np.zeros(4))
     assert table.backend == "table" and prod.backend == "product"
     got = _structured_pmf_at(prod, table.table_coeffs)
     assert np.max(np.abs(got - table.table_probs)) < 1e-13
@@ -288,7 +296,7 @@ def test_product_matches_table_z4():
 def test_product_matches_table_diagonal(lat, s):
     c = np.array([0.3, -0.2, 0.0, 0.45])
     table = build_spec(lat, s, c)
-    prod = build_spec(lat, s, c, table_cap=1)
+    prod = axis_spec(lat, s, c)
     assert table.backend == "table" and prod.backend == "product"
     got = _structured_pmf_at(prod, table.table_coeffs)
     assert np.max(np.abs(got - table.table_probs)) < 1e-13
@@ -313,7 +321,7 @@ _DRAWS_PINNED = {
 @pytest.mark.parametrize("name", list(_DRAWS_PINNED))
 def test_structured_draws_pinned(name):
     lat, s, c, backend, digest = _DRAWS_PINNED[name]
-    spec = build_spec(lat, s, np.array(c), table_cap=1)
+    spec = axis_spec(lat, s, np.array(c))
     assert spec.backend == backend
     u = sample_coeffs(spec, stream(RngSeed(77, 0)), 4096)
     assert u.dtype == np.int64
@@ -323,7 +331,7 @@ def test_structured_draws_pinned(name):
 def test_product_matches_table_shifted():
     c = np.array([0.25, -0.4, 0.0, 0.7])
     table = build_spec(Z4, 0.9, c)
-    prod = build_spec(Z4, 0.9, c, table_cap=1)
+    prod = axis_spec(Z4, 0.9, c)
     got = _structured_pmf_at(prod, table.table_coeffs)
     emb = table.table_coeffs @ Z4.basis.T - c
     direct = np.exp(-np.einsum("ij,ij->i", emb, emb) / (2 * 0.9 ** 2))
@@ -335,14 +343,14 @@ def test_product_matches_table_shifted():
 @pytest.mark.parametrize("lat,s", [(D4, 0.9), (E8, 0.45)])
 def test_parity_matches_table(lat, s):
     table = build_spec(lat, s, np.zeros(lat.n))
-    par = build_spec(lat, s, np.zeros(lat.n), table_cap=1)
+    par = axis_spec(lat, s, np.zeros(lat.n))
     assert table.backend == "table" and par.backend == "parity"
     got = _structured_pmf_at(par, table.table_coeffs)
     assert np.max(np.abs(got - table.table_probs)) < 1e-12
 
 
 def test_parity_sampling_hits_both_cosets():
-    spec = build_spec(E8, 0.45, np.zeros(8), table_cap=1)
+    spec = axis_spec(E8, 0.45, np.zeros(8))
     pts = sample(spec, RngSeed(3, 1), 4000)
     emb = np.array([pt.embedding for pt in pts])
     frac = np.abs(emb - np.rint(emb))
@@ -356,7 +364,7 @@ def test_parity_sampling_hits_both_cosets():
 
 def test_parity_empirical_frequencies_d4():
     table = build_spec(D4, 0.9, np.zeros(4))
-    spec = build_spec(D4, 0.9, np.zeros(4), table_cap=1)
+    spec = axis_spec(D4, 0.9, np.zeros(4))
     pts = sample(spec, RngSeed(17, 0), 30000)
     emb = np.array([pt.embedding for pt in pts])
     pmf = {}
@@ -384,7 +392,7 @@ def test_parity_empirical_frequencies_d4():
 def test_moment_cross_backend():
     for lat, s in ((Z4, 1.0), (D4, 0.9), (E8, 0.45)):
         table = build_spec(lat, s, np.zeros(lat.n))
-        struct = build_spec(lat, s, np.zeros(lat.n), table_cap=1)
+        struct = axis_spec(lat, s, np.zeros(lat.n))
         assert support_moment(struct) == pytest.approx(
             support_moment(table), rel=1e-10)
 
@@ -401,7 +409,7 @@ def test_peak_within_truncation():
         table = build_spec(lat, s, np.zeros(lat.n))
         peak = support_peak(table)
         assert peak <= table.truncation_radius ** 2 * (1 + 1e-12)
-        struct = build_spec(lat, s, np.zeros(lat.n), table_cap=1)
+        struct = axis_spec(lat, s, np.zeros(lat.n))
         speak = support_peak(struct)
         assert speak <= struct.truncation_radius ** 2 * (1 + 1e-12)
         # the box support contains the ball support
@@ -409,7 +417,7 @@ def test_peak_within_truncation():
 
 
 def test_parity_peak_has_even_sum():
-    spec = build_spec(D4, 0.9, np.zeros(4), table_cap=1)
+    spec = axis_spec(D4, 0.9, np.zeros(4))
     table = build_spec(D4, 0.9, np.zeros(4))
     # peak is attained by an actual lattice point, so it cannot dip below
     # the exhaustive-table peak and must respect the parity constraint
@@ -438,7 +446,7 @@ def test_tail_event_rate_z1():
 
 def test_tail_convolution_matches_table():
     table = build_spec(Z4, 1.0, np.zeros(4))
-    prod = build_spec(Z4, 1.0, np.zeros(4), table_cap=1)
+    prod = axis_spec(Z4, 1.0, np.zeros(4))
     b1, m1 = tail_event_rate(table)
     b2, m2 = tail_event_rate(prod)
     assert b1 == pytest.approx(b2, rel=1e-12)
@@ -454,10 +462,10 @@ def test_tail_mass_below_bound_grid():
 
 
 def test_tail_needs_centered_equal_steps():
-    shifted = build_spec(Z4, 1.0, np.full(4, 0.25), table_cap=1)
+    shifted = axis_spec(Z4, 1.0, np.full(4, 0.25))
     with pytest.raises(BudgetExceeded):
         tail_event_rate(shifted)
-    par = build_spec(D4, 0.9, np.zeros(4), table_cap=1)
+    par = axis_spec(D4, 0.9, np.zeros(4))
     with pytest.raises(BudgetExceeded):
         tail_event_rate(par)
 
@@ -481,11 +489,11 @@ def test_rejects_bad_inputs():
 def test_budget_without_structure():
     skew = make_lattice(np.array([[1.0, 0.3], [0.0, 1.0]]).T, label="skew")
     with pytest.raises(BudgetExceeded):
-        build_spec(skew, 1.0, np.zeros(2), table_cap=1)
+        axis_spec(skew, 1.0, np.zeros(2))
 
 
 def test_support_hidden_for_structured():
-    spec = build_spec(Z4, 1.0, np.zeros(4), table_cap=1)
+    spec = axis_spec(Z4, 1.0, np.zeros(4))
     with pytest.raises(BudgetExceeded):
         spec.support()
 

@@ -68,6 +68,13 @@ E8 = standard_lattice("E8")
 A2 = standard_lattice("A2")
 
 
+def axis_spec(lat, sigma0, c):
+    """build_spec with a table budget of 1 point, so the axis backend serves."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sampler_mod, "TABLE_CAP", 1)
+        return build_spec(lat, sigma0, c)
+
+
 # ---------------------------------------------------------------------------
 # parameters and channel
 # ---------------------------------------------------------------------------
@@ -104,9 +111,9 @@ def test_params_values():
                         [math.nan, 0.0]), DimensionMismatch),
     (lambda: map_decode(build_spec(Z2, 1.5, np.zeros(2)), make_params(1.5, 1.0),
                         [math.inf, 0.0]), DimensionMismatch),
-    (lambda: map_decode(build_spec(Z2, 1.5, np.zeros(2), table_cap=1),
+    (lambda: map_decode(axis_spec(Z2, 1.5, np.zeros(2)),
                         make_params(1.5, 1.0), [0.0, math.nan]), DimensionMismatch),
-    (lambda: map_decode(build_spec(D4, 0.9, np.zeros(4), table_cap=1),
+    (lambda: map_decode(axis_spec(D4, 0.9, np.zeros(4)),
                         make_params(0.9, 1.0), [0.0, 0.0, -math.inf, 0.0]),
      DimensionMismatch),
     (lambda: scheme_mod._map_batch(
@@ -114,7 +121,7 @@ def test_params_values():
         np.array([[0.0, 0.0], [math.nan, 0.0]]), np.zeros((2, 2), dtype=np.int64)),
      DimensionMismatch),
     (lambda: scheme_mod._map_batch(
-        build_spec(D4, 0.9, np.zeros(4), table_cap=1), make_params(0.9, 1.0),
+        axis_spec(D4, 0.9, np.zeros(4)), make_params(0.9, 1.0),
         np.array([[math.inf, 0.0, 0.0, 0.0]]), np.zeros((1, 4), dtype=np.int64)),
      DimensionMismatch),
 ], ids=["spec-sigma0-nan", "spec-sigma0-inf", "spec-sigma0-neg",
@@ -210,6 +217,16 @@ def test_mmse_decode_fixed_points():
     assert np.allclose(out.embedding, target, atol=1e-12)
 
 
+def test_mmse_decode_rejects_bad_shapes():
+    # a one-element y does not broadcast to a point, and a shift of the
+    # wrong length is a dimension error, not numpy's
+    p = make_params(3.0, 1.0)
+    with pytest.raises(DimensionMismatch):
+        mmse_decode(Z2, np.zeros(2), p, np.ones(1))
+    with pytest.raises(DimensionMismatch):
+        mmse_decode(Z2, np.zeros(3), p, np.ones(2))
+
+
 def test_map_matches_exhaustive_posterior():
     p = make_params(1.5, 1.0)
     spec = build_spec(Z2, 1.5, np.full(2, 0.25))
@@ -269,7 +286,7 @@ def test_branch_and_bound_matches_table_map(shift):
     p = make_params(0.9, 0.7)
     c = np.full(4, shift)
     table = build_spec(D4, 0.9, c)
-    struct = build_spec(D4, 0.9, c, table_cap=1)
+    struct = axis_spec(D4, 0.9, c)
     assert struct.backend == "parity"
     rng = np.random.default_rng(13)
     tie_gap = 2.0 * p.sigma_tilde ** 2 * 1e-12
@@ -305,24 +322,23 @@ def test_map_table_chunking_does_not_change_output(chunk, monkeypatch):
     assert [map_decode(spec, p, y).coeffs.tolist() for y in ys] == whole
 
 
-# lattice, sigma0, sigma, shift, table_cap (None: the default)
+# lattice, sigma0, sigma, shift, axis (True: the axis backend, not the table)
 MAP_CASES = {
-    "Z8-product": (Z8, 3.0, 1.0, 0.0, None),
-    "E8-parity": (E8, 3.0, 1.0, 0.5, None),
-    "D4-parity": (D4, 1.0, 1.0, 0.25, 1),
-    "Z2-table": (Z2, 1.5, 1.0, 0.5, None),
-    "Z1-table": (Z1, 1.0, 1.0, 0.5, None),
-    "Z1-product": (Z1, 1.0, 1.0, 0.5, 1),
+    "Z8-product": (Z8, 3.0, 1.0, 0.0, False),
+    "E8-parity": (E8, 3.0, 1.0, 0.5, False),
+    "D4-parity": (D4, 1.0, 1.0, 0.25, True),
+    "Z2-table": (Z2, 1.5, 1.0, 0.5, False),
+    "Z1-table": (Z1, 1.0, 1.0, 0.5, False),
+    "Z1-product": (Z1, 1.0, 1.0, 0.5, True),
 }
 
 
 @pytest.mark.parametrize("case", list(MAP_CASES))
 def test_map_batch_matches_map_decode(case, monkeypatch):
-    lat, s0, s, shift, table_cap = MAP_CASES[case]
+    lat, s0, s, shift, axis = MAP_CASES[case]
     p = make_params(s0, s)
     c = np.full(lat.n, shift)
-    spec = (build_spec(lat, s0, c) if table_cap is None
-            else build_spec(lat, s0, c, table_cap=table_cap))
+    spec = (axis_spec if axis else build_spec)(lat, s0, c)
     rng = np.random.default_rng(31)
     u = sample_coeffs(spec, rng, 1000)
     pts = u @ lat.basis.T
@@ -381,11 +397,10 @@ def test_map_decode_searches_no_ball(case, monkeypatch):
     # the per-row reference walks the support box's axes: with the ball
     # engine and the nearest-point decoders disabled it still decodes
     # in-box, halfway-tie and far targets, as the batched ball search does
-    lat, s0, s, shift, table_cap = MAP_CASES[case]
+    lat, s0, s, shift, axis = MAP_CASES[case]
     p = make_params(s0, s)
     c = np.full(lat.n, shift)
-    spec = (build_spec(lat, s0, c) if table_cap is None
-            else build_spec(lat, s0, c, table_cap=table_cap))
+    spec = (axis_spec if axis else build_spec)(lat, s0, c)
     assert spec.backend != "table"
     rng = np.random.default_rng(5)
     pts = sample_coeffs(spec, rng, 30) @ lat.basis.T
@@ -401,8 +416,7 @@ def test_map_decode_searches_no_ball(case, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("map_decode searched a lattice ball")
 
-    for mod, name in ((lattice_mod, "_ball_search"), (scheme_mod, "_ball_search"),
-                      (scheme_mod, "closest_point"),
+    for mod, name in ((lattice_mod, "_ball_search"), (scheme_mod, "closest_point"),
                       (scheme_mod, "closest_points_batch")):
         monkeypatch.setattr(mod, name, refuse)
     got = np.array([map_decode(spec, p, y).coeffs for y in ys])
@@ -445,7 +459,7 @@ def test_map_parity_matches_exhaustive_box(shift):
     # box, scored exhaustively, for targets out to three truncation radii
     p = make_params(1.0, 1.0)
     c = np.full(4, shift)
-    spec = build_spec(D4, 1.0, c, table_cap=1)
+    spec = axis_spec(D4, 1.0, c)
     assert spec.backend == "parity" and len(spec.axis_tables) == 1
     ranges = [range(int(tab[0][0]), int(tab[0][-1]) + 1)
               for tab in spec.axis_tables[0]]
@@ -490,7 +504,7 @@ def test_decode_agreement_rejects_no_trials(trials):
 
 def test_decode_agreement_structured():
     p = make_params(1.2, 0.8)
-    spec = build_spec(D4, 1.2, np.zeros(4), table_cap=1)
+    spec = axis_spec(D4, 1.2, np.zeros(4))
     rep = decode_agreement(D4, np.zeros(4), p, 128, RngSeed(22, 0), spec=spec)
     assert rep.agreements + rep.ties == 128
     assert rep.mismatches == 0

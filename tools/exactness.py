@@ -29,6 +29,10 @@ the bit print the same lines.  The families:
 - sandwich_paired: sandwich_check on the same configuration, trials and
   seed: the scheme, Poltyrev and shared error counts and the paired
   interval of their ratio;
+- simulate: the csv_row of simulate_error on the criterion-4 configuration
+  and on D4 (sigma0 5, which the parity sampler serves), and of
+  simulate_poltyrev on E8 and on the best lattice of the poltyrev_modp
+  ensemble, at 2 * BLOCK + 7 trials with 1 and 2 threads;
 - ensemble: the ensemble_csv rows of ensemble_search over (p, n, k) =
   (7, 8, 4), sigma 1, 4 samples, seed 2025, at gsnr 0.7 and 1.5, with
   each entry's theta value, truncation bound and radius.
@@ -54,6 +58,7 @@ from lgc.analytics import (
     partition_sandwich_check,
     theta,
 )
+import lgc.sampler
 from lgc.cli import main as lgc_main
 from lgc.construction_a import ensemble_csv, ensemble_search, lift, random_code
 from lgc.lattice import (
@@ -71,11 +76,14 @@ from lgc.sampler import (
     tail_event_rate,
 )
 from lgc.scheme import (
+    BLOCK,
     decode_agreement,
     design_volume,
     make_params,
     map_decode,
     sandwich_check,
+    simulate_error,
+    simulate_poltyrev,
 )
 
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -97,6 +105,15 @@ class _Hash:
 
     def hexdigest(self) -> str:
         return self.h.hexdigest()
+
+
+def _axis_spec(lat, sigma0, c):
+    """build_spec with a table budget of 1 point, so the axis backend serves."""
+    cap, lgc.sampler.TABLE_CAP = lgc.sampler.TABLE_CAP, 1
+    try:
+        return build_spec(lat, sigma0, c)
+    finally:
+        lgc.sampler.TABLE_CAP = cap
 
 
 def _lattices() -> dict:
@@ -173,7 +190,7 @@ def family_axes(lats: dict) -> str:
         lat = lats[name]
         for sigma0 in (0.7, 3.0):
             for shift in (np.zeros(lat.n), 0.5 * rng.random(lat.n)):
-                spec = build_spec(lat, sigma0, shift, table_cap=1)
+                spec = _axis_spec(lat, sigma0, shift)
                 h.add(name, spec.backend, spec.deficit, spec.truncation_radius,
                       spec.coset_probs)
                 for tables in spec.axis_tables:
@@ -217,7 +234,7 @@ def family_map(lats: dict) -> str:
         lat = lats[name]
         c = np.full(lat.n, shift)
         params = make_params(sigma0, 1.0)
-        spec = build_spec(lat, sigma0, c, table_cap=1)
+        spec = _axis_spec(lat, sigma0, c)
         rng = np.random.default_rng(44)
         ys = 2.0 * spec.truncation_radius / math.sqrt(lat.n) \
             * rng.normal(size=(200, lat.n))
@@ -271,6 +288,32 @@ def family_sandwich_paired() -> str:
     return h.hexdigest()
 
 
+def _modp_lattice() -> tuple:
+    # the best lattice of perfbench's poltyrev_modp ensemble, and its noise
+    p, n, k = 7, 8, 4
+    scale = math.sqrt(0.7 * 2.0 * math.pi / p ** (2.0 * (n - k) / n))
+    lat = ensemble_search(p, n, k, scale, 1.0, 4, RngSeed(2025, 0))[0].lattice
+    return lat, math.sqrt(lat.volume ** (2.0 / n) / (2.0 * math.pi * math.e
+                                                     * 2.2))
+
+
+def family_simulate(lats: dict) -> str:
+    trials = 2 * BLOCK + 7
+    e8, params = _criterion4()
+    modp, modp_noise = _modp_lattice()
+    h = _Hash()
+    for threads in (1, 2):
+        for lat, c, prm in ((e8, np.full(8, 0.25), params),
+                            (lats["D4"], np.array([0.3, -0.2, 0.7, 0.1]),
+                             make_params(5.0, 0.3))):
+            h.add(simulate_error(lat, c, prm, trials, RngSeed(16, 0),
+                                 threads=threads, label="s").csv_row())
+        for lat, noise in ((lats["E8"], 0.28), (modp, modp_noise)):
+            h.add(simulate_poltyrev(lat, noise, trials, RngSeed(16, 1),
+                                    threads=threads, label="p").csv_row())
+    return h.hexdigest()
+
+
 def family_ensemble() -> str:
     h = _Hash()
     p, n, k = 7, 8, 4
@@ -296,6 +339,7 @@ def main() -> int:
         ("lemmas", lambda: family_lemmas(lats)),
         ("sandwich_csv", family_sandwich_csv),
         ("sandwich_paired", family_sandwich_paired),
+        ("simulate", lambda: family_simulate(lats)),
         ("ensemble", family_ensemble),
     )
     for name, run in families:
