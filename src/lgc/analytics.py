@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, asdict
 from typing import NamedTuple
 
@@ -91,7 +92,17 @@ class MomentCheck(NamedTuple):
 
 
 def _ball_volume(n: int, radius: float) -> float:
-    return math.pi ** (n / 2.0) * radius**n / math.gamma(n / 2.0 + 1.0)
+    try:
+        vol = math.pi ** (n / 2.0) * radius**n / math.gamma(n / 2.0 + 1.0)
+    except OverflowError:
+        vol = math.inf
+    if vol < math.inf:
+        return vol
+    # the direct formula overflows in high dimension (Z^400 at sigma 1);
+    # its logarithm does not
+    ln_vol = (n / 2.0 * math.log(math.pi) + n * math.log(radius)
+              - math.lgamma(n / 2.0 + 1.0))
+    return math.exp(ln_vol) if ln_vol < 709.0 else math.inf
 
 
 def _tail_bound(n: int, lam1: float, tau: float, radius: float) -> float:
@@ -123,6 +134,21 @@ def _tail_bound(n: int, lam1: float, tau: float, radius: float) -> float:
 def _check_positive(name: str, value: float) -> None:
     if not 0.0 < value < math.inf:
         raise NonpositiveSigma(f"{name} must be finite and positive, got {value}")
+
+
+def _two_pi_var(name: str, sigma: float) -> float:
+    """2 pi sigma^2, the 1 / tau of every Gaussian sum at deviation sigma.
+
+    Raises NonpositiveSigma unless sigma > 0 and 2 pi sigma^2 is a normal
+    float, so that it and tau are finite and positive (sigma = 1e-200
+    underflows, 1e200 overflows).
+    """
+    var = 2.0 * math.pi * sigma * sigma
+    if not (sigma > 0.0 and sys.float_info.min <= var < math.inf):
+        raise NonpositiveSigma(
+            f"{name} must be finite and positive, with 2 pi {name}^2 in "
+            f"float range, got {sigma}")
+    return var
 
 
 def _grow_radius(lat: Lattice, tau: float, radius: float, grow: float,
@@ -237,8 +263,7 @@ def theta(lat: Lattice, tau: float, *, balls: dict | None = None) -> ThetaValue:
 
 def gsnr(lat: Lattice, sigma: float) -> float:
     """Generalized SNR: V^{2/n} / (2 pi sigma^2)."""
-    _check_positive("sigma", sigma)
-    return lat.volume ** (2.0 / lat.n) / (2.0 * math.pi * sigma * sigma)
+    return lat.volume ** (2.0 / lat.n) / _two_pi_var("sigma", sigma)
 
 
 def flatness(lat: Lattice, sigma: float) -> FlatnessReport:
@@ -254,13 +279,13 @@ def flatness(lat: Lattice, sigma: float) -> FlatnessReport:
     holds one sorted d2 array per ball, so each radius is enumerated and
     sorted once; at the origin only half of each ball is enumerated.
     """
-    _check_positive("sigma", sigma)
+    var = _two_pi_var("sigma", sigma)
     key = float(sigma)
     if key in lat._flatness:
         return lat._flatness[key]
     g = gsnr(lat, sigma)
     n = lat.n
-    tau = 1.0 / (2.0 * math.pi * sigma * sigma)
+    tau = 1.0 / var
     balls: dict = {}
     tv = theta(lat, tau, balls=balls)
     if g < 1.0:
@@ -286,12 +311,12 @@ def flatness_direct(lat: Lattice, sigma: float, grid_points_per_dim: int) -> flo
     n = lat.n
     if n > 4:
         raise DimensionTooLarge(f"grid search limited to n <= 4, got {n}")
-    _check_positive("sigma", sigma)
+    var = _two_pi_var("sigma", sigma)
     if not 1 <= grid_points_per_dim < math.inf:
         raise DimensionMismatch("need at least one grid point per dimension")
     m = int(grid_points_per_dim)
-    tau = 1.0 / (2.0 * math.pi * sigma * sigma)
-    scale = lat.volume * (2.0 * math.pi * sigma * sigma) ** (-n / 2.0)
+    tau = 1.0 / var
+    scale = lat.volume * var ** (-n / 2.0)
     _, _, radius = _grow_radius(lat, tau, math.sqrt(X_START / (math.pi * tau)),
                                 GROW, 1e-12, lambda _: (None, 1.0 / scale),
                                 "flatness grid")
@@ -322,11 +347,11 @@ def partition_sandwich_check(lat: Lattice, sigma: float, c) -> PartitionCheck:
     Tolerance 1e-9 on V*value at the bracket edges.
     """
     c = lattice._vector(c, lat.n, "shift")
-    _check_positive("sigma", sigma)
+    var = _two_pi_var("sigma", sigma)
     n = lat.n
-    tau = 1.0 / (2.0 * math.pi * sigma * sigma)
+    tau = 1.0 / var
     raw, _, _ = _gauss_sum(lat, c, tau)
-    value = raw * (2.0 * math.pi * sigma * sigma) ** (-n / 2.0)
+    value = raw * var ** (-n / 2.0)
     eps = flatness(lat, sigma).epsilon
     vol = lat.volume
     lo = (1.0 - eps) / vol
@@ -387,7 +412,7 @@ def _support_stats(lat: Lattice, sigma0: float, c: np.ndarray) -> tuple:
                 mom += mean_sq
                 ent += h
         return mom, ent
-    tau = 1.0 / (2.0 * math.pi * sigma0 * sigma0)
+    tau = 1.0 / _two_pi_var("sigma0", sigma0)
     two_s2 = 2.0 * sigma0 * sigma0
 
     def weigh(radius):
@@ -471,12 +496,11 @@ def entropy_deviation(lat: Lattice, sigma0: float, c) -> float:
 
 def gaussian_density(sigma: float, c, x) -> float:
     """Density of the n-dim Gaussian with deviation sigma centered at c."""
-    _check_positive("sigma", sigma)
+    var = _two_pi_var("sigma", sigma)
     c = np.asarray(c, dtype=float)
     x = np.asarray(x, dtype=float)
     if c.shape != x.shape or c.ndim != 1:
         raise DimensionMismatch(f"shapes {c.shape} vs {x.shape}")
     n = c.size
     d2 = float(np.sum((x - c) ** 2))
-    return (2.0 * math.pi * sigma * sigma) ** (-n / 2.0) * math.exp(
-        -d2 / (2.0 * sigma * sigma))
+    return var ** (-n / 2.0) * math.exp(-d2 / (2.0 * sigma * sigma))

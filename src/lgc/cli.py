@@ -8,11 +8,14 @@ Commands: flatness, sample, simulate, sandwich, exponent, rate, ensemble.
 Config files are flat `key = value` lines ('#' starts a comment); unknown
 keys are rejected.  Lattices are named (Zn:8, Dn:4, E8, A2) or read from a
 basis file.  When `snr` is given the convention is sigma = 1 and
-sigma0 = sqrt(snr).  One `sweep_axis` (sigma0, sigma, snr, mu, or V) with
-a comma-separated `sweep_grid` turns the output into one row per grid
-point.  Every run writes <out> plus <out>.manifest.json (config echo,
-version, wall time).  Exit codes: 0 success, 2 config error, 3 numeric
-precondition failure.
+sigma0 = sqrt(snr); an snr, in the config or swept, excludes sigma0 and
+sigma.  One `sweep_axis` (sigma0, sigma, snr, mu, or V, as the command
+allows) with a comma-separated `sweep_grid` turns the output into one row
+per grid point; grid values must be positive, except mu's.  Every run
+writes <out> plus <out>.manifest.json (config echo, version, wall time).
+Exit codes: 0 success, 2 config error, 3 numeric precondition failure
+(such as a sigma whose 2 pi sigma^2 under- or overflows, or a certified
+sum past the point budget).
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import math
 import os
 import sys
 import time
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -43,32 +47,8 @@ from .scheme import (
 )
 from .construction_a import ensemble_csv, ensemble_search
 
-COMMANDS = ("flatness", "sample", "simulate", "sandwich", "exponent",
-            "rate", "ensemble")
-
 _COMMON_KEYS = {"command", "lattice", "out", "seed", "threads",
                 "sweep_axis", "sweep_grid"}
-_COMMAND_KEYS = {
-    "flatness": {"sigma"},
-    "sample": {"sigma0", "shift", "trials"},
-    "simulate": {"sigma0", "sigma", "snr", "shift", "trials", "volume",
-                 "eps_dprime", "label"},
-    "sandwich": {"sigma0", "sigma", "snr", "shift", "trials", "volume",
-                 "eps_dprime"},
-    "exponent": {"mu", "n"},
-    "rate": {"sigma0", "sigma", "snr", "eps_dprime"},
-    "ensemble": {"p", "n", "k", "scale", "sigma", "samples", "delta"},
-}
-_SWEEP_AXES = {
-    "flatness": {"sigma"},
-    "sample": set(),
-    "simulate": {"sigma0", "sigma", "snr", "V"},
-    "sandwich": {"sigma0", "sigma", "snr", "V"},
-    "exponent": {"mu"},
-    "rate": {"snr", "sigma0", "sigma"},
-    "ensemble": set(),
-}
-
 FLATNESS_HEADER = "lattice,n,sigma,gsnr,theta,epsilon"
 EXPONENT_HEADER = "mu,exponent,bound"
 RATE_HEADER = "lattice,n,snr,eps,eps_prime,eps_dprime,rate_lower"
@@ -164,62 +144,47 @@ def _parse_shift(raw: dict, n: int) -> np.ndarray:
     return np.array(vals)
 
 
-def _parse_sweep(raw: dict, command: str):
+def _parse_sweep(raw: dict, command: str) -> list:
+    """One {axis: value} override per sweep_grid value, or [{}] without a
+    sweep.
+
+    Every grid value is checked here, once: positive on every axis but
+    mu, whose values below 1 poltyrev_exponent rejects (MuBelowOne).
+    """
     axis = raw.get("sweep_axis")
     if axis is None:
         if "sweep_grid" in raw:
             raise ConfigError("sweep_grid given without sweep_axis")
-        return None, None
+        return [{}]
     if "," in axis:
         raise MultipleAxes(f"exactly one sweep axis allowed, got '{axis}'")
-    axis = axis.strip()
-    if axis not in _SWEEP_AXES[command]:
-        raise ConfigError(
-            f"command '{command}' cannot sweep '{axis}' "
-            f"(allowed: {sorted(_SWEEP_AXES[command]) or 'none'})")
+    axes = COMMANDS[command].axes
+    if axis not in axes:
+        raise ConfigError(f"command '{command}' cannot sweep '{axis}' "
+                          f"(allowed: {sorted(axes) or 'none'})")
     if "sweep_grid" not in raw:
         raise ConfigError("sweep_axis given without sweep_grid")
     grid = [_parse_float("sweep_grid", p.strip())
             for p in raw["sweep_grid"].split(",")]
-    if not grid:
-        raise ConfigError("sweep_grid is empty")
-    return axis, grid
+    for v in grid:
+        if v <= 0 and axis != "mu":
+            raise ConfigError(f"{axis} grid values must be positive, got {v}")
+    return [{axis: v} for v in grid]
 
 
-def _params_for(raw: dict, overrides: dict):
-    """(sigma0, sigma) honoring the snr convention sigma=1, sigma0=sqrt(snr)."""
-    if "snr" in overrides:
-        if overrides["snr"] <= 0:
-            raise ConfigError("snr grid values must be positive")
-        return math.sqrt(overrides["snr"]), 1.0
-    base_snr = _as_float(raw, "snr", positive=True)
-    if base_snr is not None:
-        if "sigma0" in raw or "sigma" in raw:
+def _params_for(raw: dict, over: dict):
+    """GaussianParams of one sweep point; a config or grid snr means
+    sigma = 1 and sigma0 = sqrt(snr), and excludes sigma0 and sigma."""
+    snr = over.get("snr", _as_float(raw, "snr", positive=True))
+    if snr is not None:
+        if {"sigma0", "sigma"} & (raw.keys() | over.keys()):
             raise ConfigError("give either snr or sigma0/sigma, not both")
-        sigma0, sigma = math.sqrt(base_snr), 1.0
-    else:
-        sigma0 = _as_float(raw, "sigma0", positive=True)
-        sigma = _as_float(raw, "sigma", positive=True)
-    sigma0 = overrides.get("sigma0", sigma0)
-    sigma = overrides.get("sigma", sigma)
+        return make_params(math.sqrt(snr), 1.0)
+    sigma0 = over.get("sigma0", _as_float(raw, "sigma0", positive=True))
+    sigma = over.get("sigma", _as_float(raw, "sigma", positive=True))
     if sigma0 is None or sigma is None:
         raise ConfigError("need sigma0 and sigma (or snr)")
-    if sigma0 <= 0 or sigma <= 0:
-        raise ConfigError("sigma0/sigma values must be positive")
-    return sigma0, sigma
-
-
-def _scaled_to_volume(lat, volume_value, eps_dprime, sigma_tilde):
-    """Rescale a named lattice to an explicit or designed volume."""
-    if volume_value is None:
-        return lat
-    if volume_value == "design":
-        v = design_volume(sigma_tilde, eps_dprime, lat.n)
-    else:
-        v = _parse_float("volume", volume_value)
-        if v <= 0:
-            raise ConfigError(f"volume must be positive, got {v}")
-    return lat.scale((v / lat.volume) ** (1.0 / lat.n))
+    return make_params(sigma0, sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -227,53 +192,46 @@ def _scaled_to_volume(lat, volume_value, eps_dprime, sigma_tilde):
 # ---------------------------------------------------------------------------
 
 
-def _run_flatness(raw, seed, trials, threads):
+def _run_flatness(raw, points, seed, trials, threads):
     lat = resolve_lattice(raw.get("lattice", ""))
-    axis, grid = _parse_sweep(raw, "flatness")
-    sigmas = grid if axis == "sigma" else [_as_float(raw, "sigma",
-                                                     positive=True)]
-    if sigmas[0] is None:
-        raise ConfigError("flatness needs 'sigma' or a sigma sweep")
+    sigma = _as_float(raw, "sigma", positive=True)
     rows = []
-    for s in sigmas:
-        if s <= 0:
-            raise ConfigError(f"sigma grid values must be positive, got {s}")
+    for over in points:
+        s = over.get("sigma", sigma)
+        if s is None:
+            raise ConfigError("flatness needs 'sigma' or a sigma sweep")
         rep = flatness(lat, s)
         rows.append(f"{lat.label},{lat.n},{s!r},{rep.gsnr!r},"
                     f"{rep.theta.value!r},{rep.epsilon!r}")
     return FLATNESS_HEADER, rows, {}
 
 
-def _run_exponent(raw, seed, trials, threads):
+def _run_exponent(raw, points, seed, trials, threads):
     n = _as_int(raw, "n", default=1, minimum=1)
-    axis, grid = _parse_sweep(raw, "exponent")
-    mus = grid if axis == "mu" else [_as_float(raw, "mu")]
-    if mus[0] is None:
-        raise ConfigError("exponent needs 'mu' or a mu sweep")
+    mu = _as_float(raw, "mu")
     rows = []
-    for mu in mus:
-        pt = poltyrev_exponent(mu, n)
+    for over in points:
+        m = over.get("mu", mu)
+        if m is None:
+            raise ConfigError("exponent needs 'mu' or a mu sweep")
+        pt = poltyrev_exponent(m, n)
         rows.append(f"{pt.mu!r},{pt.exponent!r},{pt.bound!r}")
     return EXPONENT_HEADER, rows, {"n": n}
 
 
-def _run_rate(raw, seed, trials, threads):
+def _run_rate(raw, points, seed, trials, threads):
     lat = resolve_lattice(raw.get("lattice", ""))
     eps_dprime = _as_float(raw, "eps_dprime", default=0.05, nonnegative=True)
-    axis, grid = _parse_sweep(raw, "rate")
-    points = grid if axis else [None]
     rows = []
-    for v in points:
-        over = {axis: v} if axis else {}
-        sigma0, sigma = _params_for(raw, over)
-        params = make_params(sigma0, sigma)
+    for over in points:
+        params = _params_for(raw, over)
         rb = rate_budget(lat, params, eps_dprime)
         rows.append(f"{lat.label},{lat.n},{params.snr!r},{rb.eps!r},"
                     f"{rb.eps_prime!r},{rb.eps_dprime!r},{rb.rate_lower!r}")
     return RATE_HEADER, rows, {}
 
 
-def _run_sample(raw, seed, trials, threads):
+def _run_sample(raw, points, seed, trials, threads):
     lat = resolve_lattice(raw.get("lattice", ""))
     sigma0 = _as_float(raw, "sigma0", positive=True)
     if sigma0 is None:
@@ -284,33 +242,40 @@ def _run_sample(raw, seed, trials, threads):
     return header, rows, {"spec": spec.as_dict()}
 
 
-def _sweep_points(raw: dict, command: str):
-    """Yield (lattice, shift, params) for each sweep point of simulate/sandwich."""
-    axis, grid = _parse_sweep(raw, command)
-    for v in grid if axis else [None]:
-        over = {axis: v} if axis in ("sigma0", "sigma", "snr") else {}
-        sigma0, sigma = _params_for(raw, over)
-        params = make_params(sigma0, sigma)
-        vol = v if axis == "V" else raw.get("volume")
-        lat = _scaled_to_volume(resolve_lattice(raw.get("lattice", "")), vol,
-                                _as_float(raw, "eps_dprime", default=0.05,
-                                          nonnegative=True),
-                                params.sigma_tilde)
-        yield lat, _parse_shift(raw, lat.n), params
+def _sweep_points(raw: dict, points: list):
+    """Yield (lattice, shift, params) for each sweep point of simulate and
+    sandwich; the lattice, the shift and eps_dprime are read once."""
+    lat = resolve_lattice(raw.get("lattice", ""))
+    shift = _parse_shift(raw, lat.n)
+    eps_dprime = _as_float(raw, "eps_dprime", default=0.05, nonnegative=True)
+    volume = raw.get("volume")
+    if volume not in (None, "design"):
+        volume = _parse_float("volume", volume)
+        if volume <= 0:
+            raise ConfigError(f"volume must be positive, got {volume}")
+    for over in points:
+        params = _params_for(raw, over)
+        v = over.get("V", volume)
+        if v == "design":
+            v = design_volume(params.sigma_tilde, eps_dprime, lat.n)
+        if v is None:
+            yield lat, shift, params
+        else:
+            yield lat.scale((v / lat.volume) ** (1.0 / lat.n)), shift, params
 
 
-def _run_simulate(raw, seed, trials, threads):
+def _run_simulate(raw, points, seed, trials, threads):
     label = raw.get("label", "")
     rows = [simulate_error(lat, shift, params, trials, seed, threads,
                            label).csv_row()
-            for lat, shift, params in _sweep_points(raw, "simulate")]
+            for lat, shift, params in _sweep_points(raw, points)]
     return CSV_HEADER, rows, {}
 
 
-def _run_sandwich(raw, seed, trials, threads):
+def _run_sandwich(raw, points, seed, trials, threads):
     rows = []
     summaries = []
-    for lat, shift, params in _sweep_points(raw, "sandwich"):
+    for lat, shift, params in _sweep_points(raw, points):
         res = sandwich_check(lat, shift, params, trials, seed, threads)
         rows.extend([res.scheme.csv_row(), res.poltyrev.csv_row()])
         summaries.append({"ratio": res.ratio, "ratio_lo": res.ratio_lo,
@@ -325,7 +290,7 @@ def _run_sandwich(raw, seed, trials, threads):
     return CSV_HEADER, rows, {"sandwich": summaries}
 
 
-def _run_ensemble(raw, seed, trials, threads):
+def _run_ensemble(raw, points, seed, trials, threads):
     p = _as_int(raw, "p", minimum=2)
     n = _as_int(raw, "n", minimum=1)
     k = _as_int(raw, "k", minimum=1)
@@ -340,14 +305,26 @@ def _run_ensemble(raw, seed, trials, threads):
     return header, rows, {}
 
 
-_RUNNERS = {
-    "flatness": _run_flatness,
-    "sample": _run_sample,
-    "simulate": _run_simulate,
-    "sandwich": _run_sandwich,
-    "exponent": _run_exponent,
-    "rate": _run_rate,
-    "ensemble": _run_ensemble,
+class _Command(NamedTuple):
+    keys: set      # config keys beyond _COMMON_KEYS
+    axes: set      # allowed sweep_axis values
+    run: Callable  # (raw, points, seed, trials, threads) -> (header, rows, extra)
+
+
+_SNR_KEYS = {"sigma0", "sigma", "snr"}
+COMMANDS = {
+    "flatness": _Command({"sigma"}, {"sigma"}, _run_flatness),
+    "sample": _Command({"sigma0", "shift", "trials"}, set(), _run_sample),
+    "simulate": _Command(
+        _SNR_KEYS | {"shift", "trials", "volume", "eps_dprime", "label"},
+        _SNR_KEYS | {"V"}, _run_simulate),
+    "sandwich": _Command(
+        _SNR_KEYS | {"shift", "trials", "volume", "eps_dprime"},
+        _SNR_KEYS | {"V"}, _run_sandwich),
+    "exponent": _Command({"mu", "n"}, {"mu"}, _run_exponent),
+    "rate": _Command(_SNR_KEYS | {"eps_dprime"}, _SNR_KEYS, _run_rate),
+    "ensemble": _Command({"p", "n", "k", "scale", "sigma", "samples", "delta"},
+                         set(), _run_ensemble),
 }
 
 
@@ -388,7 +365,8 @@ def main(argv=None) -> int:
         if "command" in raw and raw["command"] != args.command:
             raise ConfigError(
                 f"config command '{raw['command']}' != '{args.command}'")
-        unknown = set(raw) - _COMMON_KEYS - _COMMAND_KEYS[args.command]
+        command = COMMANDS[args.command]
+        unknown = set(raw) - _COMMON_KEYS - command.keys
         if unknown:
             raise ConfigError(
                 f"unknown key(s) for {args.command}: {', '.join(sorted(unknown))}")
@@ -407,8 +385,8 @@ def main(argv=None) -> int:
             threads = _parse_int("LGC_THREADS",
                                  os.environ.get("LGC_THREADS", "1"), minimum=1)
         out = args.out or raw.get("out") or f"{args.command}.csv"
-        header, rows, extra = _RUNNERS[args.command](raw, seed, trials,
-                                                     threads)
+        header, rows, extra = command.run(raw, _parse_sweep(raw, args.command),
+                                          seed, trials, threads)
         manifest = {
             "command": args.command,
             "version": __version__,
@@ -427,7 +405,7 @@ def main(argv=None) -> int:
             out + ".manifest.json": lambda fh: fh.write(
                 json.dumps(manifest, indent=2, default=str) + "\n"),
         })
-    except (ConfigError, MultipleAxes) as exc:
+    except ConfigError as exc:
         print(f"config: {exc}", file=sys.stderr)
         return 2
     except LgcError as exc:

@@ -53,9 +53,9 @@ class RandomnessExhausted(LgcError):
     """Resampling cap hit while searching for a full-rank code."""
 
 
-class MultipleAxes(LgcError):
-    """A sweep must vary exactly one axis."""
-
-
 class ConfigError(LgcError):
     """Malformed or incomplete experiment configuration."""
+
+
+class MultipleAxes(ConfigError):
+    """A sweep must vary exactly one axis."""

@@ -736,7 +736,9 @@ def _ball_search(r: np.ndarray, tmat: np.ndarray, rad2: np.ndarray,
     -floor(x)), so d2(-u) has the bits of d2(u).  Only the all-zero prefix
     has its range clamped to k >= 0; it stays row 0, since it comes first
     and its first candidate, 0, always survives.  The budget counts the
-    full ball's candidates, 2 * total - 1, so the caps are the same.
+    full ball's candidates, 2 * total - 1, and prefixes, so the caps are
+    the same.  POINT_CAP bounds each level's candidates and, since the
+    next levels' centers keep k floats per prefix, its prefixes times k.
     """
     m, n = tmat.shape
     slack = rad2 * (1.0 + 1e-12) + 1e-12
@@ -799,6 +801,10 @@ def _ball_search(r: np.ndarray, tmat: np.ndarray, rad2: np.ndarray,
             ucol[k] = uk
             parent[k] = rows
         if k:
+            # the prefix matrix: k floats for each surviving prefix
+            if (2 * d2.size - 1 if half else d2.size) * k > POINT_CAP:
+                raise BudgetExceeded(
+                    f"ball enumeration passed {POINT_CAP} prefix coordinates")
             tau = tau[rows, :k] - uk[:, None] * r[:k, k][None, :]
     if not per:
         root = np.broadcast_to(np.intp(0), d2.size)

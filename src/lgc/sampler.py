@@ -30,7 +30,7 @@ from .errors import (
     FlatnessTooLarge,
     RandomnessExhausted,
 )
-from .analytics import _ball_volume, _check_positive, _grow_radius, flatness
+from .analytics import _ball_volume, _grow_radius, _two_pi_var, flatness
 from .lattice import Lattice, LatticePoint, PackedRows, _vector, enumerate_ball
 from .rng import RngSeed, stream
 
@@ -143,20 +143,20 @@ def build_spec(lat: Lattice, sigma0: float, c) -> DiscreteGaussianSpec:
     time), otherwise a structured backend for diagonal or checkerboard
     bases.
     """
-    _check_positive("sigma0", sigma0)
+    var = _two_pi_var("sigma0", sigma0)
     n = lat.n
     c = _vector(c, n, "shift")
     if n > 12:
         raise DimensionTooLarge(f"support sampling limited to n <= 12, got {n}")
-    tau = 1.0 / (2.0 * math.pi * sigma0 * sigma0)
+    tau = 1.0 / var
     vol = lat.volume
-    partial_floor = max(1.0, 0.5 * (2.0 * math.pi * sigma0 * sigma0) ** (n / 2.0) / vol)
+    partial_floor = max(1.0, 0.5 * var ** (n / 2.0) / vol)
     _, _, radius = _grow_radius(lat, tau, math.sqrt(2.0 * math.pi * n) * sigma0,
                                 1.15, DEFICIT_TARGET,
                                 lambda _: (None, partial_floor), "support radius")
     est = _ball_volume(n, radius) / vol
     if est <= TABLE_CAP:
-        return _build_table(lat, sigma0, c, radius)
+        return _build_table(lat, sigma0, c, tau, radius)
     if lat.structure is not None:
         return _build_axes(lat, sigma0, c)
     raise BudgetExceeded(
@@ -164,7 +164,7 @@ def build_spec(lat: Lattice, sigma0: float, c) -> DiscreteGaussianSpec:
         "and the basis fits no structured sampler")
 
 
-def _build_table(lat, sigma0, c, radius):
+def _build_table(lat, sigma0, c, tau, radius):
     def weigh(radius):
         rows, d2 = enumerate_ball(lat, c, radius, _packed=True)
         w = np.exp(-d2 / (2.0 * sigma0 * sigma0))
@@ -172,8 +172,7 @@ def _build_table(lat, sigma0, c, radius):
         return (rows, w, z), z
 
     (rows, w, z), tail, radius = _grow_radius(
-        lat, 1.0 / (2.0 * math.pi * sigma0 * sigma0), radius, 1.15,
-        DEFICIT_TARGET, weigh, "support enumeration")
+        lat, tau, radius, 1.15, DEFICIT_TARGET, weigh, "support enumeration")
     # the points are distinct, so their packed keys are too and one argsort
     # gives np.lexsort's order
     if isinstance(rows, PackedRows):

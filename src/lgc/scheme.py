@@ -43,7 +43,7 @@ from .errors import (
     MuBelowOne,
     NonpositiveSigma,
 )
-from .analytics import _check_positive, flatness, gsnr
+from .analytics import _check_positive, _two_pi_var, flatness, gsnr
 from .lattice import (
     Lattice,
     LatticePoint,
@@ -91,8 +91,9 @@ class GaussianParams:
 
 
 def make_params(sigma0: float, sigma: float) -> GaussianParams:
-    _check_positive("sigma0", sigma0)
-    _check_positive("sigma", sigma)
+    # a normal 2 pi sigma^2 keeps each square nonzero and their sum finite
+    _two_pi_var("sigma0", sigma0)
+    _two_pi_var("sigma", sigma)
     s0sq = sigma0 * sigma0
     ssq = sigma * sigma
     alpha = s0sq / (s0sq + ssq)

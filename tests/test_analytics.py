@@ -312,6 +312,23 @@ def test_flatness_cached_matches_cold_and_pinned(fresh_lattice, name, sigma):
     assert got == tuple(float.fromhex(v) for v in FLATNESS_PINNED[name, sigma])
 
 
+def test_flatness_ball_estimate_past_float_range():
+    # the primal ball estimate of Z^120 at sigma 100 (radius 1000) passes
+    # 1e308; the dual side holds one point, the origin
+    rep = flatness(standard_lattice("Zn", 120), 100.0)
+    assert rep.epsilon == 0.0
+    assert rep.theta.value == pytest.approx((2.0 * math.pi * 1e4) ** 60,
+                                            rel=1e-12)
+
+
+def test_flatness_budget_counts_prefix_matrix():
+    # Z^200 at sigma 0.5 keeps under a million prefixes per level, each
+    # with up to 199 coordinates still to expand; their matrix, not the
+    # prefix count, passes the budget
+    with pytest.raises(BudgetExceeded):
+        flatness(standard_lattice("Zn", 200), 0.5)
+
+
 def test_flatness_budget_error_not_cached(fresh_lattice, monkeypatch):
     lat = fresh_lattice("E8")
     with monkeypatch.context() as patch:

@@ -442,6 +442,94 @@ def test_nonfinite_config_floats_rejected(tmp_path, capsys, command, body,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,body,message", [
+    ("flatness", "lattice = Zn:2\nsigma =\n", "run.cfg:2: empty key or value"),
+    ("flatness", "lattice = Zn:2\nsigma = 0\n",
+     "key 'sigma' must be positive, got 0.0"),
+    ("rate", "lattice = Zn:2\nsnr = 10\neps_dprime = -0.1\n",
+     "key 'eps_dprime' must be nonnegative, got -0.1"),
+    ("flatness", "lattice = Zn:x\nsigma = 1.0\n",
+     "bad lattice dimension in 'Zn:x'"),
+    ("sample", "lattice = Zn:2\nsigma0 = 1.0\nshift = 0.1, 0.2, 0.3\n",
+     "shift has 3 entries, lattice dim 2"),
+    ("flatness", "lattice = Zn:2\nsweep_axis = mu\nsweep_grid = 1, 2\n",
+     "command 'flatness' cannot sweep 'mu'"),
+    ("flatness", "lattice = Zn:2\nsweep_axis = sigma\n",
+     "sweep_axis given without sweep_grid"),
+    ("simulate", "lattice = Zn:2\nsigma0 = 2.0\n",
+     "need sigma0 and sigma (or snr)"),
+    ("flatness", "lattice = Zn:2\n", "flatness needs 'sigma'"),
+    ("exponent", "n = 2\n", "exponent needs 'mu'"),
+    ("sample", "lattice = Zn:2\n", "sample needs 'sigma0'"),
+    ("ensemble", "p = 5\nn = 4\nk = 2\nscale = 1.0\n",
+     "ensemble needs p, n, k, scale, sigma"),
+    ("simulate", "lattice = Zn:2\nsigma0 = 2.0\nsigma = 1.0\nthreads = 0\n",
+     "key 'threads' must be >= 1, got 0"),
+], ids=["empty-value", "sigma-zero", "eps_dprime-negative", "lattice-dim",
+        "shift-length", "axis-not-sweepable", "axis-without-grid",
+        "sigma-missing", "flatness-sigma", "exponent-mu", "sample-sigma0",
+        "ensemble-keys", "threads-zero"])
+def test_config_errors_name_the_key(tmp_path, capsys, command, body, message):
+    cfg = _write_config(tmp_path, body)
+    out = tmp_path / "x.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config: ") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,body", [
+    ("rate", "lattice = Zn:2\nsigma0 = 3.0\nsweep_axis = snr\n"
+             "sweep_grid = 4, 9\n"),
+    ("simulate", "lattice = Zn:2\nsnr = 4\ntrials = 64\nsweep_axis = sigma\n"
+                 "sweep_grid = 1, 2\n"),
+    ("sandwich", "lattice = Zn:2\nsnr = 4\ntrials = 64\nsweep_axis = sigma0\n"
+                 "sweep_grid = 1, 2\n"),
+], ids=["snr-sweep-with-sigma0", "sigma-sweep-with-snr",
+        "sigma0-sweep-with-snr"])
+def test_sweep_obeys_snr_or_sigmas_rule(tmp_path, capsys, command, body):
+    cfg = _write_config(tmp_path, body)
+    out = tmp_path / "x.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        "config: give either snr or sigma0/sigma, not both\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,body", [
+    ("flatness", "lattice = Zn:2\nsweep_axis = sigma\nsweep_grid = 1, 0\n"),
+    ("rate", "lattice = Zn:2\nsweep_axis = snr\nsweep_grid = 4, -1\n"),
+    ("rate", "lattice = Zn:2\nsigma0 = 2.0\nsweep_axis = sigma\n"
+             "sweep_grid = -1\n"),
+    ("simulate", "lattice = Zn:2\nsigma = 1.0\ntrials = 64\n"
+                 "sweep_axis = sigma0\nsweep_grid = 2, 0\n"),
+    ("simulate", "lattice = Zn:2\nsigma0 = 2.0\nsigma = 1.0\ntrials = 64\n"
+                 "sweep_axis = V\nsweep_grid = 2, -4\n"),
+], ids=["sigma", "snr", "rate-sigma", "sigma0", "V"])
+def test_nonpositive_grid_values_rejected(tmp_path, capsys, command, body):
+    cfg = _write_config(tmp_path, body)
+    out = tmp_path / "x.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config: ") and "must be positive" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,body", [
+    ("sample", "lattice = Zn:2\nsigma0 = 1.0\ntrials = 4\n"),
+    ("ensemble", "p = 5\nn = 4\nk = 2\nscale = 1.0\nsigma = 1.0\n"
+                 "samples = 2\n"),
+], ids=["sample", "ensemble"])
+def test_command_without_axes_rejects_sweep(tmp_path, capsys, command, body):
+    cfg = _write_config(tmp_path,
+                        body + "sweep_axis = sigma\nsweep_grid = 1, 2\n")
+    out = tmp_path / "x.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"config: command '{command}' cannot sweep 'sigma' (allowed: none)\n")
+    assert not out.exists()
+
+
 def test_command_mismatch_rejected(tmp_path):
     cfg = _write_config(tmp_path, "command = rate\nsigma = 1.0\nlattice = Zn:2\n")
     assert main(["flatness", "--config", cfg]) == 2
@@ -464,6 +552,33 @@ def test_numeric_precondition_is_exit_3(tmp_path, capsys):
     rc = main(["rate", "--config", cfg, "--out", str(tmp_path / "r.csv")])
     assert rc == 3
     assert capsys.readouterr().err.startswith("run: FlatnessTooLarge")
+
+
+@pytest.mark.parametrize("command,body", [
+    ("flatness", "lattice = Zn:2\nsigma = 1e-200\n"),
+    ("rate", "lattice = Zn:2\nsigma0 = 1e-200\nsigma = 1.0\n"),
+    ("sample", "lattice = Zn:2\nsigma0 = 1e-200\n"),
+    ("simulate", "lattice = Zn:2\nsigma0 = 2.0\nsigma = 1e-200\ntrials = 64\n"),
+], ids=["flatness", "rate", "sample", "simulate"])
+def test_sigma_whose_square_underflows_is_exit_3(tmp_path, capsys, command,
+                                                 body):
+    cfg = _write_config(tmp_path, body)
+    out = tmp_path / "x.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("run: NonpositiveSigma")
+    assert not out.exists()
+
+
+def test_high_dimensional_flatness_is_exit_3(tmp_path, capsys):
+    # the primal ball estimate of Z^400 overflows a float; on the dual side
+    # the first ball (radius 1.40) holds the 801 points of norm <= 1, and
+    # the next (1.75) the norm-3 points, whose prefix matrices pass the
+    # point budget within a few levels
+    cfg = _write_config(tmp_path, "lattice = Zn:400\nsigma = 1.14\n")
+    out = tmp_path / "x.csv"
+    assert main(["flatness", "--config", cfg, "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("run: BudgetExceeded")
+    assert not out.exists()
 
 
 def test_unwritable_output_is_exit_3(tmp_path, capsys):
@@ -496,13 +611,14 @@ def test_failed_write_leaves_no_partial_files(tmp_path, capsys, monkeypatch,
     out.write_text("old\n")
     manifest.write_text("{}\n")
     if fail_at == "csv":
-        real = cli_mod._RUNNERS["exponent"]
+        real = cli_mod.COMMANDS["exponent"]
 
         def runner(*args):
-            header, rows, extra = real(*args)
+            header, rows, extra = real.run(*args)
             return header, rows[:2] + [_FailingRow(rows[2])], extra
 
-        monkeypatch.setitem(cli_mod._RUNNERS, "exponent", runner)
+        monkeypatch.setitem(cli_mod.COMMANDS, "exponent",
+                            real._replace(run=runner))
     else:
         def dumps(*args, **kwargs):
             raise OSError("disk full")

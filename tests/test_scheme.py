@@ -107,6 +107,10 @@ def test_params_values():
     (lambda: make_params(math.inf, 1.0), NonpositiveSigma),
     (lambda: make_params(1.0, math.nan), NonpositiveSigma),
     (lambda: make_params(1.0, math.inf), NonpositiveSigma),
+    # squares that under- or overflow
+    (lambda: make_params(1e-200, 1.0), NonpositiveSigma),
+    (lambda: make_params(1e200, 1.0), NonpositiveSigma),
+    (lambda: make_params(1.0, 1e-200), NonpositiveSigma),
     (lambda: map_decode(build_spec(Z2, 1.5, np.zeros(2)), make_params(1.5, 1.0),
                         [math.nan, 0.0]), DimensionMismatch),
     (lambda: map_decode(build_spec(Z2, 1.5, np.zeros(2)), make_params(1.5, 1.0),
@@ -127,6 +131,8 @@ def test_params_values():
 ], ids=["spec-sigma0-nan", "spec-sigma0-inf", "spec-sigma0-neg",
         "spec-shift-nan", "spec-shift-inf", "params-sigma0-nan",
         "params-sigma0-inf", "params-sigma-nan", "params-sigma-inf",
+        "params-sigma0-underflow", "params-sigma0-overflow",
+        "params-sigma-underflow",
         "map-table-nan", "map-table-inf", "map-product-nan", "map-parity-inf",
         "map-batch-table-nan", "map-batch-parity-inf"])
 def test_nonfinite_library_inputs_rejected(call, error):
