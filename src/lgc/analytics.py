@@ -177,21 +177,14 @@ def _ball_d2(lat: Lattice, center: np.ndarray, radius: float) -> np.ndarray:
 
     Bit for bit np.sort(enumerate_ball(lat, center, radius, coeffs=False)[1])
     reversed.  A zero center (-0.0 too) enumerates only the origin and one
-    point of each +-u pair (lattice._ball_search's half mode), whose d2
-    have the bits of the other half's: each nonzero value is emitted twice
-    and the origin's 0.0 last.
+    point of each +-u pair (enumerate_ball's half mode), whose d2 have the
+    bits of the other half's: each nonzero value is emitted twice and the
+    origin's 0.0 last.
     """
-    if np.any(center) or not 0.0 <= radius < math.inf:
-        _, d2 = enumerate_ball(lat, center, radius, coeffs=False)
-        return np.sort(d2)[::-1]
-    _, r = lat.qr()
-    tmat = np.zeros((1, lat.n))
-    rad2 = np.array([radius * radius])
-    _, _, d2 = lattice._ball_search(r, tmat, rad2, False,
-                                    lattice._edge_slop(lat, tmat, rad2),
-                                    half=True)
+    half = not np.any(center) and 0.0 <= radius < math.inf
+    _, d2 = enumerate_ball(lat, center, radius, coeffs=False, _half=half)
     d2 = np.sort(d2)[::-1]
-    return np.append(np.repeat(d2[:-1], 2), d2[-1])
+    return np.append(np.repeat(d2[:-1], 2), d2[-1]) if half else d2
 
 
 def _gauss_sum(lat: Lattice, center: np.ndarray, tau: float,
@@ -255,7 +248,7 @@ def theta(lat: Lattice, tau: float, *, balls: dict | None = None) -> ThetaValue:
     if side_primal:
         value, tail, radius = _gauss_sum(lat, zero, tau, balls=balls)
         return ThetaValue(value, tail, radius)
-    dual = lat.dual()
+    dual = lat.dual
     value, tail, radius = _gauss_sum(dual, zero, 1.0 / tau, balls=balls)
     factor = tau ** (-n / 2.0) / vol
     return ThetaValue(factor * value, factor * tail, radius)
@@ -289,7 +282,7 @@ def flatness(lat: Lattice, sigma: float) -> FlatnessReport:
     balls: dict = {}
     tv = theta(lat, tau, balls=balls)
     if g < 1.0:
-        dual = lat.dual()
+        dual = lat.dual
         lam1d = dual.lambda1_lb()
         eps, _, _ = _gauss_sum(dual, np.zeros(n), 1.0 / tau, skip_zero=True,
                                min_radius=lam1d * (1.0 + 1e-9) + 0.25,

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -67,14 +68,17 @@ class LatticePoint:
     embedding: np.ndarray
 
 
+# Squared distances within TIE_REL * (1 + best) of the best are ties,
+# broken toward the lexicographically smallest coefficients.
+TIE_REL = 1e-12
+
 # A structured decision whose squared-distance margin is inside
 # _GUARD_REL * (1 + best) * (1 + |y|) is left to the exact search, best
-# being the squared distance.  The factor is 1000 times _enum_nearest's
-# relative tie band.  In either path each residual coordinate is off by some
-# ulps of |y|, so a squared distance d2 by some ulps of 2 |y| sqrt(d2) <=
-# |y| (1 + d2): the band covers the rounding of both paths for points far
-# from the origin, and an accepted row has one nearest point and no
-# lexicographic tie-break.
+# being the squared distance.  The factor is 1000 times TIE_REL.  In
+# either path each residual coordinate is off by some ulps of |y|, so a
+# squared distance d2 by some ulps of 2 |y| sqrt(d2) <= |y| (1 + d2): the
+# band covers the rounding of both paths for points far from the origin,
+# and an accepted row has one nearest point and no lexicographic tie-break.
 _GUARD_REL = 1e-9
 
 
@@ -166,18 +170,15 @@ class Axes:
 
 @dataclass(eq=False)
 class Lattice:
+    """A lattice on the columns of basis.  Its derived geometry (qr, inv,
+    sigma_min, dual, reduced) is built on first access and then kept."""
+
     basis: np.ndarray
     label: str = ""
     structure: Axes | None = None
     lambda1: float | None = None
-    _qr: tuple | None = field(default=None, repr=False)
-    _inv: np.ndarray | None = field(default=None, repr=False)
-    _cols: tuple | None = field(default=None, repr=False)
-    _dual: Lattice | None = field(default=None, repr=False)
-    _reduced: tuple | None = field(default=None, repr=False)
-    _sigma_min: float | None = field(default=None, repr=False)
     # analytics.flatness reports, keyed by float(sigma)
-    _flatness: dict = field(default_factory=dict, repr=False)
+    _flatness: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -191,42 +192,38 @@ class Lattice:
     def gram(self) -> np.ndarray:
         return self.basis.T @ self.basis
 
+    @cached_property
     def qr(self) -> tuple:
-        """Cached (Q, R) with R upper triangular and positive diagonal."""
-        if self._qr is None:
-            q, r = np.linalg.qr(self.basis)
-            sgn = np.sign(np.diag(r))
-            sgn[sgn == 0] = 1.0
-            q = q * sgn
-            r = sgn[:, None] * r
-            self._qr = (np.ascontiguousarray(q), np.ascontiguousarray(r))
-        return self._qr
+        """(Q, R) with R upper triangular and positive diagonal."""
+        q, r = np.linalg.qr(self.basis)
+        sgn = np.sign(np.diag(r))
+        sgn[sgn == 0] = 1.0
+        q = q * sgn
+        r = sgn[:, None] * r
+        return np.ascontiguousarray(q), np.ascontiguousarray(r)
 
+    @cached_property
     def inv(self) -> np.ndarray:
-        if self._inv is None:
-            self._inv = np.linalg.inv(self.basis)
-        return self._inv
+        return np.linalg.inv(self.basis)
 
+    @cached_property
     def sigma_min(self) -> float:
-        """Cached smallest singular value of the basis: |B u| >= it * |u|."""
-        if self._sigma_min is None:
-            self._sigma_min = float(
-                np.linalg.svd(self.basis, compute_uv=False)[-1])
-        return self._sigma_min
+        """Smallest singular value of the basis: |B u| >= it * |u|."""
+        return float(np.linalg.svd(self.basis, compute_uv=False)[-1])
 
+    @cached_property
     def dual(self) -> "Lattice":
-        """Cached dual lattice, basis inv(B).T; volume is 1/volume.
+        """Dual lattice, basis inv(B).T; volume is 1/volume.
 
         Built directly, with no axis layout: the dual basis of a skewed
         one (I + 3S, S the shift matrix) is nonsingular, but its long
         columns fail make_lattice's Hadamard-ratio test.
         """
-        if self._dual is None:
-            self._dual = Lattice(self.inv().T, label=self.label + "*")
-        return self._dual
+        return Lattice(self.inv.T, label=self.label + "*")
 
+    @cached_property
     def reduced(self) -> tuple:
-        """Cached (reduced lattice, T): the same lattice on the LLL basis B @ T.
+        """(reduced lattice, T): the same lattice on the LLL basis B @ T.
 
         T is an int64 unimodular matrix, so u = T @ u_red maps reduced
         coefficients to this basis.  The reduced lattice's lambda1 is the
@@ -234,17 +231,14 @@ class Lattice:
         min_k |r_kk| of B T, and this lattice's own lambda1 when set; this
         lattice's lambda1 is left as it is.
         """
-        if self._reduced is None:
-            t = _lll(self.basis)
-            red = Lattice(self.basis @ t, label=self.label + "~")
-            _, r = red.qr()
-            bounds = [self.sigma_min(), red.sigma_min(),
-                      float(np.min(np.diag(r)))]
-            if self.lambda1 is not None:
-                bounds.append(self.lambda1)
-            red.lambda1 = max(bounds)
-            self._reduced = (red, t)
-        return self._reduced
+        t = _lll(self.basis)
+        red = Lattice(self.basis @ t, label=self.label + "~")
+        _, r = red.qr
+        bounds = [self.sigma_min, red.sigma_min, float(np.min(np.diag(r)))]
+        if self.lambda1 is not None:
+            bounds.append(self.lambda1)
+        red.lambda1 = max(bounds)
+        return red, t
 
     def scale(self, a: float) -> "Lattice":
         if not 0.0 < a < math.inf:
@@ -260,18 +254,17 @@ class Lattice:
         """Certified lower bound on the shortest nonzero vector norm."""
         if self.lambda1 is not None:
             return self.lambda1
-        self.lambda1 = self.sigma_min()
+        self.lambda1 = self.sigma_min
         return self.lambda1
 
+    @cached_property
     def _dfs_tabs(self) -> tuple:
-        # cached plain-python views of R for the depth-first search
-        if self._cols is None:
-            _, r = self.qr()
-            n = self.n
-            diag = tuple(float(r[k, k]) for k in range(n))
-            cols = tuple(tuple(float(r[i, k]) for i in range(k)) for k in range(n))
-            self._cols = (diag, cols)
-        return self._cols
+        # plain-python views of R for the depth-first search
+        _, r = self.qr
+        n = self.n
+        diag = tuple(float(r[k, k]) for k in range(n))
+        cols = tuple(tuple(float(r[i, k]) for i in range(k)) for k in range(n))
+        return diag, cols
 
 
 def _lll(basis: np.ndarray) -> np.ndarray:
@@ -362,7 +355,7 @@ def standard_lattice(name: str, n: int | None = None) -> Lattice:
 # ---------------------------------------------------------------------------
 
 
-def _enum_nearest(diag, cols, t, tie_rel=1e-12):
+def _enum_nearest(diag, cols, t):
     """Depth-first sphere search minimizing ||R u - t||^2.
 
     Candidates at each level are visited in zig-zag order around the real
@@ -414,7 +407,7 @@ def _enum_nearest(diag, cols, t, tie_rel=1e-12):
                 uu = tuple(u)
                 if nd < best:
                     best = nd
-                    lim = best + tie_rel * (1.0 + best)
+                    lim = best + TIE_REL * (1.0 + best)
                     ties = [tv for tv in ties if tv[1] <= lim]
                 ties.append((uu, nd))
                 # keep walking level 0 outward
@@ -448,16 +441,23 @@ def _vector(x, n: int, what: str) -> np.ndarray:
 def closest_point(lat: Lattice, y) -> LatticePoint:
     """Exact nearest lattice point to y.
 
-    Ties (squared-distance difference inside a relative 1e-12 band) are
-    broken toward the lexicographically smallest coefficient vector.
+    Ties (squared distances inside the TIE_REL band of the best) are broken
+    toward the lexicographically smallest coefficient vector.
     """
     y = _vector(y, lat.n, "point")
-    q, _ = lat.qr()
+    q, _ = lat.qr
     t = (y @ q).tolist()
-    diag, cols = lat._dfs_tabs()
+    diag, cols = lat._dfs_tabs
     ties, _, _ = _enum_nearest(diag, cols, t)
     u = np.array(ties[0][0], dtype=np.int64)
     return LatticePoint(u, lat.basis @ u)
+
+
+def _warm_decoder(lat: Lattice) -> None:
+    """Build the caches closest_points_batch reads before threads read them."""
+    lat.qr, lat.inv, lat.sigma_min  # reading a cached_property builds it
+    if lat.structure is None:
+        lat.reduced
 
 
 def closest_points_batch(lat: Lattice, ys: np.ndarray) -> np.ndarray:
@@ -482,13 +482,13 @@ def closest_points_batch(lat: Lattice, ys: np.ndarray) -> np.ndarray:
         return _reduced_exact(lat, ys)
     u = np.empty((m, n), dtype=np.int64)
     ok = np.empty(m, dtype=bool)
-    to_coeffs = lat.inv().T
+    to_coeffs = lat.inv.T
     for i in range(0, m, _DECODE_CHUNK):
         pts, ok[i:i + _DECODE_CHUNK] = lat.structure.decode_batch(
             ys[i:i + _DECODE_CHUNK])
         u[i:i + _DECODE_CHUNK] = np.rint(pts @ to_coeffs)
     refused = np.nonzero(~ok)[0]
-    u[refused], _ = _ball_nearest(lat, ys[refused], u[refused], 1e-12)
+    u[refused], _ = _ball_nearest(lat, ys[refused], u[refused], TIE_REL)
     return u
 
 
@@ -498,7 +498,7 @@ def _babai(lat: Lattice, ys: np.ndarray) -> tuple:
     u holds Babai's nearest-plane coefficients and hard the rows whose
     residual is not certified inside half the minimum distance.
     """
-    q, r = lat.qr()
+    q, r = lat.qr
     tmat = ys @ q
     s = tmat.copy()
     m, n = ys.shape
@@ -530,14 +530,14 @@ def _reduced_exact(lat: Lattice, ys: np.ndarray) -> np.ndarray:
     lexicographically in lat's coefficients as closest_point does.  The
     unimodular transform maps the reduced coefficients back to lat's basis.
     """
-    red, t = lat.reduced()
+    red, t = lat.reduced
     u_red, hard = _babai(red, ys)
     yh = ys[hard]
     band = _GUARD_REL * (1.0 + np.linalg.norm(yh, axis=1))
     u_red[hard], count = _ball_nearest(red, yh, u_red[hard], band)
     u = u_red @ t.T
     tied = hard[count > 1]
-    u[tied], _ = _ball_nearest(lat, ys[tied], u[tied], 1e-12)
+    u[tied], _ = _ball_nearest(lat, ys[tied], u[tied], TIE_REL)
     return u
 
 
@@ -559,7 +559,7 @@ def _ball_nearest(lat: Lattice, ys: np.ndarray, u: np.ndarray,
     and keeps its u.  Rows go _DECODE_CHUNK at a time, so no level's
     prefix count nears POINT_CAP.
     """
-    q, r = lat.qr()
+    q, r = lat.qr
     m = ys.shape[0]
     tie_rel = np.broadcast_to(np.asarray(tie_rel, dtype=float), (m,))
     out = u.copy()
@@ -624,7 +624,7 @@ def coset_decode(lat: Lattice, c, y) -> LatticePoint:
 def contains(lat: Lattice, x, tol: float = 1e-6) -> bool:
     """Membership test: x is a lattice vector up to the given residual."""
     x = _vector(x, lat.n, "point")
-    u = np.round(lat.inv() @ x)
+    u = np.round(lat.inv @ x)
     return bool(np.linalg.norm(lat.basis @ u - x) < tol)
 
 
@@ -667,7 +667,8 @@ class PackedRows:
 
 
 def enumerate_ball(lat: Lattice, center, radius: float,
-                   coeffs: bool = True, *, _packed: bool = False) -> tuple:
+                   coeffs: bool = True, *, _packed: bool = False,
+                   _half: bool = False) -> tuple:
     """All lattice points with ||B u - center|| <= radius.
 
     Returns (U, d2): integer coefficients, one point per row, plus squared
@@ -675,7 +676,8 @@ def enumerate_ball(lat: Lattice, center, radius: float,
     coeffs=False, U is None and the per-level coefficient gathers are
     skipped; d2 is the same array either way.  _packed=True returns U as
     a PackedRows, the keys in enumeration order, unless the coefficient
-    spans pass 63 bits.
+    spans pass 63 bits.  _half=True, for a center at the origin, returns
+    the origin and one point of each +-u pair (_ball_search's half mode).
     """
     n = lat.n
     center = _vector(center, n, "center")
@@ -684,11 +686,11 @@ def enumerate_ball(lat: Lattice, center, radius: float,
     if radius < 0:
         return (np.empty((0, n), dtype=np.int64) if coeffs else None,
                 np.empty(0))
-    q, r = lat.qr()
+    q, r = lat.qr
     tmat = (center @ q)[None, :]
     rad2 = np.array([radius * radius])
     _, u, d2 = _ball_search(r, tmat, rad2, coeffs, _edge_slop(lat, tmat, rad2),
-                            packed=_packed)
+                            half=_half, packed=_packed)
     return u, d2
 
 
@@ -701,7 +703,7 @@ def _edge_slop(lat: Lattice, tmat: np.ndarray, rad2: np.ndarray) -> float:
     """
     reach = math.sqrt(np.max(np.einsum("ij,ij->i", tmat, tmat), initial=0.0)) \
         + math.sqrt(np.max(rad2, initial=0.0))
-    return max(1e-12, 4e-15 * reach / lat.sigma_min())
+    return max(1e-12, 4e-15 * reach / lat.sigma_min)
 
 
 def _ball_search(r: np.ndarray, tmat: np.ndarray, rad2: np.ndarray,

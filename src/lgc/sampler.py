@@ -294,7 +294,7 @@ def sample_coeffs(spec: DiscreteGaussianSpec, rng: np.random.Generator,
     if not ax.even_sum:
         return ks  # no filter: a diagonal basis, whose coefficients are k
     coords = ax.steps * ks + np.asarray(ax.offsets)[coset][:, None]
-    return np.rint(coords @ spec.lattice.inv().T).astype(np.int64)
+    return np.rint(coords @ spec.lattice.inv.T).astype(np.int64)
 
 
 def sample(spec: DiscreteGaussianSpec, seed: RngSeed, count: int) -> list:

@@ -45,11 +45,13 @@ from .errors import (
 )
 from .analytics import _check_positive, _two_pi_var, flatness, gsnr
 from .lattice import (
+    TIE_REL,
     Lattice,
     LatticePoint,
     _ball_nearest,
     _enum_nearest,  # noqa: F401  bound here for perfbench/tracing.py
     _vector,
+    _warm_decoder,
     closest_point,  # noqa: F401  bound here for perfbench/tracing.py
     closest_points_batch,
     coset_decode,
@@ -96,11 +98,15 @@ def make_params(sigma0: float, sigma: float) -> GaussianParams:
     _two_pi_var("sigma", sigma)
     s0sq = sigma0 * sigma0
     ssq = sigma * sigma
+    snr = s0sq / ssq
+    if snr == math.inf:
+        raise NonpositiveSigma(
+            f"sigma0^2 / sigma^2 overflows, got {sigma0} and {sigma}")
     alpha = s0sq / (s0sq + ssq)
     return GaussianParams(
         sigma0=sigma0, sigma=sigma, alpha=alpha,
         sigma_tilde=sigma0 * sigma / math.sqrt(s0sq + ssq),
-        snr=s0sq / ssq, power=s0sq)
+        snr=snr, power=s0sq)
 
 
 def awgn(x, sigma: float, seed: RngSeed):
@@ -133,7 +139,7 @@ def map_decode(spec: DiscreteGaussianSpec, params: GaussianParams, y) -> Lattice
     axes themselves and searches no lattice ball: this per-row reference
     stays apart from the ball search that _map_batch, the batched decoder
     of decode_agreement, runs on the rows it can settle.  Ties (squared
-    distance within 1e-12 * (1 + best)) break to the lexicographically
+    distance within TIE_REL * (1 + best)) break to the lexicographically
     smallest coefficient vector.
     """
     lat = spec.lattice
@@ -185,7 +191,7 @@ def _box_search(spec: DiscreteGaussianSpec, target: np.ndarray) -> np.ndarray:
     direction its term only grows.  A branch stops once acc + rest[i + 1]
     passes the bound, rest[i] summing the smallest terms of axes i, i+1,
     ...; the even-sum filter is tested at the leaves.  The bound, the best
-    leaf so far plus the tie band 1e-12 * (1 + best), only shrinks, so
+    leaf so far plus the tie band TIE_REL * (1 + best), only shrinks, so
     nothing it cuts lies in the final band.
     """
     ax = spec.lattice.structure
@@ -209,22 +215,22 @@ def _box_search(spec: DiscreteGaussianSpec, target: np.ndarray) -> np.ndarray:
                              range(k0[i] - 1, k_lo[i] - 1, -1)):
                 for ki in ki_range:
                     d = acc + (steps[i] * ki + off - t[i]) ** 2
-                    if d + rest[i + 1] > best + 1e-12 * (1.0 + best):
+                    if d + rest[i + 1] > best + TIE_REL * (1.0 + best):
                         break
                     walk(i + 1, d, ks + (ki,))
 
         walk(0, 0.0, ())
-    band = best + 1e-12 * (1.0 + best)
+    band = best + TIE_REL * (1.0 + best)
     x = np.array([ax.steps * np.array(ks) + off
                   for d2, ks, off in leaves if d2 <= band])
-    return np.rint(x @ spec.lattice.inv().T).astype(np.int64)
+    return np.rint(x @ spec.lattice.inv.T).astype(np.int64)
 
 
 def _map_table(spec, params, y):
     """Exhaustive posterior argmax over the table, lowest index among ties.
 
     One scoring pass keeps every index at or above the running tie floor
-    best - 1e-12 * (1 + |best|).  The floor only rises as best rises, so
+    best - TIE_REL * (1 + |best|).  The floor only rises as best rises, so
     the indices inside the final band are all among the kept ones.
     """
     lat = spec.lattice
@@ -239,7 +245,7 @@ def _map_table(spec, params, y):
         score = (logp[lo:lo + emb.shape[0]]
                  - np.einsum("ij,ij->i", diff, diff) / two_ssq)
         best = max(best, float(score.max()))
-        floor = best - 1e-12 * (1.0 + abs(best))
+        floor = best - TIE_REL * (1.0 + abs(best))
         keep = vals >= floor
         new = np.nonzero(score >= floor)[0]
         idx = np.concatenate([idx[keep], lo + new])
@@ -257,7 +263,7 @@ def _map_batch(spec: DiscreteGaussianSpec, params: GaussianParams,
     point lies nearer its target than that point, so a feasible point in
     the ball through it beats every point outside: _ball_nearest searches
     those balls with the support filter _in_support, and ranks the kept
-    points as map_decode does (squared distance within 1e-12 * (1 + best)
+    points as map_decode does (squared distance within TIE_REL * (1 + best)
     of the best, then the lexicographically smallest coefficients).  A
     row with no candidate in the support (its MMSE point lies outside it)
     goes to map_decode.
@@ -268,7 +274,7 @@ def _map_batch(spec: DiscreteGaussianSpec, params: GaussianParams,
         return np.array([_map_table(spec, params, y).coeffs for y in ys],
                         dtype=np.int64).reshape(mmse.shape)
     out, count = _ball_nearest(spec.lattice, spec.shift + params.alpha * ys,
-                               mmse, 1e-12,
+                               mmse, TIE_REL,
                                keep=lambda u: _in_support(spec, u))
     for i in np.nonzero(count == 0)[0].tolist():
         out[i] = map_decode(spec, params, ys[i]).coeffs
@@ -296,15 +302,20 @@ def decode_agreement(lat: Lattice, c, params: GaussianParams, trials: int,
     then decodes _AGREE_CHUNK trials at a time both ways: MMSE by
     closest_points_batch toward alpha*y + c, MAP by _map_batch, which
     searches only the truncated support.  Exact posterior ties are counted
-    separately and excluded from the agreement tally.
+    separately and excluded from the agreement tally.  A given spec must
+    be the one build_spec makes for (lat, params.sigma0, c).
     """
     _check_trials(trials)
-    c = np.asarray(c, dtype=float)
+    c = _vector(c, lat.n, "shift")
     if spec is None:
         spec = build_spec(lat, params.sigma0, c)
+    elif not (spec.lattice is lat and spec.sigma0 == params.sigma0
+              and np.array_equal(spec.shift, c)):
+        raise DimensionMismatch(
+            "spec was built for another lattice, sigma0 or shift")
     rng_x = stream(seed, 0)
     rng_w = stream(seed, 1)
-    tie_gap = 2.0 * params.sigma_tilde ** 2 * 1e-12
+    tie_gap = 2.0 * params.sigma_tilde ** 2 * TIE_REL
     basis_t = lat.basis.T
     agreements = ties = 0
     for lo in range(0, trials, BLOCK):
@@ -368,15 +379,6 @@ class SimResult:
                 str(self.trials), str(self.errors), repr(self.p_hat),
                 repr(self.ci_low), repr(self.ci_high), self.seed_tag]
         return ",".join(vals)
-
-
-def _warm_decoder(lat: Lattice) -> None:
-    """Build the caches closest_points_batch reads before threads read them."""
-    lat.qr()
-    lat.inv()
-    lat.sigma_min()
-    if lat.structure is None:
-        lat.reduced()
 
 
 def _count_errors(lat: Lattice, trials: int, seed: RngSeed, threads: int,
@@ -496,6 +498,7 @@ def sandwich_check(lat: Lattice, c, params: GaussianParams, trials: int,
     wrong and is narrower.
     """
     s0, s = params.sigma0, params.sigma
+    spec = build_spec(lat, s0, c)  # its n <= 12 check precedes the sums
     sigma1 = s0 * s0 / math.sqrt(s0 * s0 + s * s)
     eps1 = flatness(lat, sigma1).epsilon
     eps2 = flatness(lat, s0).epsilon
@@ -505,7 +508,6 @@ def sandwich_check(lat: Lattice, c, params: GaussianParams, trials: int,
     lo = (1.0 - eps1) / (1.0 + eps2)
     hi = (1.0 + eps1) / (1.0 - eps2)
     _check_trials(trials)
-    spec = build_spec(lat, s0, c)
     n_s, n_p, n_both = _count_errors(lat, trials, seed, threads, spec, params,
                                      params.sigma_tilde)
     if n_s < 50 or n_p < 50:

@@ -178,7 +178,7 @@ def _check_half_ball(lat, radius, monkeypatch):
 def test_ball_d2_half_ball_is_full_ball(fresh_lattice, name, dual,
                                         monkeypatch):
     lat = fresh_lattice(name)
-    lat = lat.dual() if dual else lat
+    lat = lat.dual if dual else lat
     unit = lat.volume ** (1.0 / lat.n)
     rng = np.random.default_rng(sum(map(ord, name)) + dual)
     for radius in (lat.lambda1_lb() * (1.0 + 1e-9),
@@ -248,7 +248,7 @@ def test_flatness_of_skewed_unimodular_basis():
     # columns up to 3^7 long: the dual is built directly, not refused as
     # singular, and the flatness is Z8's
     skew = make_lattice(np.eye(8) + 3.0 * np.eye(8, k=1))
-    assert abs(skew.dual().volume - 1.0) < 1e-9
+    assert abs(skew.dual.volume - 1.0) < 1e-9
     assert flatness(skew, 1.5).epsilon == pytest.approx(
         8.2357602951942425e-19, rel=1e-9)
     assert flatness(Z8, 1.5).epsilon == pytest.approx(
@@ -298,12 +298,12 @@ FLATNESS_PINNED = {
 @pytest.mark.parametrize("name,sigma", list(FLATNESS_PINNED))
 def test_flatness_cached_matches_cold_and_pinned(fresh_lattice, name, sigma):
     lat = fresh_lattice(name)
-    dual = lat.dual()
+    dual = lat.dual
     other = flatness(lat, 1.5 * sigma)
     rep = flatness(lat, sigma)
     assert flatness(lat, sigma) is rep
     assert flatness(lat, 1.5 * sigma) is other
-    assert lat.dual() is dual
+    assert lat.dual is dual
     cold = flatness(fresh_lattice(name), sigma)
     assert cold is not rep
     assert cold.as_dict() == rep.as_dict()

@@ -559,7 +559,9 @@ def test_numeric_precondition_is_exit_3(tmp_path, capsys):
     ("rate", "lattice = Zn:2\nsigma0 = 1e-200\nsigma = 1.0\n"),
     ("sample", "lattice = Zn:2\nsigma0 = 1e-200\n"),
     ("simulate", "lattice = Zn:2\nsigma0 = 2.0\nsigma = 1e-200\ntrials = 64\n"),
-], ids=["flatness", "rate", "sample", "simulate"])
+    # each square is in range, but sigma0^2 / sigma^2 overflows
+    ("simulate", "lattice = Zn:2\nsigma0 = 1e150\nsigma = 1e-150\n"),
+], ids=["flatness", "rate", "sample", "simulate", "snr-overflow"])
 def test_sigma_whose_square_underflows_is_exit_3(tmp_path, capsys, command,
                                                  body):
     cfg = _write_config(tmp_path, body)
@@ -663,3 +665,21 @@ def test_benchmark_tracer_names_exist(monkeypatch):
                if not callable(getattr(importlib.import_module(mod), attr,
                                        None))]
     assert tracing.PATCHES and missing == []
+
+
+def test_benchmark_tracer_sees_the_certified_sums(monkeypatch):
+    # the tracer counts ball enumerations at enumerate_ball; the half balls
+    # that flatness sums at the origin must pass through it too
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec.loader.exec_module(tracing)
+    for mod, attr, *_ in tracing.PATCHES:
+        mod = importlib.import_module(mod)
+        monkeypatch.setattr(mod, attr, getattr(mod, attr))  # undone after
+    tracer = tracing.Tracer("test")
+    tracer.install()
+    importlib.import_module("lgc.analytics").flatness(
+        standard_lattice("E8"), 0.42)
+    assert tracing.layer_metrics(tracer.spans)["lattice.enum_ball_calls"] > 0

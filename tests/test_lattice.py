@@ -1,5 +1,6 @@
 """Lattice construction, exact CVP, ball enumeration, serialization."""
 
+import dataclasses
 import inspect
 import math
 
@@ -77,6 +78,12 @@ def test_standard_lattices_volumes_and_minima():
         standard_lattice("Zn")
 
 
+def test_lattice_takes_only_its_fields():
+    # the derived geometry is cached on first read, never passed in
+    assert [f.name for f in dataclasses.fields(Lattice) if f.init] == [
+        "basis", "label", "structure", "lambda1"]
+
+
 def test_scale_and_dual():
     e8 = standard_lattice("E8")
     s = e8.scale(2.5)
@@ -85,7 +92,7 @@ def test_scale_and_dual():
     with pytest.raises(SingularBasis):
         e8.scale(0.0)
     # E8 is self-dual: dual volume 1 and same kissing count at radius sqrt(2)
-    dual = e8.dual()
+    dual = e8.dual
     assert abs(dual.volume - 1.0) < 1e-9
     _, d2 = enumerate_ball(dual, np.zeros(8), 1.5)
     assert int(np.sum(np.abs(d2 - 2.0) < 1e-9)) == 240
@@ -107,7 +114,7 @@ def test_kissing_numbers():
 def _brute_cvp(lat, y, reach=5):
     """Exhaustive CVP over a coefficient box centered on the rounded preimage."""
     n = lat.n
-    u0 = np.rint(lat.inv() @ y).astype(np.int64)
+    u0 = np.rint(lat.inv @ y).astype(np.int64)
     rng = [np.arange(c - reach, c + reach + 1) for c in u0]
     grids = np.meshgrid(*rng, indexing="ij")
     U = np.stack([g.ravel() for g in grids], axis=1)
@@ -219,8 +226,8 @@ def test_batch_matches_enum_nearest(name, n, holes, scale, monkeypatch):
     monkeypatch.undo()
     assert searched == [int(np.sum(~ok))]  # one pass over every refused row
 
-    q, _ = lat.qr()
-    diag, cols = lat._dfs_tabs()
+    q, _ = lat.qr
+    diag, cols = lat._dfs_tabs
     mismatches = sum(
         _enum_nearest(diag, cols, t)[0][0][0] != tuple(g)
         for t, g in zip((ys @ q).tolist(), got.tolist()))
@@ -271,7 +278,7 @@ _UNTAGGED = {
 
 
 def _minimal_vectors(lat):
-    red, _ = lat.reduced()
+    red, _ = lat.reduced
     reach = float(np.min(np.linalg.norm(red.basis, axis=0)))
     u, d2 = enumerate_ball(lat, np.zeros(lat.n), reach * (1 + 1e-9))
     nonzero = d2 > 0
@@ -283,11 +290,11 @@ def _minimal_vectors(lat):
 def test_reduced_basis_is_lll_and_certified(name):
     build, _ = _UNTAGGED[name]
     lat = build()
-    red, t = lat.reduced()
-    assert lat.reduced()[0] is red
+    red, t = lat.reduced
+    assert lat.reduced[0] is red
     assert t.dtype == np.int64 and round(abs(np.linalg.det(t))) == 1
     assert np.array_equal(red.basis, lat.basis @ t)
-    _, r = red.qr()
+    _, r = red.qr
     n = lat.n
     for k in range(1, n):
         mu = r[:k, k] / np.diag(r)[:k]
@@ -348,7 +355,7 @@ def test_far_ties_take_the_guard_band(lo, hi, monkeypatch):
     points nearest a midpoint of a minimal vector, up to |y| = 1e6."""
     a2 = standard_lattice("A2")
     lat = make_lattice(a2.basis @ np.array([[2, 5], [1, 3]]), label="skewA2")
-    assert not np.array_equal(lat.reduced()[1], np.eye(2))
+    assert not np.array_equal(lat.reduced[1], np.eye(2))
     mins = np.array([[1.0, 0.0], [0.5, _SQRT3 / 2.0], [-0.5, _SQRT3 / 2.0]])
     rng = np.random.default_rng(5)
     k = 1500
@@ -539,7 +546,7 @@ def test_enumerate_ball_d2_only_matches_coeff_mode(fresh_lattice, name,
 @pytest.mark.parametrize("name", ["Z4", "D4", "E8", "A2", "lift"])
 def test_ball_search_matches_enumerate_ball_per_center(fresh_lattice, name):
     lat = fresh_lattice(name)
-    q, r = lat.qr()
+    q, r = lat.qr
     rng = np.random.default_rng(23)
     centers = rng.uniform(-2.0, 2.0, (7, lat.n)) @ lat.basis.T
     # a deep-hole center with a ball too small to hold any point
@@ -584,7 +591,7 @@ def test_ball_search_masked_and_unmasked_levels_agree(fresh_lattice, name):
     one center with coefficients, packed or d2 only, the half ball, and
     many centers."""
     lat = fresh_lattice(name)
-    q, r = lat.qr()
+    q, r = lat.qr
     unit = lat.volume ** (1.0 / lat.n)
     rng = np.random.default_rng(41)
     centers = np.concatenate([np.zeros((1, lat.n)),
@@ -617,8 +624,8 @@ def _box_ball(lat, tmat, rad2):
     count the same way.  Points come grouped by center, each group sorted
     by (u_{n-1}, ..., u_0).
     """
-    _, r = lat.qr()
-    stretch = np.linalg.norm(lat.inv(), 2)  # |u - inv(B) c| <= radius*stretch
+    _, r = lat.qr
+    stretch = np.linalg.norm(lat.inv, 2)  # |u - inv(B) c| <= radius*stretch
     out = []
     for i, (t, r2) in enumerate(zip(tmat, rad2)):
         mid = np.rint(np.linalg.solve(r, t)).astype(np.int64)
@@ -645,7 +652,7 @@ def test_ball_search_order_matches_box(fresh_lattice, name):
     within each; _lex_best, scheme._map_batch and the sampler's table all
     rely on this order.  Coefficients and d2 match a box scan exactly."""
     lat = _skew_a2() if name == "skewA2" else fresh_lattice(name)
-    q, r = lat.qr()
+    q, r = lat.qr
     rng = np.random.default_rng(31)
     centers = rng.uniform(-3.0, 3.0, (6, lat.n)) @ lat.basis.T
     centers[2] = 0.0  # balls through lattice points: ties on the edge
@@ -673,7 +680,7 @@ def test_enumerate_ball_far_center_keeps_edge_points():
     mag = 10.0 ** rng.uniform(3.8, 4.2, size=(k, 1))
     base = np.rint(mag * rng.normal(size=(k, 2))) @ a2.basis.T
     centers = base + 0.5 * mins[rng.integers(3, size=k)]
-    q, _ = lat.qr()
+    q, _ = lat.qr
     tmat = np.stack([c @ q for c in centers])  # enumerate_ball's own frame
     _, want_u, want_d2 = _box_ball(lat, tmat, np.full(k, 0.25))
     got = [enumerate_ball(lat, c, 0.5) for c in centers]

@@ -8,6 +8,7 @@ import pytest
 from lgc.errors import (
     ConfigError,
     DimensionMismatch,
+    DimensionTooLarge,
     FlatnessTooLarge,
     InsufficientErrors,
     MuBelowOne,
@@ -95,6 +96,12 @@ def test_params_values():
         make_params(0.0, 1.0)
     with pytest.raises(NonpositiveSigma):
         make_params(1.0, -2.0)
+
+
+def test_params_reject_an_snr_past_float_range():
+    # each square is a normal float, but their ratio is not
+    with pytest.raises(NonpositiveSigma, match="overflows"):
+        make_params(1e150, 1e-150)
 
 
 @pytest.mark.parametrize("call,error", [
@@ -473,7 +480,7 @@ def test_map_parity_matches_exhaustive_box(shift):
     ks = ks[ks.sum(axis=1) % 2 == 0]
     ax = spec.lattice.structure
     pts = ks * ax.steps + ax.offsets[0]
-    coeffs = np.rint(pts @ D4.inv().T).astype(np.int64)
+    coeffs = np.rint(pts @ D4.inv.T).astype(np.int64)
     rng = np.random.default_rng(8)
     for _ in range(60):
         d = rng.standard_normal(4)
@@ -514,6 +521,24 @@ def test_decode_agreement_structured():
     rep = decode_agreement(D4, np.zeros(4), p, 128, RngSeed(22, 0), spec=spec)
     assert rep.agreements + rep.ties == 128
     assert rep.mismatches == 0
+
+
+@pytest.mark.parametrize("other", ["lattice", "sigma0", "shift", "shape"])
+def test_decode_agreement_rejects_a_spec_of_other_inputs(other):
+    # the spec fixes the lattice, sigma0 and shift that the trials draw
+    # from; decoding them against other ones would count false mismatches
+    spec = build_spec(Z8, 3.0, np.zeros(8))
+    lat, c, p = Z8, np.zeros(8), make_params(3.0, 1.0)
+    if other == "lattice":
+        lat = standard_lattice("Zn", 8)
+    elif other == "sigma0":
+        p = make_params(2.0, 1.0)
+    elif other == "shift":
+        c = np.full(8, 0.5)
+    else:
+        c = np.zeros(3)
+    with pytest.raises(DimensionMismatch):
+        decode_agreement(lat, c, p, 100, RngSeed(23, 0), spec=spec)
 
 
 # ---------------------------------------------------------------------------
@@ -580,7 +605,7 @@ def test_threads_do_not_change_counts_on_lift(fresh_lattice):
     lat = fresh_lattice("lift")
     noise = math.sqrt(lat.volume ** (2.0 / lat.n) / (2.0 * math.pi * math.e * 2.0))
     one = simulate_poltyrev(lat, noise, 2 * BLOCK + 7, RngSeed(12, 1))
-    assert lat._reduced is not None  # built before any worker thread
+    assert "reduced" in vars(lat)  # built before any worker thread
     two = simulate_poltyrev(fresh_lattice("lift"), noise, 2 * BLOCK + 7,
                             RngSeed(12, 1), threads=2)
     assert one.errors == two.errors > 0
@@ -588,28 +613,27 @@ def test_threads_do_not_change_counts_on_lift(fresh_lattice):
 
 @pytest.mark.parametrize("name", ["E8", "lift"])
 def test_warm_decoder_builds_what_the_batch_decoder_reads(fresh_lattice, name):
-    """After _warm_decoder, closest_points_batch builds no cache of its own,
-    on rows that take every pass: certified rows and exact ties (midpoints
-    of minimal vectors, found on a second copy of the lattice)."""
+    """After _warm_decoder, closest_points_batch adds or replaces no
+    attribute of the lattice or of its reduction, on rows that take every
+    pass: certified rows and exact ties (midpoints of minimal vectors,
+    found on a second copy of the lattice)."""
     probe = fresh_lattice(name)
-    reach = float(np.min(np.linalg.norm(probe.reduced()[0].basis, axis=0)))
+    reach = float(np.min(np.linalg.norm(probe.reduced[0].basis, axis=0)))
     u, d2 = enumerate_ball(probe, np.zeros(probe.n), reach * (1 + 1e-9))
     short = u[(d2 > 0) & (d2 <= d2[d2 > 0].min() * (1 + 1e-9))]
     rng = np.random.default_rng(3)
     ys = np.concatenate([0.5 * short @ probe.basis.T,
                          0.3 * reach * rng.normal(size=(200, probe.n))])
     lat = fresh_lattice(name)
-    scheme_mod._warm_decoder(lat)
-    assert lat._qr is not None and lat._inv is not None
-    assert lat._sigma_min is not None
-    assert (lat._reduced is None) == (lat.structure is not None)
-    frames = [lat] + ([] if lat._reduced is None else [lat._reduced[0]])
-    caches = ("_qr", "_inv", "_sigma_min", "_reduced", "_cols", "lambda1")
-    warm = [[getattr(f, c) for c in caches] for f in frames]
+    lattice_mod._warm_decoder(lat)
+    assert {"qr", "inv", "sigma_min"} <= vars(lat).keys()
+    assert ("reduced" in vars(lat)) == (lat.structure is None)
+    frames = [lat] + ([lat.reduced[0]] if "reduced" in vars(lat) else [])
+    warm = [dict(vars(f)) for f in frames]
     closest_points_batch(lat, ys)
     for f, before in zip(frames, warm):
-        assert all(getattr(f, c) is v for c, v in zip(caches, before))
-    assert lat._cols is None
+        assert vars(f).keys() == before.keys()
+        assert all(vars(f)[k] is v for k, v in before.items())
 
 
 def test_sim_result_csv():
@@ -718,6 +742,16 @@ def test_sandwich_insufficient_errors():
     p = make_params(1.0, 0.05)
     with pytest.raises(InsufficientErrors):
         sandwich_check(Z1, np.zeros(1), p, 2048, RngSeed(1, 0))
+
+
+def test_sandwich_checks_the_dimension_before_the_flatness_sums(monkeypatch):
+    def flatness(*args):
+        raise AssertionError("flatness summed before build_spec's check")
+
+    monkeypatch.setattr(scheme_mod, "flatness", flatness)
+    with pytest.raises(DimensionTooLarge):
+        sandwich_check(standard_lattice("Zn", 20), np.zeros(20),
+                       make_params(math.sqrt(10.0), 1.0), 2048, RngSeed(1, 0))
 
 
 def test_sandwich_flatness_guard():
