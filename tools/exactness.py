@@ -21,6 +21,11 @@ the bit print the same lines.  The families:
 - batch: closest_points_batch on seeded batches, ties included, over Z8,
   D4, E8, a diagonal basis and the lift;
 - map: per-row MAP decodes and decode_agreement counts on structured specs;
+- map_batch: the batched MAP decoder's coefficients (scheme._map_batch) on
+  the map family's four structured specs and on two table specs (Z2 at
+  shift 0.5, and D4 at sigma0 1.3, sigma 0.6), for channel rows, rows out
+  to two truncation radii and rows whose targets sit at half-integer
+  coefficients;
 - lemmas: flatness_direct on Z2, A2 and D4; moment_check and
   entropy_deviation on Z4 (40-digit axis sums), D4 and A2 (enumerated
   support sums); partition_sandwich_check at fixed shifts;
@@ -75,6 +80,7 @@ from lgc.sampler import (
     support_peak,
     tail_event_rate,
 )
+import lgc.scheme
 from lgc.scheme import (
     BLOCK,
     decode_agreement,
@@ -227,10 +233,13 @@ def family_batch(lats: dict) -> str:
     return h.hexdigest()
 
 
+_MAP_SPECS = (("Z8", 2.0, 0.0), ("D4", 1.0, 0.25), ("E8", 1.2, 0.25),
+              ("diag", 1.5, 0.1))
+
+
 def family_map(lats: dict) -> str:
     h = _Hash()
-    for name, sigma0, shift in (("Z8", 2.0, 0.0), ("D4", 1.0, 0.25),
-                                ("E8", 1.2, 0.25), ("diag", 1.5, 0.1)):
+    for name, sigma0, shift in _MAP_SPECS:
         lat = lats[name]
         c = np.full(lat.n, shift)
         params = make_params(sigma0, 1.0)
@@ -241,6 +250,39 @@ def family_map(lats: dict) -> str:
         h.add(name, np.array([map_decode(spec, params, y).coeffs for y in ys]))
         h.add(tuple(decode_agreement(lat, c, params, 3000, RngSeed(303, 0),
                                      spec=spec)))
+    return h.hexdigest()
+
+
+def _map_rows(spec, params, rng, m: int) -> np.ndarray:
+    """Channel rows, rows out to two truncation radii and rows whose
+    targets c + alpha*y sit at half-integer coefficients."""
+    lat, c = spec.lattice, spec.shift
+    sent = sample_coeffs(spec, rng, m) @ lat.basis.T - c
+    channel = sent + params.sigma * rng.normal(size=sent.shape)
+    wide = 2.0 * spec.truncation_radius / math.sqrt(lat.n) \
+        * rng.normal(size=(m, lat.n))
+    half = rng.integers(-3, 4, size=(m, lat.n)) \
+        + 0.5 * rng.integers(0, 2, size=(m, lat.n))
+    ties = (half @ lat.basis.T - c) / params.alpha
+    return np.concatenate([channel, wide, ties])
+
+
+def family_map_batch(lats: dict) -> str:
+    h = _Hash()
+    specs = [(_axis_spec(lats[name], sigma0, np.full(lats[name].n, shift)),
+              make_params(sigma0, 1.0), 300)
+             for name, sigma0, shift in _MAP_SPECS]
+    # the D4 table holds 41,654 points, and _map_table scores all per row
+    specs += [(build_spec(standard_lattice("Zn", 2), 2.0, np.full(2, 0.5)),
+               make_params(2.0, 1.0), 300),
+              (build_spec(lats["D4"], 1.3, np.array([0.3, -0.2, 0.7, 0.1])),
+               make_params(1.3, 0.6), 60)]
+    for spec, params, m in specs:
+        lat = spec.lattice
+        ys = _map_rows(spec, params, np.random.default_rng(19), m)
+        mmse = closest_points_batch(lat, params.alpha * ys + spec.shift)
+        h.add(lat.label, spec.backend,
+              lgc.scheme._map_batch(spec, params, ys, mmse))
     return h.hexdigest()
 
 
@@ -336,6 +378,7 @@ def main() -> int:
         ("axes", lambda: family_axes(lats)),
         ("batch", lambda: family_batch(lats)),
         ("map", lambda: family_map(lats)),
+        ("map_batch", lambda: family_map_batch(lats)),
         ("lemmas", lambda: family_lemmas(lats)),
         ("sandwich_csv", family_sandwich_csv),
         ("sandwich_paired", family_sandwich_paired),
