@@ -468,12 +468,18 @@ def entropy_check(lat: Lattice, sigma0: float, c) -> EntropyReport:
     c = _lemma_args(lat, sigma0, c, "entropy check")
     eps = _require_small_eps(lat, sigma0)
     n = lat.n
-    eps_prime = -math.log1p(-eps) / n + math.pi * eps / (n * (1.0 - eps))
     _, ent = _support_stats(lat, sigma0, c)
     reference = (math.log(math.sqrt(2.0 * math.pi * math.e) * sigma0)
                  - math.log(lat.volume) / n)
     return EntropyReport(entropy_rate=float(ent) / n, reference=reference,
-                         epsilon_prime=eps_prime)
+                         epsilon_prime=eps_prime_formula(n, eps))
+
+
+def eps_prime_formula(n: int, eps: float) -> float:
+    """Entropy-rate slack from a flatness factor eps at sigma0/2."""
+    if not eps < 1.0:
+        raise FlatnessTooLarge(f"flatness factor must be below 1, got {eps:.3g}")
+    return -math.log1p(-eps) / n + math.pi * eps / (n * (1.0 - eps))
 
 
 def entropy_deviation(lat: Lattice, sigma0: float, c) -> float:

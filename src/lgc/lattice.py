@@ -542,7 +542,7 @@ def _reduced_exact(lat: Lattice, ys: np.ndarray) -> np.ndarray:
 
 
 def _ball_nearest(lat: Lattice, ys: np.ndarray, u: np.ndarray,
-                  tie_rel, keep=None) -> tuple:
+                  tie_rel) -> tuple:
     """(coeffs, count): the nearest points of lat to the rows of ys.
 
     u holds one lattice point per row, coefficients in lat's basis; its
@@ -554,10 +554,9 @@ def _ball_nearest(lat: Lattice, ys: np.ndarray, u: np.ndarray,
     lexicographically smallest coefficients among its points with d2 <=
     best + tie_rel * (1 + best), as _enum_nearest breaks ties, and the
     count of those points.  tie_rel is a scalar or one value per row.
-    keep, when given, maps coefficient rows to a bool mask, and only the
-    points it keeps compete; a row none of whose points is kept counts 0
-    and keeps its u.  Rows go _DECODE_CHUNK at a time, so no level's
-    prefix count nears POINT_CAP.
+    Rows go _DECODE_CHUNK at a time, so no level's prefix count nears
+    POINT_CAP.  The batch nearest-point decoders call it; the batched MAP
+    decoder (scheme._map_batch) keeps their answers and searches no ball.
     """
     q, r = lat.qr
     m = ys.shape[0]
@@ -571,9 +570,6 @@ def _ball_nearest(lat: Lattice, ys: np.ndarray, u: np.ndarray,
         rad2 = bound + band * (1.0 + bound)
         root, cand, d2 = _ball_search(r, tmat, rad2,
                                       slop=_edge_slop(lat, tmat, rad2))
-        if keep is not None:
-            ok = keep(cand)
-            root, cand, d2 = root[ok], cand[ok], d2[ok]
         rows, best, count[i:i + _DECODE_CHUNK] = _lex_best(
             tmat.shape[0], root, cand, d2, band)
         out[i + rows] = best

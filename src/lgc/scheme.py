@@ -13,13 +13,14 @@ sigma^2).  The Monte Carlo harness verifies this equivalence trial by
 trial and brackets the scheme's error rate between flatness-factor
 multiples of the plain Voronoi-escape rate at sigma_tilde.
 
-The two sides of the equivalence are decoded apart, a block of trials at a
-time: MMSE by the batch nearest-point decoder, MAP by the lattice's one
-multi-center nearest-point search (lattice._ball_nearest) restricted to
-the support, which ranks the feasible points by distance to each target
-c + alpha*y, the posterior in completed-square form (or, for tabulated
-supports, by scoring every support point).  The per-row MAP reference,
-map_decode, searches the support's per-axis box instead of a ball.
+The two sides of the equivalence are decoded a block of trials at a time:
+MMSE by the batch nearest-point decoder, MAP by _map_batch.  On a
+structured support the batched MAP keeps the MMSE point wherever it lies
+in the support, since the nearest lattice point to c + alpha*y is then the
+nearest support point, and asks the per-row reference map_decode
+otherwise; it searches no ball.  map_decode itself searches the support's
+per-axis box, and a tabulated support is scored point by point with the
+posterior, with no completed square.
 
 One block engine runs every Monte Carlo arm.  Trials are sharded into
 fixed blocks of 2^14; block b draws its signal from RNG lane 2b and its
@@ -43,12 +44,17 @@ from .errors import (
     MuBelowOne,
     NonpositiveSigma,
 )
-from .analytics import _check_positive, _two_pi_var, flatness, gsnr
+from .analytics import (
+    _check_positive,
+    _two_pi_var,
+    eps_prime_formula,
+    flatness,
+    gsnr,
+)
 from .lattice import (
     TIE_REL,
     Lattice,
     LatticePoint,
-    _ball_nearest,
     _enum_nearest,  # noqa: F401  bound here for perfbench/tracing.py
     _vector,
     _warm_decoder,
@@ -68,8 +74,8 @@ from .sampler import (
 
 Z95 = 1.959963984540054
 BLOCK = 1 << 14
-# trials decoded per step of decode_agreement: keeps the ball search's
-# prefix arrays, and the peak memory, small
+# trials decoded per step of decode_agreement: keeps the decoders'
+# per-row temporaries, and so the peak memory, small
 _AGREE_CHUNK = 512
 CSV_HEADER = ("lattice,label,n,sigma0,sigma,alpha,sigma_tilde,V,mu,"
               "trials,errors,p_hat,ci_low,ci_high,seed")
@@ -136,19 +142,20 @@ def map_decode(spec: DiscreteGaussianSpec, params: GaussianParams, y) -> Lattice
     Table specs score every support point exhaustively.  Structured specs
     minimize the completed-square metric |B u - (c + alpha*y)|^2 over the
     support box of the spec's axis layout by _box_search, which walks the
-    axes themselves and searches no lattice ball: this per-row reference
-    stays apart from the ball search that _map_batch, the batched decoder
-    of decode_agreement, runs on the rows it can settle.  Ties (squared
-    distance within TIE_REL * (1 + best)) break to the lexicographically
-    smallest coefficient vector.
+    axes themselves and uses no nearest-point decoder: this per-row
+    reference stays apart from _map_batch, the batched decoder of
+    decode_agreement, which keeps the MMSE point where it can.  Ties
+    (squared distance within TIE_REL * (1 + best)) break to the
+    lexicographically smallest coefficient vector.
     """
     lat = spec.lattice
     y = _vector(y, lat.n, "y")
     c = spec.shift
     if spec.backend == "table":
-        return _map_table(spec, params, y)
-    ties = _box_search(spec, c + params.alpha * y)
-    coeffs = ties[np.lexsort(ties.T[::-1])[0]]
+        coeffs = _map_table(spec, params, y)
+    else:
+        ties = _box_search(spec, c + params.alpha * y)
+        coeffs = ties[np.lexsort(ties.T[::-1])[0]]
     return LatticePoint(coeffs, lat.basis @ coeffs.astype(float) - c)
 
 
@@ -226,57 +233,45 @@ def _box_search(spec: DiscreteGaussianSpec, target: np.ndarray) -> np.ndarray:
     return np.rint(x @ spec.lattice.inv.T).astype(np.int64)
 
 
-def _map_table(spec, params, y):
-    """Exhaustive posterior argmax over the table, lowest index among ties.
+def _map_table(spec, params, y) -> np.ndarray:
+    """Coefficients of the posterior argmax over the table.
 
-    One scoring pass keeps every index at or above the running tie floor
-    best - TIE_REL * (1 + |best|).  The floor only rises as best rises, so
-    the indices inside the final band are all among the kept ones.
+    One pass scores every row log p(x) - |x - y|^2 / (2 sigma^2); the
+    first index at or above best - TIE_REL * (1 + |best|) wins ties.
     """
-    lat = spec.lattice
-    c = spec.shift
     two_ssq = 2.0 * params.sigma * params.sigma
-    logp = np.log(spec.table_probs)
-    best = -math.inf
-    idx = np.empty(0, dtype=np.int64)
-    vals = np.empty(0)
+    score = np.log(spec.table_probs)
     for lo, emb in _table_chunks(spec):
         diff = emb - y
-        score = (logp[lo:lo + emb.shape[0]]
-                 - np.einsum("ij,ij->i", diff, diff) / two_ssq)
-        best = max(best, float(score.max()))
-        floor = best - TIE_REL * (1.0 + abs(best))
-        keep = vals >= floor
-        new = np.nonzero(score >= floor)[0]
-        idx = np.concatenate([idx[keep], lo + new])
-        vals = np.concatenate([vals[keep], score[new]])
-    coeffs = spec.table_rows[int(idx.min())].astype(np.int64)
-    return LatticePoint(coeffs, lat.basis @ coeffs.astype(float) - c)
+        score[lo:lo + emb.shape[0]] -= (np.einsum("ij,ij->i", diff, diff)
+                                        / two_ssq)
+    best = float(score.max())
+    first = np.argmax(score >= best - TIE_REL * (1.0 + abs(best)))
+    return spec.table_rows[first].astype(np.int64)
 
 
 def _map_batch(spec: DiscreteGaussianSpec, params: GaussianParams,
                ys: np.ndarray, mmse: np.ndarray) -> np.ndarray:
     """map_decode's coefficients for every row of ys.
 
-    mmse holds the nearest lattice points to the targets c + alpha*y.
-    Table specs go row by row to _map_table.  On a structured spec no
-    point lies nearer its target than that point, so a feasible point in
-    the ball through it beats every point outside: _ball_nearest searches
-    those balls with the support filter _in_support, and ranks the kept
-    points as map_decode does (squared distance within TIE_REL * (1 + best)
-    of the best, then the lexicographically smallest coefficients).  A
-    row with no candidate in the support (its MMSE point lies outside it)
-    goes to map_decode.
+    mmse holds the nearest lattice points to the targets c + alpha*y, ties
+    broken to the lexicographically smallest coefficients.  Table specs go
+    row by row to _map_table.  On a structured spec a row keeps its MMSE
+    point wherever it lies in the support (_in_support): by the paper's
+    identity no support point is nearer the target, and the point comes
+    first among the support's ties.  The other rows go to map_decode; no
+    ball is searched.  The two can part only in a three-way tie within
+    rounding of the tie band's edge that involves a non-support point,
+    which sets the lattice's band below the support's best: the class of
+    case in which the QR frame and _box_search's sums can already part.
     """
     if not np.all(np.isfinite(ys)):
         raise DimensionMismatch("y must be finite")
     if spec.backend == "table":
-        return np.array([_map_table(spec, params, y).coeffs for y in ys],
+        return np.array([_map_table(spec, params, y) for y in ys],
                         dtype=np.int64).reshape(mmse.shape)
-    out, count = _ball_nearest(spec.lattice, spec.shift + params.alpha * ys,
-                               mmse, TIE_REL,
-                               keep=lambda u: _in_support(spec, u))
-    for i in np.nonzero(count == 0)[0].tolist():
+    out = mmse.copy()
+    for i in np.nonzero(~_in_support(spec, mmse))[0].tolist():
         out[i] = map_decode(spec, params, ys[i]).coeffs
     return out
 
@@ -617,15 +612,6 @@ class RateBudget:
     def as_dict(self) -> dict:
         return {"n": self.n, "eps": self.eps, "eps_prime": self.eps_prime,
                 "eps_dprime": self.eps_dprime, "rate_lower": self.rate_lower}
-
-
-def eps_prime_formula(n: int, eps: float) -> float:
-    """Entropy-rate slack from a flatness factor eps at sigma0/2."""
-    if not eps < 1.0:
-        raise FlatnessTooLarge(f"flatness factor must be below 1, got {eps:.3g}")
-    if eps == 0.0:
-        return 0.0
-    return -math.log(1.0 - eps) / n + math.pi * eps / (n * (1.0 - eps))
 
 
 def rate_lower_formula(n: int, snr: float, eps: float,

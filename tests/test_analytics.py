@@ -14,6 +14,7 @@ from lgc.analytics import (
     _tail_bound,
     entropy_check,
     entropy_deviation,
+    eps_prime_formula,
     flatness,
     flatness_direct,
     gaussian_density,
@@ -26,6 +27,7 @@ from lgc.errors import (
     BudgetExceeded,
     DimensionMismatch,
     DimensionTooLarge,
+    FlatnessTooLarge,
     NonpositiveSigma,
 )
 from lgc.lattice import enumerate_ball, make_lattice, standard_lattice
@@ -406,6 +408,9 @@ def test_entropy_check_grid(n, sigma0):
     lat = standard_lattice("Zn", n)
     c = np.full(n, 0.3)
     rep = entropy_check(lat, sigma0, c)
+    # one eps' formula: the one lgc rate reports
+    eps = flatness(lat, sigma0 / 2.0).epsilon
+    assert rep.epsilon_prime == eps_prime_formula(n, eps)
     # the per-dimension entropy sits within eps' of the Gaussian reference
     assert abs(rep.entropy_rate - rep.reference) <= rep.epsilon_prime + 1e-15
     # and at full working precision the deviation honors the bound too
@@ -430,6 +435,13 @@ def test_enumerated_support_stats_match_axis_sums(sigma0, shift):
     assert moment_check(skew, sigma0, c).passed
     rep = entropy_check(skew, sigma0, c)
     assert entropy_deviation(skew, sigma0, c) <= rep.epsilon_prime
+
+
+@pytest.mark.parametrize("fn", [moment_check, entropy_check])
+def test_lemmas_need_small_flatness(fn):
+    # Z4 at sigma0 0.2: the flatness factor at sigma0/2 is 252
+    with pytest.raises(FlatnessTooLarge, match="252 >= 1"):
+        fn(Z4, 0.2, np.zeros(4))
 
 
 def test_moment_check_dimension_guard():

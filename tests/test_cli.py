@@ -154,6 +154,21 @@ def test_sample_run_and_determinism(tmp_path):
     assert out.read_text() != first
 
 
+def test_sample_shift_per_coordinate(tmp_path):
+    cfg = _write_config(tmp_path, """
+        lattice = Zn:2
+        sigma0 = 1.0
+        shift = 0.1, 0.2
+        trials = 4
+    """)
+    out = tmp_path / "draws.csv"
+    assert main(["sample", "--config", cfg, "--out", str(out)]) == 0
+    assert _manifest(out)["spec"]["shift"] == [0.1, 0.2]
+    for r in _rows(out)[1]:
+        u0, u1, x0, x1 = r.split(",")
+        assert (float(x0), float(x1)) == (int(u0) - 0.1, int(u1) - 0.2)
+
+
 def test_simulate_design_volume(tmp_path):
     cfg = _write_config(tmp_path, """
         lattice = E8
@@ -322,15 +337,18 @@ _UTF8 = "is not UTF-8 text: byte 9: invalid continuation byte"
     ("basis", "dir", "cannot read basis file"),
     ("basis", "nan", "holds a non-finite entry"),
     ("basis", "inf", "holds a non-finite entry"),
+    ("basis", "empty", "empty basis file"),
 ], ids=["config-latin1", "config-dir", "basis-latin1", "basis-dir",
-        "basis-nan", "basis-inf"])
+        "basis-nan", "basis-inf", "basis-empty"])
 def test_bad_input_files_are_config_errors(tmp_path, capsys, which, bad,
                                            message):
-    """A config or basis file that is not UTF-8 text, a directory, or a
-    basis holding nan or inf exits with code 2 and a message."""
+    """A config or basis file that is not UTF-8 text, a directory, an
+    empty basis or one holding nan or inf exits with code 2 and a message."""
     bad_path = tmp_path / "bad"
     if bad == "dir":
         bad_path.mkdir()
+    elif bad == "empty":
+        bad_path.write_text("")
     elif bad == "latin1":
         bad_path.write_bytes("sigma = 1\xe9\n".encode("latin-1"))
     else:
@@ -400,6 +418,9 @@ def test_snr_conflicts_with_sigmas(tmp_path, capsys):
     (["--trials", "0"], None, "--trials must be >= 1, got 0"),
     ([], "abc", "LGC_THREADS must be an integer, got 'abc'"),
     ([], "0", "LGC_THREADS must be >= 1, got 0"),
+    (["--seed", "-1"], None, "master_seed out of u64 range: -1"),
+    (["--seed", str(1 << 64)], None,
+     "master_seed out of u64 range: 18446744073709551616"),
 ])
 def test_run_size_flags_validated(tmp_path, capsys, monkeypatch, flags, env,
                                   message):
@@ -465,10 +486,13 @@ def test_nonfinite_config_floats_rejected(tmp_path, capsys, command, body,
      "ensemble needs p, n, k, scale, sigma"),
     ("simulate", "lattice = Zn:2\nsigma0 = 2.0\nsigma = 1.0\nthreads = 0\n",
      "key 'threads' must be >= 1, got 0"),
+    ("simulate", "lattice = Zn:2\nsigma0 = 2.0\nsigma = 1.0\nvolume = -1\n",
+     "volume must be positive, got -1.0"),
+    ("flatness", "lattice = Dn:1\nsigma = 1.0\n", "Dn needs a dimension n >= 2"),
 ], ids=["empty-value", "sigma-zero", "eps_dprime-negative", "lattice-dim",
         "shift-length", "axis-not-sweepable", "axis-without-grid",
         "sigma-missing", "flatness-sigma", "exponent-mu", "sample-sigma0",
-        "ensemble-keys", "threads-zero"])
+        "ensemble-keys", "threads-zero", "volume-negative", "lattice-dn1"])
 def test_config_errors_name_the_key(tmp_path, capsys, command, body, message):
     cfg = _write_config(tmp_path, body)
     out = tmp_path / "x.csv"

@@ -649,8 +649,8 @@ def _skew_a2():
 @pytest.mark.parametrize("name", ["Z4", "D4", "A2", "skewA2"])
 def test_ball_search_order_matches_box(fresh_lattice, name):
     """Points come grouped by center and sorted by (u_{n-1}, ..., u_0)
-    within each; _lex_best, scheme._map_batch and the sampler's table all
-    rely on this order.  Coefficients and d2 match a box scan exactly."""
+    within each; _lex_best and the sampler's table both rely on this
+    order.  Coefficients and d2 match a box scan exactly."""
     lat = _skew_a2() if name == "skewA2" else fresh_lattice(name)
     q, r = lat.qr
     rng = np.random.default_rng(31)

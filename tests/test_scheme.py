@@ -409,7 +409,8 @@ def test_map_batch_matches_map_decode(case, monkeypatch):
 def test_map_decode_searches_no_ball(case, monkeypatch):
     # the per-row reference walks the support box's axes: with the ball
     # engine and the nearest-point decoders disabled it still decodes
-    # in-box, halfway-tie and far targets, as the batched ball search does
+    # in-box, halfway-tie and far targets; the batched decoder, given the
+    # MMSE points, searches no ball either
     lat, s0, s, shift, axis = MAP_CASES[case]
     p = make_params(s0, s)
     c = np.full(lat.n, shift)
@@ -423,8 +424,8 @@ def test_map_decode_searches_no_ball(case, monkeypatch):
     far = 2.0 * spec.truncation_radius / math.sqrt(lat.n) \
         * rng.standard_normal((30, lat.n))
     ys = np.concatenate([inside, half, far])
-    want = scheme_mod._map_batch(spec, p, ys,
-                                 closest_points_batch(lat, p.alpha * ys + c))
+    mmse = closest_points_batch(lat, p.alpha * ys + c)
+    want = scheme_mod._map_batch(spec, p, ys, mmse)
 
     def refuse(*args, **kwargs):
         raise AssertionError("map_decode searched a lattice ball")
@@ -434,6 +435,7 @@ def test_map_decode_searches_no_ball(case, monkeypatch):
         monkeypatch.setattr(mod, name, refuse)
     got = np.array([map_decode(spec, p, y).coeffs for y in ys])
     assert np.array_equal(got, want)
+    assert np.array_equal(scheme_mod._map_batch(spec, p, ys, mmse), want)
 
 
 def test_map_stays_in_the_support_box():
@@ -501,11 +503,21 @@ def test_map_rejects_bad_shape():
 
 
 def test_decode_agreement_small():
-    p = make_params(2.0, 1.0)
-    rep = decode_agreement(Z2, np.zeros(2), p, 300, RngSeed(21, 0))
-    assert rep.trials == 300
-    assert rep.agreements + rep.ties == 300
-    assert rep.mismatches == 0
+    # on a table, _map_table scores log p(x) - |y - x|^2 / (2 sigma^2)
+    # over every support point with no completed square: an independent
+    # check of MAP = MMSE-scaled lattice decoding
+    for lat, s0, s, shift, trials, size in (
+            (Z2, 2.0, 1.0, [0.0, 0.0], 300, 845),
+            (D4, 1.0, 0.6, [0.3, -0.2, 0.7, 0.1], 300, 14_581),
+            (E8, 0.3, 0.2, [0.25] * 8, 100, 40_176)):
+        c = np.array(shift)
+        spec = build_spec(lat, s0, c)
+        assert spec.backend == "table" and len(spec.table_rows) == size
+        rep = decode_agreement(lat, c, make_params(s0, s), trials,
+                               RngSeed(21, 0), spec=spec)
+        assert rep.trials == trials
+        assert rep.agreements + rep.ties == trials
+        assert rep.mismatches == 0
 
 
 @pytest.mark.parametrize("trials", [0, -1])
