@@ -24,13 +24,10 @@ from .lattice import (
     LatticePoint,
     closest_point,
     closest_points_batch,
-    contains,
     coset_decode,
     enumerate_ball,
     load_basis,
     make_lattice,
-    mod_lattice,
-    save_basis,
     standard_lattice,
 )
 from .analytics import (
@@ -42,7 +39,6 @@ from .analytics import (
     eps_prime_formula,
     flatness,
     flatness_direct,
-    gaussian_density,
     gsnr,
     moment_check,
     partition_sandwich_check,
@@ -62,18 +58,14 @@ from .scheme import (
     PoltyrevPoint,
     RateBudget,
     SimResult,
-    awgn,
-    check_conditions,
     decode_agreement,
     design_volume,
     feasible_volume_interval,
     make_params,
     map_decode,
     mmse_decode,
-    mmse_gap,
     paired_ratio_interval,
     poltyrev_exponent,
-    power_stats,
     rate_budget,
     rate_lower_formula,
     sandwich_check,
@@ -86,9 +78,7 @@ from .construction_a import (
     LinearCode,
     ensemble_search,
     lift,
-    load_code,
     random_code,
-    save_code,
     theorem1_bound,
 )
 

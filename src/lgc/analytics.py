@@ -59,9 +59,6 @@ class FlatnessReport:
     theta: ThetaValue
     epsilon: float
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class EntropyReport:
@@ -491,15 +488,3 @@ def entropy_deviation(lat: Lattice, sigma0: float, c) -> float:
         ref = (mp.log(mp.sqrt(2 * mp.pi * mp.e) * mp.mpf(float(sigma0)))
                - mp.log(mp.mpf(lat.volume)) / n)
         return float(abs(mp.mpf(ent) / n - ref))
-
-
-def gaussian_density(sigma: float, c, x) -> float:
-    """Density of the n-dim Gaussian with deviation sigma centered at c."""
-    var = _two_pi_var("sigma", sigma)
-    c = np.asarray(c, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if c.shape != x.shape or c.ndim != 1:
-        raise DimensionMismatch(f"shapes {c.shape} vs {x.shape}")
-    n = c.size
-    d2 = float(np.sum((x - c) ** 2))
-    return var ** (-n / 2.0) * math.exp(-d2 / (2.0 * sigma * sigma))

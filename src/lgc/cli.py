@@ -39,6 +39,7 @@ from .sampler import build_spec, sample, sample_csv
 from .scheme import (
     CSV_HEADER,
     design_volume,
+    feasible_volume_interval,
     make_params,
     poltyrev_exponent,
     rate_budget,
@@ -286,7 +287,9 @@ def _run_sandwich(raw, points, seed, trials, threads):
                           "errors_poltyrev": res.poltyrev.errors,
                           "errors_both": res.both_errors,
                           "paired_lo": res.paired_lo,
-                          "paired_hi": res.paired_hi})
+                          "paired_hi": res.paired_hi,
+                          "v2n": lat.volume ** (2.0 / lat.n),
+                          "v2n_window": feasible_volume_interval(params)})
     return CSV_HEADER, rows, {"sandwich": summaries}
 
 

@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import ConfigError, RandomnessExhausted, RankDeficientCode
 from .analytics import FlatnessReport, flatness, gsnr
-from .lattice import Lattice, _read_lines, make_lattice
+from . import lattice
+from .lattice import Lattice, make_lattice
 from .rng import RngSeed, stream
 
 MAX_CODE_ATTEMPTS = 1000
@@ -124,6 +125,9 @@ def random_code(p: int, n: int, k: int, seed: RngSeed,
         raise ConfigError(f"p must be prime, got {p}")
     if not (1 <= k <= n):
         raise ConfigError(f"need 1 <= k <= n, got k={k} n={n}")
+    if n * n > lattice.POINT_CAP:
+        raise ConfigError(f"code length must satisfy n*n <= "
+                          f"{lattice.POINT_CAP}, got n = {n}")
     rng = stream(seed, lane)
     for _ in range(MAX_CODE_ATTEMPTS):
         g = rng.integers(0, p, size=(k, n), dtype=np.int64)
@@ -179,33 +183,3 @@ def ensemble_csv(entries: list, scale: float) -> tuple:
             f"{e.report.gsnr!r},{e.report.epsilon!r},{e.bound!r}"
             for e in entries]
     return ENSEMBLE_CSV_HEADER, rows
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-
-def save_code(code: LinearCode, path: str) -> None:
-    """Write "p n k" then the k generator rows."""
-    with open(path, "w") as fh:
-        fh.write(f"{code.p} {code.n} {code.k}\n")
-        for row in code.generator:
-            fh.write(" ".join(str(int(v)) for v in row) + "\n")
-
-
-def load_code(path: str) -> LinearCode:
-    raw = [ln.strip() for ln in _read_lines(path, "code file") if ln.strip()]
-    if not raw:
-        raise ConfigError(f"{path}: empty code file")
-    head = raw[0].split()
-    if len(head) != 3:
-        raise ConfigError(f"{path}: header must be 'p n k'")
-    try:
-        p, n, k = (int(v) for v in head)
-        rows = [[int(v) for v in ln.split()] for ln in raw[1:]]
-    except ValueError as exc:
-        raise ConfigError(f"{path}: non-integer entry ({exc})") from exc
-    if len(rows) != k or any(len(r) != n for r in rows):
-        raise ConfigError(f"{path}: expected {k} rows of {n} entries")
-    return LinearCode(p, n, k, np.array(rows, dtype=np.int64))

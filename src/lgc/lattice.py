@@ -188,10 +188,6 @@ class Lattice:
     def volume(self) -> float:
         return abs(float(np.linalg.det(self.basis)))
 
-    @property
-    def gram(self) -> np.ndarray:
-        return self.basis.T @ self.basis
-
     @cached_property
     def qr(self) -> tuple:
         """(Q, R) with R upper triangular and positive diagonal."""
@@ -318,6 +314,9 @@ def make_lattice(basis, label: str = "") -> Lattice:
 
 def standard_lattice(name: str, n: int | None = None) -> Lattice:
     """Named constructions: Zn, Dn, E8, A2."""
+    if n is not None and n * n > POINT_CAP:  # before any n-by-n array
+        raise ConfigError(f"{name} dimension must satisfy n*n <= {POINT_CAP}, "
+                          f"got n = {n}")
     if name == "Zn":
         if n is None or n < 1:
             raise ConfigError("Zn needs a dimension n >= 1")
@@ -600,12 +599,6 @@ def _lex_best(m: int, root: np.ndarray, u: np.ndarray, d2: np.ndarray,
     return root[first], u[first], np.bincount(root, minlength=m)
 
 
-def mod_lattice(lat: Lattice, x) -> np.ndarray:
-    """x reduced modulo the lattice: x - closest_point(x)."""
-    x = np.asarray(x, dtype=float)
-    return x - closest_point(lat, x).embedding
-
-
 def coset_decode(lat: Lattice, c, y) -> LatticePoint:
     """Nearest point of the shifted set L - c to y.
 
@@ -615,13 +608,6 @@ def coset_decode(lat: Lattice, c, y) -> LatticePoint:
     c = _vector(c, lat.n, "shift")
     p = closest_point(lat, _vector(y, lat.n, "point") + c)
     return LatticePoint(p.coeffs, p.embedding - c)
-
-
-def contains(lat: Lattice, x, tol: float = 1e-6) -> bool:
-    """Membership test: x is a lattice vector up to the given residual."""
-    x = _vector(x, lat.n, "point")
-    u = np.round(lat.inv @ x)
-    return bool(np.linalg.norm(lat.basis @ u - x) < tol)
 
 
 # ---------------------------------------------------------------------------
@@ -858,16 +844,8 @@ def _path_d2(r: np.ndarray, tmat: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# plain-text serialization
+# basis files
 # ---------------------------------------------------------------------------
-
-
-def save_basis(lat: Lattice, path: str) -> None:
-    """Write the basis: dimension line, then one row of coordinates per line."""
-    with open(path, "w") as fh:
-        fh.write(f"{lat.n}\n")
-        for row in lat.basis:
-            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
 
 
 def _read_lines(path: str, what: str) -> list:

@@ -31,6 +31,7 @@ from .errors import (
     RandomnessExhausted,
 )
 from .analytics import _ball_volume, _grow_radius, _two_pi_var, flatness
+from . import lattice
 from .lattice import Lattice, LatticePoint, PackedRows, _vector, enumerate_ball
 from .rng import RngSeed, stream
 
@@ -71,19 +72,6 @@ class DiscreteGaussianSpec:
         """The (N, n) int64 support rows in table order; None off the table."""
         return None if self.table_rows is None else self.table_rows[:]
 
-    def support(self) -> list:
-        """Ordered (LatticePoint, probability) pairs; table backend only."""
-        if self.backend != "table":
-            raise BudgetExceeded(
-                f"{self.backend} backend keeps the support implicit")
-        out = []
-        coeffs = self.table_coeffs
-        emb = coeffs @ self.lattice.basis.T - self.shift
-        for i in range(coeffs.shape[0]):
-            pt = LatticePoint(coeffs[i].copy(), emb[i].copy())
-            out.append((pt, float(self.table_probs[i])))
-        return out
-
     def as_dict(self) -> dict:
         return {
             "lattice": self.lattice.label,
@@ -111,6 +99,10 @@ def _axis_table(step: float, offset: float, ci: float, sigma0: float) -> tuple:
     center = (ci - offset) / step
     span = int(math.ceil(9.5 * sigma0 / step)) + 2
     for _ in range(60):
+        if 2 * span + 1 > lattice.POINT_CAP:
+            raise BudgetExceeded(
+                f"axis table at step {step:.3g}, sigma0 {sigma0:.3g} passes "
+                f"the point budget ({lattice.POINT_CAP})")
         ks = np.arange(math.floor(center) - span, math.floor(center) + span + 1)
         xs = step * ks + offset - ci
         logmax = float(np.max(-(xs * xs) / two_s2))

@@ -38,6 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DimensionMismatch,
     FlatnessTooLarge,
     InsufficientErrors,
@@ -68,8 +69,6 @@ from .sampler import (
     _table_chunks,
     build_spec,
     sample_coeffs,
-    support_moment,
-    support_peak,
 )
 
 Z95 = 1.959963984540054
@@ -82,7 +81,7 @@ CSV_HEADER = ("lattice,label,n,sigma0,sigma,alpha,sigma_tilde,V,mu,"
 
 
 # ---------------------------------------------------------------------------
-# parameters and channel
+# parameters
 # ---------------------------------------------------------------------------
 
 
@@ -113,17 +112,6 @@ def make_params(sigma0: float, sigma: float) -> GaussianParams:
         sigma0=sigma0, sigma=sigma, alpha=alpha,
         sigma_tilde=sigma0 * sigma / math.sqrt(s0sq + ssq),
         snr=snr, power=s0sq)
-
-
-def awgn(x, sigma: float, seed: RngSeed):
-    """x plus i.i.d. zero-mean Gaussian noise of deviation sigma."""
-    if not 0.0 <= sigma < math.inf:
-        raise NonpositiveSigma(
-            f"noise deviation must be finite and >= 0, got {sigma}")
-    x = np.asarray(x, dtype=float)
-    if sigma == 0.0:
-        return x.copy()
-    return x + sigma * stream(seed).standard_normal(x.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +511,7 @@ def sandwich_check(lat: Lattice, c, params: GaussianParams, trials: int,
 
 
 # ---------------------------------------------------------------------------
-# exponent, conditions, rate
+# exponent, design window, rate
 # ---------------------------------------------------------------------------
 
 
@@ -537,6 +525,11 @@ def poltyrev_exponent(mu: float, n: int = 1) -> PoltyrevPoint:
     """Piecewise error exponent of unconstrained lattice decoding."""
     if not mu >= 1.0:
         raise MuBelowOne(f"exponent defined for mu >= 1, got {mu}")
+    try:
+        float(n)
+    except OverflowError:
+        raise ConfigError(
+            f"n must be below 2^1024, got a {n.bit_length()}-bit n") from None
     if mu <= 2.0:
         e = 0.5 * ((mu - 1.0) - math.log(mu))
     elif mu <= 4.0:
@@ -561,15 +554,6 @@ def design_volume(sigma_tilde: float, eps_dprime: float, n: int) -> float:
             * (1.0 + eps_dprime)) ** (n / 2.0)
 
 
-class ConditionsReport(NamedTuple):
-    volume_ok: bool
-    volume_margin: float
-    smoothing_ok: bool
-    smoothing_margin: float
-    snr_ok: bool
-    snr_margin: float
-
-
 def feasible_volume_interval(params: GaussianParams) -> tuple:
     """(lo, hi) for V^{2/n}: above the VNR floor, below the smoothing cap.
 
@@ -582,25 +566,6 @@ def feasible_volume_interval(params: GaussianParams) -> tuple:
     return lo, hi
 
 
-def check_conditions(lat: Lattice, params: GaussianParams) -> ConditionsReport:
-    """The three design conditions with their numeric margins.
-
-    (i) V^{2/n} clears 2 pi e sigma_tilde^2; (ii) the GSNR at deviation
-    sigma0^2/sqrt(sigma0^2+sigma^2) is below 1 (smoothing regime); (iii)
-    sigma0^2 > e sigma^2, which is what makes (i) and (ii) compatible.
-    """
-    v2n = lat.volume ** (2.0 / lat.n)
-    floor = 2.0 * math.pi * math.e * params.sigma_tilde ** 2
-    s0, s = params.sigma0, params.sigma
-    sigma1 = s0 * s0 / math.sqrt(s0 * s0 + s * s)
-    g1 = gsnr(lat, sigma1)
-    return ConditionsReport(
-        volume_ok=v2n > floor, volume_margin=v2n - floor,
-        smoothing_ok=g1 < 1.0, smoothing_margin=1.0 - g1,
-        snr_ok=s0 * s0 > math.e * s * s,
-        snr_margin=s0 * s0 - math.e * s * s)
-
-
 @dataclass(frozen=True)
 class RateBudget:
     n: int
@@ -608,10 +573,6 @@ class RateBudget:
     eps_prime: float
     eps_dprime: float
     rate_lower: float
-
-    def as_dict(self) -> dict:
-        return {"n": self.n, "eps": self.eps, "eps_prime": self.eps_prime,
-                "eps_dprime": self.eps_dprime, "rate_lower": self.rate_lower}
 
 
 def rate_lower_formula(n: int, snr: float, eps: float,
@@ -638,34 +599,3 @@ def rate_budget(lat: Lattice, params: GaussianParams,
         n=lat.n, eps=eps, eps_prime=eps_prime_formula(lat.n, eps),
         eps_dprime=eps_dprime,
         rate_lower=rate_lower_formula(lat.n, params.snr, eps, eps_dprime))
-
-
-# ---------------------------------------------------------------------------
-# power accounting
-# ---------------------------------------------------------------------------
-
-
-class PowerStats(NamedTuple):
-    avg_power_per_dim: float
-    peak_norm_sq: float
-    sphere_radius: float
-
-
-def power_stats(spec: DiscreteGaussianSpec) -> PowerStats:
-    """Exact power accounting over the truncated signaling support.
-
-    sphere_radius = sqrt(2 pi n) sigma0 bounds the sent points; its peak
-    power exceeds that of a same-volume Voronoi constellation by a factor
-    of about 2 pi, the price paid for spherical shaping.
-    """
-    n = spec.lattice.n
-    return PowerStats(
-        avg_power_per_dim=support_moment(spec) / n,
-        peak_norm_sq=support_peak(spec),
-        sphere_radius=math.sqrt(2.0 * math.pi * n) * spec.sigma0)
-
-
-def mmse_gap(spec: DiscreteGaussianSpec, params: GaussianParams) -> float:
-    """|alpha - P/(P+sigma^2)| with P the exact per-dimension power."""
-    p = support_moment(spec) / spec.lattice.n
-    return abs(params.alpha - p / (p + params.sigma ** 2))

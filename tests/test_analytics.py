@@ -17,7 +17,6 @@ from lgc.analytics import (
     eps_prime_formula,
     flatness,
     flatness_direct,
-    gaussian_density,
     gsnr,
     moment_check,
     partition_sandwich_check,
@@ -41,7 +40,6 @@ A2 = standard_lattice("A2")
 # independently computed with a 40-digit direct series evaluation
 THETA_Z_1 = 1.086434811213308
 EPS_Z_1 = 5.350575982148486e-09
-DENSITY_2D = 0.0309874985774132415  # (1/(8 pi)) e^{-1/4}
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +306,7 @@ def test_flatness_cached_matches_cold_and_pinned(fresh_lattice, name, sigma):
     assert lat.dual is dual
     cold = flatness(fresh_lattice(name), sigma)
     assert cold is not rep
-    assert cold.as_dict() == rep.as_dict()
+    assert cold == rep
     got = (rep.gsnr, rep.theta.value, rep.theta.truncation_bound,
            rep.theta.radius, rep.epsilon)
     assert got == tuple(float.fromhex(v) for v in FLATNESS_PINNED[name, sigma])
@@ -455,17 +453,3 @@ def test_entropy_input_guards(fn):
         fn(standard_lattice("Zn", 4), 2.0, np.zeros(3))
     with pytest.raises(DimensionTooLarge, match="n <= 8"):
         fn(standard_lattice("Zn", 9), 2.0, np.zeros(9))
-
-
-# ---------------------------------------------------------------------------
-# densities
-# ---------------------------------------------------------------------------
-
-
-def test_gaussian_density_frozen_value():
-    v = gaussian_density(2.0, np.zeros(2), np.array([1.0, 1.0]))
-    assert abs(v - DENSITY_2D) < 1e-16
-    with pytest.raises(NonpositiveSigma):
-        gaussian_density(0.0, np.zeros(2), np.ones(2))
-    with pytest.raises(DimensionMismatch):
-        gaussian_density(1.0, np.zeros(2), np.ones(3))

@@ -1,5 +1,6 @@
 """End-to-end harness runs: configs, sweeps, manifests, exit codes."""
 
+import ast
 import importlib.util
 import json
 import math
@@ -18,7 +19,7 @@ from lgc.cli import (
     main,
 )
 from lgc.construction_a import ENSEMBLE_CSV_HEADER, ensemble_csv, ensemble_search
-from lgc.lattice import make_lattice, save_basis, standard_lattice
+from lgc.lattice import standard_lattice
 from lgc.rng import RngSeed
 from lgc.sampler import build_spec, sample, sample_csv
 
@@ -90,7 +91,9 @@ def test_flatness_sweep(tmp_path):
 def test_flatness_of_skewed_basis_file(tmp_path):
     # a unimodular basis of Z8 whose dual has long columns
     basis = tmp_path / "skew.txt"
-    save_basis(make_lattice(np.eye(8) + 3.0 * np.eye(8, k=1)), str(basis))
+    rows = np.eye(8) + 3.0 * np.eye(8, k=1)
+    basis.write_text("8\n" + "".join(" ".join(repr(float(v)) for v in row)
+                                      + "\n" for row in rows))
     cfg = _write_config(tmp_path, f"lattice = {basis}\nsigma = 1.5\n")
     out = tmp_path / "flat.csv"
     assert main(["flatness", "--config", cfg, "--out", str(out)]) == 0
@@ -253,6 +256,11 @@ def test_sandwich_run(tmp_path):
     assert s["passed"] is True
     assert s["lo"] <= 1.0 <= s["hi"]
     assert s["ratio_lo"] <= s["ratio"] <= s["ratio_hi"]
+    # Z1 at sigma0 2, sigma 1: sigma_tilde^2 = 0.8, sigma0^4 / (sigma0^2 +
+    # sigma^2) = 3.2
+    assert s["v2n"] == 1.0
+    assert s["v2n_window"] == pytest.approx(
+        [2 * math.pi * math.e * 0.8, 2 * math.pi * 3.2], rel=1e-12)
 
 
 def _csv_bytes(header: str, rows: list) -> bytes:
@@ -489,10 +497,20 @@ def test_nonfinite_config_floats_rejected(tmp_path, capsys, command, body,
     ("simulate", "lattice = Zn:2\nsigma0 = 2.0\nsigma = 1.0\nvolume = -1\n",
      "volume must be positive, got -1.0"),
     ("flatness", "lattice = Dn:1\nsigma = 1.0\n", "Dn needs a dimension n >= 2"),
+    # dimensions past n*n <= POINT_CAP, refused before any array is built
+    ("flatness", "lattice = Zn:10000000\nsigma = 1.0\n",
+     "Zn dimension must satisfy n*n <="),
+    ("flatness", "lattice = Dn:10000000\nsigma = 1.0\n",
+     "Dn dimension must satisfy n*n <="),
+    ("ensemble", f"p = 5\nn = {10**30}\nk = 1\nscale = 1.0\nsigma = 1.0\n",
+     "code length must satisfy n*n <="),
+    ("exponent", f"mu = 2\nn = {10**400}\n", "n must be below 2^1024"),
 ], ids=["empty-value", "sigma-zero", "eps_dprime-negative", "lattice-dim",
         "shift-length", "axis-not-sweepable", "axis-without-grid",
         "sigma-missing", "flatness-sigma", "exponent-mu", "sample-sigma0",
-        "ensemble-keys", "threads-zero", "volume-negative", "lattice-dn1"])
+        "ensemble-keys", "threads-zero", "volume-negative", "lattice-dn1",
+        "lattice-zn-huge", "lattice-dn-huge", "ensemble-n-huge",
+        "exponent-n-huge"])
 def test_config_errors_name_the_key(tmp_path, capsys, command, body, message):
     cfg = _write_config(tmp_path, body)
     out = tmp_path / "x.csv"
@@ -607,6 +625,15 @@ def test_high_dimensional_flatness_is_exit_3(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_axis_table_past_point_budget_is_exit_3(tmp_path, capsys):
+    # volume 1e-300 puts Z2's axis step at 1e-150
+    cfg = _write_config(tmp_path, "lattice = Zn:2\nsnr = 10\nvolume = 1e-300\n")
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("run: BudgetExceeded: axis table")
+    assert not out.exists()
+
+
 def test_unwritable_output_is_exit_3(tmp_path, capsys):
     cfg = _write_config(tmp_path, "mu = 2.0\n")
     rc = main(["exponent", "--config", cfg,
@@ -707,3 +734,28 @@ def test_benchmark_tracer_sees_the_certified_sums(monkeypatch):
     importlib.import_module("lgc.analytics").flatness(
         standard_lattice("E8"), 0.42)
     assert tracing.layer_metrics(tracer.spans)["lattice.enum_ball_calls"] > 0
+
+
+def test_every_export_is_reached_outside_the_tests():
+    # each name lgc/__init__ exports is read by a command, another library
+    # module, tools/exactness.py or the benchmark: an AST walk collects the
+    # names and attributes those files read, and the strings, since the
+    # tracer's PATCHES names the attributes it wraps as strings
+    root = Path(__file__).resolve().parents[1]
+    files = [p for p in (root / "src" / "lgc").glob("*.py")
+             if p.name != "__init__.py"]
+    files += [root / "tools" / "exactness.py", *(root / "perfbench").glob("*.py")]
+    used = set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used.add(node.value)
+    init = ast.parse((root / "src" / "lgc" / "__init__.py").read_text())
+    exported = {alias.asname or alias.name for node in init.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    missing = ", ".join(sorted(exported - used))
+    assert exported and not missing, f"reached only by tests: {missing}"

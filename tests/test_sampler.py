@@ -26,6 +26,7 @@ from lgc.lattice import (
 )
 from lgc.rng import RngSeed, stream
 from lgc.scheme import design_volume, make_params
+import lgc.lattice as lattice_mod
 import lgc.sampler as sampler_mod
 from lgc.sampler import (
     DEFICIT_TARGET,
@@ -64,8 +65,8 @@ def axis_spec(lat, sigma0, c):
 
 def _support_pmf(spec):
     """Dense pmf keyed by coefficient tuples (table backend)."""
-    pts = spec.support()
-    return {tuple(int(v) for v in pt.coeffs): p for pt, p in pts}
+    return {tuple(u): float(p)
+            for u, p in zip(spec.table_coeffs.tolist(), spec.table_probs)}
 
 
 def _axis_lookup(ks, probs, wanted):
@@ -243,9 +244,9 @@ def test_shift_moves_support():
     pmf = _support_pmf(spec)
     # the two nearest points of Z - 0.5 are symmetric, so equiprobable
     assert pmf[(0,)] == pytest.approx(pmf[(1,)], rel=1e-12)
-    pts = spec.support()
-    best = max(pts, key=lambda item: item[1])
-    assert abs(best[0].embedding[0]) == pytest.approx(0.5, abs=1e-12)
+    best = spec.table_coeffs[np.argmax(spec.table_probs)]
+    emb = Z1.basis @ best - spec.shift
+    assert abs(emb[0]) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_sampling_determinism():
@@ -367,9 +368,8 @@ def test_parity_empirical_frequencies_d4():
     spec = axis_spec(D4, 0.9, np.zeros(4))
     pts = sample(spec, RngSeed(17, 0), 30000)
     emb = np.array([pt.embedding for pt in pts])
-    pmf = {}
-    for pt, p in table.support():
-        pmf[tuple(np.rint(pt.embedding).astype(int))] = p
+    support = np.rint(table.table_coeffs @ D4.basis.T).astype(int)
+    pmf = dict(zip(map(tuple, support.tolist()), table.table_probs))
     keys = sorted(pmf)
     expected = np.array([pmf[k] * emb.shape[0] for k in keys])
     # with shift 0 every D4 point embeds to exact integers: count each once
@@ -492,10 +492,18 @@ def test_budget_without_structure():
         axis_spec(skew, 1.0, np.zeros(2))
 
 
-def test_support_hidden_for_structured():
-    spec = axis_spec(Z4, 1.0, np.zeros(4))
-    with pytest.raises(BudgetExceeded):
-        spec.support()
+def test_axis_table_past_point_budget(monkeypatch):
+    # Z2 at volume 1e-300 has axis step 1e-150: a table of ~6e151 points,
+    # refused before np.arange allocates anything
+    with pytest.raises(BudgetExceeded, match="point budget"):
+        build_spec(Z2.scale(1e-150), math.sqrt(10.0), np.zeros(2))
+    # the budget is lattice.POINT_CAP, read at call time: Z1 at sigma0 1
+    # starts from 2 * 12 + 1 = 25 points
+    monkeypatch.setattr(lattice_mod, "POINT_CAP", 24)
+    with pytest.raises(BudgetExceeded, match="point budget"):
+        axis_spec(Z1, 1.0, np.zeros(1))
+    monkeypatch.setattr(lattice_mod, "POINT_CAP", 25)
+    assert axis_spec(Z1, 1.0, np.zeros(1)).backend == "product"
 
 
 def test_sample_count_validation():

@@ -1,4 +1,4 @@
-"""Decoders, Monte Carlo arms, exponent, design conditions, rate budget."""
+"""Decoders, Monte Carlo arms, exponent, design window, rate budget."""
 
 import math
 
@@ -18,6 +18,7 @@ from lgc.errors import (
 from lgc.analytics import (
     entropy_deviation,
     flatness_direct,
+    gsnr,
     moment_check,
     partition_sandwich_check,
 )
@@ -25,7 +26,6 @@ from lgc.construction_a import lift, random_code, theorem1_bound
 from lgc.lattice import (
     closest_point,
     closest_points_batch,
-    contains,
     coset_decode,
     enumerate_ball,
     standard_lattice,
@@ -38,7 +38,6 @@ from lgc.sampler import build_spec, sample_coeffs, sphere_tail_bound
 from lgc.scheme import (
     BLOCK,
     CSV_HEADER,
-    check_conditions,
     decode_agreement,
     design_volume,
     eps_prime_formula,
@@ -46,11 +45,8 @@ from lgc.scheme import (
     make_params,
     map_decode,
     mmse_decode,
-    mmse_gap,
-    awgn,
     paired_ratio_interval,
     poltyrev_exponent,
-    power_stats,
     rate_budget,
     rate_lower_formula,
     sandwich_check,
@@ -184,34 +180,17 @@ _NAN2 = [math.nan, 0.0]
     (lambda: partition_sandwich_check(A2, 1.0, _NAN2), DimensionMismatch),
     (lambda: moment_check(Z2, 3.0, _NAN2), DimensionMismatch),
     (lambda: entropy_deviation(Z2, 3.0, _NAN2), DimensionMismatch),
-    (lambda: contains(Z2, [0.0, 0.0, 1.0]), DimensionMismatch),
-    (lambda: contains(Z2, [math.inf, 0.0]), DimensionMismatch),
+    (lambda: closest_point(Z2, [0.0, 0.0, 1.0]), DimensionMismatch),
+    (lambda: closest_point(Z2, [math.inf, 0.0]), DimensionMismatch),
     (lambda: coset_decode(Z2, np.zeros(2), [0.0, 0.0, 1.0]),
      DimensionMismatch),
     (lambda: closest_points_batch(Z2, np.zeros(2)), DimensionMismatch),
-    (lambda: awgn(np.zeros(2), math.nan, RngSeed(1, 0)), NonpositiveSigma),
-    (lambda: awgn(np.zeros(2), math.inf, RngSeed(1, 0)), NonpositiveSigma),
 ], ids=["ball-center-nan", "ball-radius-nan", "partition-shift-nan",
-        "moment-shift-nan", "entropy-shift-nan", "contains-shape",
-        "contains-inf", "coset-point-shape", "batch-1d", "awgn-sigma-nan",
-        "awgn-sigma-inf"])
+        "moment-shift-nan", "entropy-shift-nan", "closest-point-shape",
+        "closest-point-inf", "coset-point-shape", "batch-1d"])
 def test_vector_arguments_rejected(call, error):
     with pytest.raises(error, match="finite|shape"):
         call()
-
-
-def test_awgn():
-    x = np.zeros(50000)
-    y = awgn(x, 1.5, RngSeed(1, 0))
-    assert y.shape == x.shape
-    assert abs(np.mean(y)) < 0.02
-    assert np.std(y) == pytest.approx(1.5, rel=0.02)
-    again = awgn(x, 1.5, RngSeed(1, 0))
-    assert np.array_equal(y, again)
-    clean = awgn(np.arange(4.0), 0.0, RngSeed(1, 0))
-    assert np.array_equal(clean, np.arange(4.0))
-    with pytest.raises(NonpositiveSigma):
-        awgn(x, -1.0, RngSeed(1, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -830,16 +809,8 @@ def test_design_volume():
 
 
 # ---------------------------------------------------------------------------
-# design conditions
+# design window
 # ---------------------------------------------------------------------------
-
-
-def test_conditions_at_design_point():
-    p = make_params(math.sqrt(10.0), 1.0)
-    v = design_volume(p.sigma_tilde, 0.1, 1)
-    rep = check_conditions(Z1.scale(v), p)
-    assert rep.volume_ok and rep.snr_ok
-    assert rep.volume_margin > 0 and rep.snr_margin > 0
 
 
 def test_feasible_interval_matches_snr_condition():
@@ -852,10 +823,11 @@ def test_feasible_interval_matches_snr_condition():
     lo, hi = feasible_volume_interval(p)
     assert lo == pytest.approx(2 * math.pi * math.e * 10.0 / 11.0, rel=1e-12)
     assert hi == pytest.approx(2 * math.pi * 100.0 / 11.0, rel=1e-12)
-    # any volume inside the window satisfies (i) and (ii) together on Z8
-    v2n = 0.5 * (lo + hi)
-    rep = check_conditions(Z8.scale(math.sqrt(v2n)), p)
-    assert rep.volume_ok and rep.smoothing_ok and rep.snr_ok
+    # a volume inside the window clears the VNR floor and keeps the GSNR at
+    # sigma0^2 / sqrt(sigma0^2 + sigma^2) in the smoothing regime on Z8
+    lat = Z8.scale(math.sqrt(0.5 * (lo + hi)))
+    assert vnr(lat, p.sigma_tilde) > 1.0
+    assert gsnr(lat, p.sigma0 ** 2 / math.sqrt(p.sigma0 ** 2 + 1.0)) < 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -899,29 +871,6 @@ def test_rate_budget_on_z8():
     assert rb.eps_prime < 1e-15
     assert rb.rate_lower == pytest.approx(0.5 * math.log(10.0) - 0.025,
                                           rel=1e-12)
-    d = rb.as_dict()
-    assert set(d) == {"n", "eps", "eps_prime", "eps_dprime", "rate_lower"}
     with pytest.raises(FlatnessTooLarge):
         rate_budget(Z8, make_params(0.3, 0.1), 0.05)
 
-
-# ---------------------------------------------------------------------------
-# power accounting
-# ---------------------------------------------------------------------------
-
-
-def test_power_stats_z8():
-    spec = build_spec(Z8, 3.0, np.zeros(8))
-    ps = power_stats(spec)
-    assert ps.avg_power_per_dim == pytest.approx(9.0, rel=1e-9)
-    assert ps.sphere_radius == pytest.approx(21.269446210866192, rel=1e-12)
-    assert ps.peak_norm_sq <= spec.truncation_radius ** 2 * (1 + 1e-12)
-
-
-def test_mmse_gap_near_zero():
-    spec = build_spec(Z8, 3.0, np.zeros(8))
-    assert mmse_gap(spec, make_params(3.0, 1.0)) < 1e-12
-    # at small sigma0 the discrete power deviates from sigma0^2 and the
-    # gap becomes visible
-    narrow = build_spec(Z1, 0.4, np.zeros(1))
-    assert mmse_gap(narrow, make_params(0.4, 1.0)) > 1e-4
