@@ -13,11 +13,10 @@ the bit print the same lines.  The families:
 - table: the inverse-CDF table of the criterion-4 configuration (E8 at the
   design volume, SNR 10, shift 0.25);
 - table_stats: on the criterion-4 table, a D4 table and a table whose
-  coefficient spans pass 63 bits (the lexsort fallback), the exact moment
-  and peak, the tail masses (not on the fallback), 4,096 draws and a few
-  per-row MAP decodes;
-- axes: the structured samplers' axis tables on Z8 and E8, with draws,
-  exact moments, peaks and tail masses (plus D4 and a diagonal basis);
+  coefficient spans pass 63 bits (the lexsort fallback), the tail masses
+  (not on the fallback), 4,096 draws and a few per-row MAP decodes;
+- axes: the structured samplers' axis tables on Z8 and E8, with draws and
+  tail masses (plus D4 and a diagonal basis);
 - batch: closest_points_batch on seeded batches, ties included, over Z8,
   D4, E8, a diagonal basis and the lift;
 - map: per-row MAP decodes and decode_agreement counts on structured specs;
@@ -76,8 +75,6 @@ from lgc.rng import RngSeed, stream
 from lgc.sampler import (
     build_spec,
     sample_coeffs,
-    support_moment,
-    support_peak,
     tail_event_rate,
 )
 import lgc.scheme
@@ -177,7 +174,7 @@ def family_table_stats(lats: dict) -> str:
     h = _Hash()
     for lat, sigma0, c, sigma, tail in cases:
         spec = build_spec(lat, sigma0, c)
-        h.add(lat.label, spec.backend, support_moment(spec), support_peak(spec))
+        h.add(lat.label, spec.backend)
         if tail:
             h.add(*tail_event_rate(spec))
         h.add(sample_coeffs(spec, stream(RngSeed(9, 0)), 4096))
@@ -203,7 +200,6 @@ def family_axes(lats: dict) -> str:
                     for ks, xs, probs, cdf in tables:
                         h.add(ks, xs, probs, cdf)
                 h.add(sample_coeffs(spec, stream(RngSeed(7, 0)), 1 << 14))
-                h.add(support_moment(spec), support_peak(spec))
                 if spec.backend == "product" and not shift.any() \
                         and np.all(np.diag(lat.basis) == lat.basis[0, 0]):
                     h.add(*tail_event_rate(spec))
