@@ -182,11 +182,6 @@ def _build_table(lat, sigma0, c, tau, radius):
         table_rows=rows, table_probs=probs, table_cdf=cdf)
 
 
-def _alt_sum(ks, probs) -> float:
-    """Sum of probs signed by coordinate parity."""
-    return float(np.sum(np.where(ks % 2 == 0, probs, -probs)))
-
-
 def _build_axes(lat, sigma0, c):
     ax = lat.structure
     all_tables = []
@@ -205,7 +200,7 @@ def _build_axes(lat, sigma0, c):
             tables.append((ks, xs, probs, cdf))
             rel += rtail
             z_prod *= z_abs
-            b_prod *= _alt_sum(ks, probs)
+            b_prod *= float(np.sum(np.where(ks % 2 == 0, probs, -probs)))
             reach += float(np.max(xs * xs))
         all_tables.append(tuple(tables))
         # the even-sum filter keeps mass (1 + prod of alternating sums) / 2
@@ -361,7 +356,7 @@ def tail_event_rate(spec: DiscreteGaussianSpec) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# support statistics shared with the scheme module
+# table blocks shared with the scheme module
 # ---------------------------------------------------------------------------
 
 
@@ -374,60 +369,3 @@ def _table_chunks(spec: DiscreteGaussianSpec):
     basis_t = spec.lattice.basis.T
     for lo in range(0, len(spec.table_rows), _TABLE_CHUNK):
         yield lo, spec.table_rows[lo:lo + _TABLE_CHUNK] @ basis_t - spec.shift
-
-
-def support_moment(spec: DiscreteGaussianSpec) -> float:
-    """Exact E|x|^2 of the coset point over the truncated support."""
-    if spec.backend == "table":
-        acc = 0.0
-        for lo, emb in _table_chunks(spec):
-            acc += float(np.einsum("ij,ij->i", emb, emb)
-                         @ spec.table_probs[lo:lo + emb.shape[0]])
-        return acc
-    # per-coset sums of the per-axis moments; under the even-sum filter their
-    # even projection, conditioned per coset; mixed by the exact coset masses
-    out = 0.0
-    for t, tables in enumerate(spec.axis_tables):
-        ma = [float(np.sum(p * x * x)) for _, x, p, _ in tables]
-        if not spec.lattice.structure.even_sum:
-            out += float(spec.coset_probs[t]) * sum(ma)
-            continue
-        b = [_alt_sum(k, p) for k, _, p, _ in tables]
-        mb = [float(np.sum(np.where(k % 2 == 0, p, -p) * x * x))
-              for k, x, p, _ in tables]
-        prod_b = math.prod(b)
-        mass = 0.5 * (1.0 + prod_b)
-        mom = 0.0
-        for i in range(len(tables)):
-            cross = mb[i] * (prod_b / b[i]) if b[i] else 0.0
-            mom += 0.5 * (ma[i] + cross)
-        out += float(spec.coset_probs[t]) * mom / mass
-    return out
-
-
-def support_peak(spec: DiscreteGaussianSpec) -> float:
-    """Exact max |x|^2 over the truncated support."""
-    if spec.backend == "table":
-        return max(float(np.max(np.einsum("ij,ij->i", emb, emb)))
-                   for _, emb in _table_chunks(spec))
-    # DP over axes: best achievable sum of x^2 per running parity of sum(k)
-    ends = (0,) if spec.lattice.structure.even_sum else (0, 1)
-    best = 0.0
-    for tables in spec.axis_tables:
-        dp = {0: 0.0}
-        for ks, xs, _, _ in tables:
-            x2 = xs * xs
-            even_best = float(np.max(np.where(ks % 2 == 0, x2, -np.inf)))
-            odd_best = float(np.max(np.where(ks % 2 == 1, x2, -np.inf)))
-            nxt = {}
-            for par, val in dp.items():
-                for add_par, add in ((0, even_best), (1, odd_best)):
-                    if not math.isfinite(add):
-                        continue
-                    key = par ^ add_par
-                    cand = val + add
-                    if cand > nxt.get(key, -math.inf):
-                        nxt[key] = cand
-            dp = nxt
-        best = max([best] + [dp[par] for par in ends if par in dp])
-    return best

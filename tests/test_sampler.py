@@ -35,8 +35,6 @@ from lgc.sampler import (
     sample_coeffs,
     sample_csv,
     sphere_tail_bound,
-    support_moment,
-    support_peak,
     tail_event_rate,
 )
 
@@ -382,46 +380,6 @@ def test_parity_empirical_frequencies_d4():
     exp = np.append(expected[keep], expected[~keep].sum())
     gof = stats.chisquare(obs, exp * obs.sum() / exp.sum())
     assert gof.pvalue > 1e-4
-
-
-# ---------------------------------------------------------------------------
-# moments and peaks
-# ---------------------------------------------------------------------------
-
-
-def test_moment_cross_backend():
-    for lat, s in ((Z4, 1.0), (D4, 0.9), (E8, 0.45)):
-        table = build_spec(lat, s, np.zeros(lat.n))
-        struct = axis_spec(lat, s, np.zeros(lat.n))
-        assert support_moment(struct) == pytest.approx(
-            support_moment(table), rel=1e-10)
-
-
-def test_moment_wide_gaussian_is_n_sigma_sq():
-    # for sigma0 well above the smoothing point the second moment locks
-    # onto n sigma0^2 (the continuous value) to machine precision
-    spec = build_spec(Z8, 3.0, np.zeros(8))
-    assert support_moment(spec) == pytest.approx(72.0, rel=1e-9)
-
-
-def test_peak_within_truncation():
-    for lat, s in ((Z4, 1.0), (D4, 0.9), (E8, 0.45)):
-        table = build_spec(lat, s, np.zeros(lat.n))
-        peak = support_peak(table)
-        assert peak <= table.truncation_radius ** 2 * (1 + 1e-12)
-        struct = axis_spec(lat, s, np.zeros(lat.n))
-        speak = support_peak(struct)
-        assert speak <= struct.truncation_radius ** 2 * (1 + 1e-12)
-        # the box support contains the ball support
-        assert speak >= peak * (1 - 1e-12)
-
-
-def test_parity_peak_has_even_sum():
-    spec = axis_spec(D4, 0.9, np.zeros(4))
-    table = build_spec(D4, 0.9, np.zeros(4))
-    # peak is attained by an actual lattice point, so it cannot dip below
-    # the exhaustive-table peak and must respect the parity constraint
-    assert support_peak(spec) >= support_peak(table) * (1 - 1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -261,8 +261,6 @@ def test_hot_paths_never_unpack_the_whole_table(monkeypatch):
     assert len(spec.table_rows) > 2000
     simulate_error(lat, c, p, 2000, RngSeed(3, 0))
     sandwich_check(lat, c, p, 2000, RngSeed(4, 0))
-    assert sampler_mod.support_moment(spec) > 0.0
-    assert sampler_mod.support_peak(spec) > 0.0
     _, mass = sampler_mod.tail_event_rate(spec)
     assert 0.0 <= mass <= 1.0
     ys = np.random.default_rng(8).normal(size=(3, lat.n))
