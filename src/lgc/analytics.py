@@ -230,6 +230,7 @@ def theta(lat: Lattice, tau: float, *, balls: dict | None = None) -> ThetaValue:
     needs fewer points, preferring the primal side while it stays under
     PRIMAL_PREF points.  Raises BudgetExceeded when the chosen side's
     estimate passes lattice.POINT_CAP.  balls is passed to _gauss_sum.
+    On the dual side, value and tail are inf where tau^{-n/2} overflows.
     """
     _check_positive("tau", tau)
     n = lat.n
@@ -247,7 +248,10 @@ def theta(lat: Lattice, tau: float, *, balls: dict | None = None) -> ThetaValue:
         return ThetaValue(value, tail, radius)
     dual = lat.dual
     value, tail, radius = _gauss_sum(dual, zero, 1.0 / tau, balls=balls)
-    factor = tau ** (-n / 2.0) / vol
+    try:
+        factor = tau ** (-n / 2.0) / vol
+    except OverflowError:  # float ** raises where the power overflows
+        return ThetaValue(math.inf, math.inf, radius)
     return ThetaValue(factor * value, factor * tail, radius)
 
 

@@ -87,21 +87,28 @@ class DiscreteGaussianSpec:
 # ---------------------------------------------------------------------------
 
 
-def _axis_table(step: float, offset: float, ci: float, sigma0: float) -> tuple:
+def _start_span(step: float, sigma0: float) -> int:
+    """Half-width in steps of the first range _axis_table tries."""
+    return int(math.ceil(9.5 * sigma0 / step)) + 2
+
+
+def _axis_table(step: float, offset: float, ci: float, sigma0: float,
+                held: int) -> tuple:
     """1-D table over points x = step*k + offset - ci, k integer.
 
     Extends the range until both edge weights certify a relative tail
     below 1e-16 via a geometric-series bound.  Returns (ks, xs, probs,
     cdf, rel_tail, z), z being the unnormalized sum of the weights
-    exp(-x^2 / (2 sigma0^2)).
+    exp(-x^2 / (2 sigma0^2)).  held counts the points of the spec's other
+    tables: with this one's range they must stay within lattice.POINT_CAP.
     """
     two_s2 = 2.0 * sigma0 * sigma0
     center = (ci - offset) / step
-    span = int(math.ceil(9.5 * sigma0 / step)) + 2
+    span = _start_span(step, sigma0)
     for _ in range(60):
-        if 2 * span + 1 > lattice.POINT_CAP:
+        if held + 2 * span + 1 > lattice.POINT_CAP:
             raise BudgetExceeded(
-                f"axis table at step {step:.3g}, sigma0 {sigma0:.3g} passes "
+                f"axis tables at step {step:.3g}, sigma0 {sigma0:.3g} pass "
                 f"the point budget ({lattice.POINT_CAP})")
         ks = np.arange(math.floor(center) - span, math.floor(center) + span + 1)
         xs = step * ks + offset - ci
@@ -184,6 +191,10 @@ def _build_table(lat, sigma0, c, tau, radius):
 
 def _build_axes(lat, sigma0, c):
     ax = lat.structure
+    # every table counts from its starting range, so the budget refuses
+    # before the first one is built; a table that grows adds its growth
+    starts = [2 * _start_span(step, sigma0) + 1 for step in ax.steps]
+    held = len(ax.offsets) * sum(starts)
     all_tables = []
     masses = []
     even_fracs = []
@@ -195,8 +206,9 @@ def _build_axes(lat, sigma0, c):
         b_prod = 1.0
         reach = 0.0
         for i in range(lat.n):
-            ks, xs, probs, cdf, rtail, z_abs = _axis_table(ax.steps[i], off,
-                                                           c[i], sigma0)
+            ks, xs, probs, cdf, rtail, z_abs = _axis_table(
+                ax.steps[i], off, c[i], sigma0, held - starts[i])
+            held += ks.size - starts[i]
             tables.append((ks, xs, probs, cdf))
             rel += rtail
             z_prod *= z_abs
@@ -285,9 +297,16 @@ def sample_coeffs(spec: DiscreteGaussianSpec, rng: np.random.Generator,
 
 
 def sample(spec: DiscreteGaussianSpec, seed: RngSeed, count: int) -> list:
-    """`count` i.i.d. LatticePoints of L - c, deterministic per seed."""
+    """`count` i.i.d. LatticePoints of L - c, deterministic per seed.
+
+    count is capped at TABLE_CAP (read at call time), the most rows the
+    library holds for one spec.
+    """
     if count < 1:
         raise DimensionMismatch(f"count must be >= 1, got {count}")
+    if count > TABLE_CAP:
+        raise BudgetExceeded(
+            f"{count} draws pass the sample budget ({TABLE_CAP})")
     rng = stream(seed)
     coeffs = sample_coeffs(spec, rng, count)
     emb = coeffs @ spec.lattice.basis.T - spec.shift

@@ -80,6 +80,18 @@ def test_theta_small_tau_dual_side():
         theta(Z1, 0.0)
 
 
+def test_theta_dual_factor_overflow_is_inf():
+    # on E8 at sigma 1e100, tau^{-n/2} = (2 pi 1e200)^4 passes the float
+    # range: the series is inf, and flatness keeps its dual-sum epsilon
+    e8 = standard_lattice("E8")
+    tv = theta(e8, 1.0 / (2.0 * math.pi * 1e200))
+    assert tv.value == math.inf and tv.truncation_bound == math.inf
+    assert math.isfinite(tv.radius)
+    rep = flatness(e8, 1e100)
+    assert rep.theta.value == math.inf
+    assert rep.epsilon == 0.0
+
+
 def test_theta_budget(monkeypatch):
     # near tau = 1 the primal and dual sums are equally expensive, so a
     # tiny point budget cannot be satisfied from either side

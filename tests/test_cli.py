@@ -19,6 +19,7 @@ from lgc.cli import (
     main,
 )
 from lgc.construction_a import ENSEMBLE_CSV_HEADER, ensemble_csv, ensemble_search
+import lgc.lattice as lattice_mod
 from lgc.lattice import standard_lattice
 from lgc.rng import RngSeed
 from lgc.sampler import build_spec, sample, sample_csv
@@ -100,6 +101,21 @@ def test_flatness_of_skewed_basis_file(tmp_path):
     _, rows = _rows(out)
     assert float(rows[0].split(",")[5]) == pytest.approx(
         8.2357602951942425e-19, rel=1e-9)
+
+
+@pytest.mark.parametrize("command,body,column,value", [
+    ("flatness", "lattice = E8\nsigma = 1e100\n", 4, "inf"),
+    ("rate", "lattice = E8\nsnr = 1e300\n", 3, "0.0"),
+], ids=["flatness", "rate"])
+def test_theta_past_the_float_range_exits_0(tmp_path, command, body, column,
+                                            value):
+    # on E8 at sigma 1e100 (sigma0 1e150 for the rate), tau^{-n/2}
+    # overflows: theta is inf, and the dual-sum epsilon is 0
+    cfg = _write_config(tmp_path, body)
+    out = tmp_path / "x.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    _, rows = _rows(out)
+    assert rows[0].split(",")[column] == value
 
 
 def test_rate_sweep(tmp_path):
@@ -625,12 +641,33 @@ def test_high_dimensional_flatness_is_exit_3(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_axis_table_past_point_budget_is_exit_3(tmp_path, capsys):
+def test_axis_table_past_point_budget_is_exit_3(tmp_path, capsys,
+                                               monkeypatch):
     # volume 1e-300 puts Z2's axis step at 1e-150
     cfg = _write_config(tmp_path, "lattice = Zn:2\nsnr = 10\nvolume = 1e-300\n")
     out = tmp_path / "x.csv"
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == 3
     assert capsys.readouterr().err.startswith("run: BudgetExceeded: axis table")
+    assert not out.exists()
+    # E8 at sigma0 2 holds 16 tables (2 cosets x 8 axes) of 43 points each:
+    # each fits a budget of 687, but together they do not
+    monkeypatch.setattr(lattice_mod, "POINT_CAP", 687)
+    cfg = _write_config(tmp_path, "lattice = E8\nsigma0 = 2.0\n")
+    assert main(["sample", "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("run: BudgetExceeded: axis tables")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_sample_past_draw_budget_is_exit_3(tmp_path, capsys):
+    cfg = _write_config(tmp_path, "lattice = Zn:2\nsigma0 = 1.0\n")
+    out = tmp_path / "x.csv"
+    assert main(["sample", "--config", cfg, "--out", str(out),
+                 "--trials", str(10 ** 30)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("run: BudgetExceeded: ")
+    assert "sample budget" in err and err.count("\n") == 1
     assert not out.exists()
 
 

@@ -462,12 +462,26 @@ def test_axis_table_past_point_budget(monkeypatch):
         axis_spec(Z1, 1.0, np.zeros(1))
     monkeypatch.setattr(lattice_mod, "POINT_CAP", 25)
     assert axis_spec(Z1, 1.0, np.zeros(1)).backend == "product"
+    # the budget bounds the spec's tables together: Z2's two tables of 25
+    # points each fit alone, but not both within 49
+    monkeypatch.setattr(lattice_mod, "POINT_CAP", 49)
+    with pytest.raises(BudgetExceeded, match="point budget"):
+        axis_spec(Z2, 1.0, np.zeros(2))
+    monkeypatch.setattr(lattice_mod, "POINT_CAP", 50)
+    assert axis_spec(Z2, 1.0, np.zeros(2)).backend == "product"
 
 
-def test_sample_count_validation():
+def test_sample_count_validation(monkeypatch):
     spec = build_spec(Z1, 1.0, np.zeros(1))
     with pytest.raises(DimensionMismatch):
         sample(spec, RngSeed(1, 0), 0)
+    # refused before any draw: more rows than TABLE_CAP, read at call time
+    with pytest.raises(BudgetExceeded, match="sample budget"):
+        sample(spec, RngSeed(1, 0), 10 ** 30)
+    monkeypatch.setattr(sampler_mod, "TABLE_CAP", 10)
+    assert len(sample(spec, RngSeed(1, 0), 10)) == 10
+    with pytest.raises(BudgetExceeded, match="sample budget"):
+        sample(spec, RngSeed(1, 0), 11)
 
 
 def test_spec_dict_round_trip():
