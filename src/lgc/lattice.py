@@ -50,6 +50,9 @@ _LLL_DELTA = 0.99
 _DECODE_CHUNK = 4096
 # rows per step of the packed-key unpacking: keeps its temporaries in cache
 _KEY_CHUNK = 16384
+# prefixes per step of a ball-search level's range pass, and about the
+# candidates per block of its expansion: no temporary spans a whole level
+_LEVEL_CHUNK = 65536
 
 # ---------------------------------------------------------------------------
 # types
@@ -688,6 +691,42 @@ def _edge_slop(lat: Lattice, tmat: np.ndarray, rad2: np.ndarray) -> float:
     return max(1e-12, 4e-15 * reach / lat.sigma_min)
 
 
+def _counts(run: np.ndarray, s: int) -> np.ndarray:
+    """The counts whose running sums, from s, are run."""
+    cnt = run.copy()
+    cnt[1:] -= run[:-1]
+    cnt[:1] -= s
+    return cnt
+
+
+def _blocks(ends: np.ndarray, chunk: int):
+    """Yield (a, b, s, e, cnt): prefixes a..b-1 own items s..e-1, cnt each.
+
+    ends holds each prefix's running item count.  A block takes whole
+    prefixes, at most chunk items of them, or one prefix with more.  The
+    block at a reads only ends[a:], so a caller may overwrite done blocks.
+    """
+    a = s = 0
+    while a < ends.size:
+        b = a + max(int(np.searchsorted(ends[a:], s + chunk, side="right")), 1)
+        e = int(ends[b - 1])
+        yield a, b, s, e, _counts(ends[a:b], s)
+        a, s = b, e
+
+
+def _below(kids: list):
+    """Yield, for levels k = 1 .. n-1, the running count of the points below
+    the level-k prefixes, after a leading 0.
+
+    kids[k] is the running count of the level-k children of the level-(k+1)
+    prefixes; one level's running counts index the next level's.
+    """
+    at = None
+    for run in kids[:-1]:
+        at = np.concatenate(([0], run if at is None else at[run]))
+        yield at
+
+
 def _ball_search(r: np.ndarray, tmat: np.ndarray, rad2: np.ndarray,
                  coeffs: bool = True, slop: float = 1e-12,
                  half: bool = False, packed: bool = False) -> tuple:
@@ -700,15 +739,23 @@ def _ball_search(r: np.ndarray, tmat: np.ndarray, rad2: np.ndarray,
     squared distance to that center; the points come out grouped by center
     in row order and, within a center, sorted by (u_{n-1}, ..., u_0).
     Level-by-level expansion over r (Fincke & Pohst), vectorized over the
-    surviving prefixes of every center at once.  Each level keeps only its
-    new coefficients and the indices of their parent prefixes; one walk up
-    those pointers at the end counts the points below each prefix and fills
-    the coefficient columns of an (n, N) C-order array, and U is its
-    transpose, so U[:, k] is contiguous.  packed=True fills no columns: U
-    is a PackedRows, one int64 key per point summed from the same repeats
-    of each level's shifted coefficients, each column's low and bit width
-    taken over the prefixes with a point below them; only when the widths
-    pass 63 bits is U the array.  slop
+    surviving prefixes of every center at once.  A prefix's children are
+    contiguous, so a level keeps only its new coefficients and, over the
+    prefixes above, the running count of its children: no parent pointers.
+    No temporary spans a whole level: the integer ranges are counted
+    _LEVEL_CHUNK prefixes at a time, and the candidates expanded in blocks
+    of whole prefixes holding about _LEVEL_CHUNK of them (each prefix's
+    range computed again), whose survivors fill arrays sized for the
+    level.  A level of at most _LEVEL_CHUNK prefixes and candidates is one
+    block, whose arrays it keeps.  A candidate's arithmetic is the same in
+    any block, so no output depends on the block size.  Column k of U
+    repeats each level-k coefficient once per point below it, counted by
+    differences of running counts (_below), in an (n, N) C-order array
+    whose transpose is U, so U[:, k] is contiguous.  packed=True fills no
+    columns: U is a PackedRows whose keys are built top down, in place in
+    each level's column: (u - low) << shift plus the parent prefix's key,
+    each column's low and bit width taken over the prefixes with a point
+    below them; only when the widths pass 63 bits is U the array.  slop
     widens each level's integer range past the ball's edge, so that the
     rounding of the level's real centers c cuts no point off; it must
     exceed a few ulps of the largest |c| (_edge_slop).
@@ -728,28 +775,42 @@ def _ball_search(r: np.ndarray, tmat: np.ndarray, rad2: np.ndarray,
     slack = rad2 * (1.0 + 1e-12) + 1e-12
     # One center (enumerate_ball) keeps its radius a scalar and tracks no
     # root (it returns a read-only view of one 0).  On the large d2-only
-    # balls of the certified sums the two per-prefix gathers would cost
-    # about 11 % of the throughput and 6 % of the peak memory of the lemma
+    # balls of the certified sums the per-prefix gathers would cost about
+    # 11 % of the throughput and 6 % of the peak memory of the lemma
     # checks.
     per = m > 1
     lim = slack if per else slack[0]
     root = np.arange(m)
     tau = tmat
     d2 = np.zeros(m)
-    # level k's new coefficients and the int32 indices of their parent
-    # prefixes (a level holds at most POINT_CAP < 2^31 prefixes)
+    # level k's coefficients, and the running count of them over the
+    # level-(k+1) prefixes
     ucol: list = [None] * n
-    parent: list = [None] * n
+    kids: list = [None] * n
     for k in range(n - 1, -1, -1):
         rkk = r[k, k]
-        c = tau[:, k] / rkk
-        w = np.sqrt(np.maximum(lim - d2, 0.0)) / rkk
-        lo = np.ceil(c - w - slop).astype(np.int64)
-        cnt = np.maximum(np.floor(c + w + slop).astype(np.int64) - lo + 1, 0)
-        del c, w
-        if half:
-            cnt[0] += lo[0]
-            lo[0] = 0
+
+        def ranges(a, b):
+            # (lowest candidate, candidate count) of prefixes a..b-1
+            c = tau[a:b, k] / rkk
+            w = np.sqrt(np.maximum((lim[a:b] if per else lim) - d2[a:b],
+                                   0.0)) / rkk
+            lo = np.ceil(c - w - slop).astype(np.int64)
+            cnt = np.maximum(np.floor(c + w + slop).astype(np.int64) - lo + 1,
+                             0)
+            if half and a == 0:
+                cnt[0] += lo[0]
+                lo[0] = 0
+            return lo, cnt
+
+        # one chunk of prefixes keeps its ranges; more count theirs a chunk
+        # at a time, and each expansion block computes its lows again
+        if d2.size <= _LEVEL_CHUNK:
+            lo, cnt = ranges(0, d2.size)
+        else:
+            lo, cnt = None, np.empty(d2.size, dtype=np.int64)
+            for a in range(0, d2.size, _LEVEL_CHUNK):
+                _, cnt[a:a + _LEVEL_CHUNK] = ranges(a, a + _LEVEL_CHUNK)
         total = int(cnt.sum())
         if total == 0:
             return (np.empty(0, dtype=np.intp),
@@ -757,71 +818,98 @@ def _ball_search(r: np.ndarray, tmat: np.ndarray, rad2: np.ndarray,
                     np.empty(0))
         if (2 * total - 1 if half else total) > POINT_CAP:
             raise BudgetExceeded(f"ball enumeration passed {POINT_CAP} points")
-        # the candidates of each prefix are contiguous: per-prefix values
-        # spread by np.repeat, in place where possible, and every array
-        # goes once used (the last levels set the peak memory of a ball)
-        uk = np.repeat(lo - (np.cumsum(cnt) - cnt), cnt)
-        uk += np.arange(total)
-        nd = rkk * uk
-        nd -= np.repeat(tau[:, k], cnt)
-        nd *= nd
-        nd += np.repeat(d2, cnt)
-        keep = nd <= (np.repeat(lim, cnt) if per else lim)
-        # the integer ranges hold few candidates outside the ball, often
-        # none, and then no copy goes through the mask
-        every = keep.all()
-        d2 = nd if every else nd[keep]
-        # the last level of a one-center d2-only search needs no parents
-        if k or per or coeffs:
-            rows = np.repeat(np.arange(cnt.size, dtype=np.int32), cnt)
-            if not every:
-                rows = rows[keep]
-                uk = uk[keep]
-        del nd, keep, lo, cnt
+        ends = np.cumsum(cnt, out=None if lo is not None else cnt)
+        # the last level of a one-center d2-only search needs no children
+        need = k or per or coeffs
+
+        def expand(lo, a, b, s, e, cnt):
+            # (d2, u, running count per prefix) of the survivors among the
+            # candidates s..e-1 of prefixes a..b-1 (lows lo, counts cnt);
+            # a prefix's candidates are contiguous, so its values spread by
+            # np.repeat
+            uk = np.repeat(lo - ends[a:b] + cnt, cnt)
+            uk += np.arange(s, e)
+            nd = rkk * uk
+            nd -= np.repeat(tau[a:b, k], cnt)
+            nd *= nd
+            nd += np.repeat(d2[a:b], cnt)
+            keep = nd <= (np.repeat(lim[a:b], cnt) if per else lim)
+            # the integer ranges hold few candidates outside the ball,
+            # often none, and then no copy goes through the mask
+            if keep.all():
+                return nd, uk, ends[a:b] - s
+            if not need:
+                return nd[keep], None, None
+            seen = np.concatenate(([0], np.cumsum(keep)))
+            return nd[keep], uk[keep], seen[ends[a:b] - s]
+
+        if lo is not None and total <= _LEVEL_CHUNK:
+            nd, uk, ends = expand(lo, 0, ends.size, 0, total, cnt)
+        else:
+            nd = np.empty(total)
+            uk = np.empty(total, dtype=np.int64) if need else None
+            j = 0
+            for a, b, s, e, cnt in _blocks(ends, _LEVEL_CHUNK):
+                nd_b, uk_b, run = expand(ranges(a, b)[0], a, b, s, e, cnt)
+                nd[j:j + nd_b.size] = nd_b
+                if need:
+                    uk[j:j + nd_b.size] = uk_b
+                    # the survivors' running counts replace the candidates'
+                    ends[a:b] = run + j
+                j += nd_b.size
+            nd = nd[:j]
+            uk = None if uk is None else uk[:j]
+        del lo, cnt, expand
         if per:
-            root = root[rows]
+            root = np.repeat(root, _counts(ends, 0))
             lim = slack[root]
         if coeffs:
-            ucol[k] = uk
-            parent[k] = rows
+            ucol[k], kids[k] = uk, ends
         if k:
             # the prefix matrix: k floats for each surviving prefix
-            if (2 * d2.size - 1 if half else d2.size) * k > POINT_CAP:
+            if (2 * nd.size - 1 if half else nd.size) * k > POINT_CAP:
                 raise BudgetExceeded(
                     f"ball enumeration passed {POINT_CAP} prefix coordinates")
-            tau = tau[rows, :k] - uk[:, None] * r[:k, k][None, :]
+            nxt = np.empty((nd.size, k))
+            for a, b, s, e, cnt in _blocks(ends, _LEVEL_CHUNK):
+                np.subtract(np.repeat(tau[a:b, :k], cnt, axis=0),
+                            uk[s:e, None] * r[:k, k], out=nxt[s:e])
+            tau = nxt
+        d2 = nd
+        del ends, ranges
     if not per:
         root = np.broadcast_to(np.intp(0), d2.size)
     if not coeffs:
         return root, None, d2
-    # a prefix's points are contiguous, so column k repeats each level-k
-    # coefficient once per point below it; the counts sum up the pointers
-    below = [None] * n
-    for k in range(1, n):
-        below[k] = np.bincount(parent[k - 1], weights=below[k - 1],
-                               minlength=ucol[k].size).astype(np.int64)
-        parent[k - 1] = None
     if packed:
         # a column's span over the points is its span over the prefixes
         # with a point below them
-        live = [ucol[0]] + [u[b > 0] for u, b in zip(ucol[1:], below[1:])]
-        lows = [int(v.min()) for v in live]
-        bits = [(int(v.max()) - low).bit_length() for v, low in zip(live, lows)]
-        del live
+        lows = [int(ucol[0].min())]
+        tops = [int(ucol[0].max())]
+        for u, at in zip(ucol[1:], _below(kids)):
+            live = at[1:] > at[:-1]
+            lows.append(int(u.min(where=live, initial=np.iinfo(np.int64).max)))
+            tops.append(int(u.max(where=live, initial=np.iinfo(np.int64).min)))
+        bits = [(top - low).bit_length() for top, low in zip(tops, lows)]
         if sum(bits) <= 63:
-            shift = sum(bits) - bits[0]
-            key = ucol[0] - lows[0]
-            key <<= shift
-            for k in range(1, n):
-                ucol[k - 1] = None
-                shift -= bits[k]
-                key += np.repeat((ucol[k] - lows[k]) << shift, below[k])
+            shift = 0
+            key = None
+            for k in range(n - 1, -1, -1):
+                col, ucol[k] = ucol[k], None
+                col -= lows[k]
+                col <<= shift
+                shift += bits[k]
+                if key is not None:
+                    for a, b, s, e, cnt in _blocks(kids[k], _LEVEL_CHUNK):
+                        col[s:e] += np.repeat(key[a:b], cnt)
+                key = col
             return root, PackedRows(key, tuple(bits), tuple(lows)), d2
     cols = np.empty((n, d2.size), dtype=np.int64)
     cols[0] = ucol[0]
-    for k in range(1, n):
+    for k, at in enumerate(_below(kids), 1):
         ucol[k - 1] = None
-        cols[k] = np.repeat(ucol[k], below[k])
+        for a, b, s, e, cnt in _blocks(at[1:], _LEVEL_CHUNK):
+            cols[k, s:e] = np.repeat(ucol[k][a:b], cnt)
     return root, cols.T, d2
 
 

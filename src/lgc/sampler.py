@@ -165,22 +165,29 @@ def build_spec(lat: Lattice, sigma0: float, c) -> DiscreteGaussianSpec:
 
 def _build_table(lat, sigma0, c, tau, radius):
     def weigh(radius):
-        rows, d2 = enumerate_ball(lat, c, radius, _packed=True)
-        w = np.exp(-d2 / (2.0 * sigma0 * sigma0))
+        rows, w = enumerate_ball(lat, c, radius, _packed=True)
+        # exp(-d2 / (2 sigma0^2)) in d2's place: the same three operations,
+        # so the same bits, and no second ball-sized array
+        np.negative(w, out=w)
+        w /= 2.0 * sigma0 * sigma0
+        np.exp(w, out=w)
         z = float(w.sum())
         return (rows, w, z), z
 
     (rows, w, z), tail, radius = _grow_radius(
         lat, tau, radius, 1.15, DEFICIT_TARGET, weigh, "support enumeration")
     # the points are distinct, so their packed keys are too and one argsort
-    # gives np.lexsort's order
+    # gives np.lexsort's order; a ball holds at most lattice.POINT_CAP < 2^31
+    # points, so int32 indexes it
     if isinstance(rows, PackedRows):
-        order = np.argsort(rows.key)
+        order = np.argsort(rows.key).astype(np.int32)
         rows = PackedRows(rows.key[order], rows.bits, rows.lows)
     else:
-        order = np.lexsort(rows.T[::-1])
+        order = np.lexsort(rows.T[::-1]).astype(np.int32)
         rows = np.ascontiguousarray(rows[order])
-    probs = w[order] / z
+    probs = w[order]
+    del w, order  # before the division and the cdf
+    probs /= z
     cdf = np.cumsum(probs)
     cdf[-1] = 1.0
     return DiscreteGaussianSpec(

@@ -568,16 +568,11 @@ def _search_bytes(out):
     return np.asarray(root).tobytes(), u, d2.tobytes()
 
 
-@pytest.mark.parametrize("name", ["Z4", "D4", "E8", "A2", "lift"])
-def test_ball_search_masked_and_unmasked_levels_agree(fresh_lattice, name):
-    """A wide edge margin puts candidates outside the ball into the level
-    masks: at the top level for certain, since the first radius sets that
-    level's range half a step inside the ball's edge.  A narrow one leaves
-    most levels with no candidate to drop, and their masks are skipped.
-    Both give the same points, coefficients and d2, in every output mode:
-    one center with coefficients, packed or d2 only, the half ball, and
-    many centers."""
-    lat = fresh_lattice(name)
+def _search_calls(lat):
+    """(r, calls) for _ball_search on lat, calls being (args, kwargs) in
+    every output mode: one center with coefficients, packed or d2 only,
+    the half ball, and many centers.  The first radius sets the top
+    level's range half a step inside the ball's edge."""
     q, r = lat.qr
     unit = lat.volume ** (1.0 / lat.n)
     rng = np.random.default_rng(41)
@@ -594,11 +589,45 @@ def test_ball_search_masked_and_unmasked_levels_agree(fresh_lattice, name):
              ((tmat[:1], rad2[:1]), {"coeffs": False, "half": True}),
              ((tmat, rad2), {"coeffs": True}),
              ((tmat, rad2), {"coeffs": False})]
+    return r, calls
+
+
+@pytest.mark.parametrize("name", ["Z4", "D4", "E8", "A2", "lift"])
+def test_ball_search_masked_and_unmasked_levels_agree(fresh_lattice, name):
+    """A wide edge margin puts candidates outside the ball into the level
+    masks: at the top level for certain, since the first radius sets that
+    level's range half a step inside the ball's edge.  A narrow one leaves
+    most levels with no candidate to drop, and their masks are skipped.
+    Both give the same points, coefficients and d2, in every output mode:
+    one center with coefficients, packed or d2 only, the half ball, and
+    many centers."""
+    r, calls = _search_calls(fresh_lattice(name))
     for (t, r2), kw in calls:
         narrow = _ball_search(r, t, r2, slop=1e-12, **kw)
         wide = _ball_search(r, t, r2, slop=0.7, **kw)
         assert narrow[2].size > 1
         assert _search_bytes(wide) == _search_bytes(narrow)
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+@pytest.mark.parametrize("name", ["Z4", "D4", "E8", "A2", "lift"])
+def test_ball_search_blocks_change_no_output(fresh_lattice, monkeypatch, name,
+                                            chunk):
+    """_LEVEL_CHUNK sets only how each level is cut into blocks: at 1 and
+    7 the levels run in many blocks of whole prefixes, with candidates
+    masked (the wide margin) and prefixes with no candidate inside them,
+    and every output mode keeps the bytes of the default's one-block
+    levels."""
+    lat = fresh_lattice(name)
+    r, calls = _search_calls(lat)
+    for slop in (1e-12, 0.7):
+        want = [_search_bytes(_ball_search(r, t, r2, slop=slop, **kw))
+                for (t, r2), kw in calls]
+        with monkeypatch.context() as patch:
+            patch.setattr(lattice_mod, "_LEVEL_CHUNK", chunk)
+            got = [_search_bytes(_ball_search(r, t, r2, slop=slop, **kw))
+                   for (t, r2), kw in calls]
+        assert got == want
 
 
 def _box_ball(lat, tmat, rad2):
@@ -651,6 +680,15 @@ def test_ball_search_order_matches_box(fresh_lattice, name):
     assert np.array_equal(root, want[0])
     assert u.dtype == np.int64 and np.array_equal(u, want[1])
     assert d2.tobytes() == want[2].tobytes()
+
+
+@pytest.mark.parametrize("name", ["Z4", "D4", "A2", "skewA2"])
+def test_ball_search_order_matches_box_in_blocks(fresh_lattice, monkeypatch,
+                                                 name):
+    """The same order and bytes when every level runs in blocks of about
+    7 candidates."""
+    monkeypatch.setattr(lattice_mod, "_LEVEL_CHUNK", 7)
+    test_ball_search_order_matches_box(fresh_lattice, name)
 
 
 def test_enumerate_ball_far_center_keeps_edge_points():

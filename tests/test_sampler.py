@@ -223,8 +223,11 @@ def test_table_draws_match_unsorted_search(case):
 
 def test_table_build_memory():
     """The criterion-4 build holds sorted packed keys, not the 2.65M x 8
-    coefficient table: under tracemalloc it peaks below 170 MiB and keeps
-    below 80 MiB (267.0 and 202.5 MiB when the rows were unpacked)."""
+    coefficient table, and its ball search keeps no temporary that spans
+    a whole level: under tracemalloc it peaks below 112 MiB and keeps
+    below 64 MiB (85.7 and 60.8 MiB; 130.7 and 60.8 MiB with parent
+    pointers and level-sized temporaries, 267.0 and 202.5 MiB when the
+    rows were unpacked)."""
     lat, sigma0, c = _sandwich_e8_case()
     tracemalloc.start()
     try:
@@ -233,8 +236,8 @@ def test_table_build_memory():
     finally:
         tracemalloc.stop()
     assert len(spec.table_rows) == 2_654_137
-    assert peak < 170 * 2**20
-    assert held < 80 * 2**20
+    assert peak < 112 * 2**20
+    assert held < 64 * 2**20
 
 
 def test_shift_moves_support():
