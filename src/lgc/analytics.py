@@ -168,6 +168,19 @@ def _grow_radius(lat: Lattice, tau: float, radius: float, grow: float,
     raise BudgetExceeded(f"{what} did not certify its tail")
 
 
+def _weight_sum(w: np.ndarray, what: str) -> float:
+    """float(np.sum(w)) over the Gaussian weights of a ball's points.
+
+    Raises BudgetExceeded when a non-empty ball's weights sum to 0.0: every
+    point outside the ball weighs less, so no larger ball certifies either.
+    An empty ball sums to 0.0 and is left to grow.
+    """
+    z = float(np.sum(w))
+    if z == 0.0 and w.size:
+        raise BudgetExceeded(f"{what} weights underflow to 0.0")
+    return z
+
+
 def _ball_d2(lat: Lattice, center: np.ndarray, radius: float) -> np.ndarray:
     """Squared distances of the lattice points within radius of center,
     in descending order.
@@ -209,7 +222,8 @@ def _gauss_sum(lat: Lattice, center: np.ndarray, tau: float,
         if skip_zero:
             d2 = d2[d2 > zero_cut]
         # ascending weights for a stable, order-fixed summation
-        value = float(np.sum(np.exp(-math.pi * tau * d2)))
+        w = np.exp(-math.pi * tau * d2)
+        value = float(np.sum(w)) if skip_zero else _weight_sum(w, "gaussian sum")
         return value, value + 1.0 if skip_zero else value
 
     radius = max(math.sqrt(X_START / (math.pi * tau)), min_radius)
@@ -412,7 +426,7 @@ def _support_stats(lat: Lattice, sigma0: float, c: np.ndarray) -> tuple:
     def weigh(radius):
         d2 = _ball_d2(lat, c, radius)
         w = np.exp(-d2 / two_s2)
-        z = float(np.sum(w))
+        z = _weight_sum(w, "support")
         return (d2, w, z), z
 
     (d2, w, z), _, _ = _grow_radius(lat, tau,

@@ -30,7 +30,13 @@ from .errors import (
     FlatnessTooLarge,
     RandomnessExhausted,
 )
-from .analytics import _ball_volume, _grow_radius, _two_pi_var, flatness
+from .analytics import (
+    _ball_volume,
+    _grow_radius,
+    _two_pi_var,
+    _weight_sum,
+    flatness,
+)
 from . import lattice
 from .lattice import Lattice, LatticePoint, PackedRows, _vector, enumerate_ball
 from .rng import RngSeed, stream
@@ -171,7 +177,7 @@ def _build_table(lat, sigma0, c, tau, radius):
         np.negative(w, out=w)
         w /= 2.0 * sigma0 * sigma0
         np.exp(w, out=w)
-        z = float(w.sum())
+        z = _weight_sum(w, "support")
         return (rows, w, z), z
 
     (rows, w, z), tail, radius = _grow_radius(

@@ -356,6 +356,22 @@ def test_flatness_budget_counts_prefix_matrix():
         flatness(standard_lattice("Zn", 200), 0.5)
 
 
+@pytest.mark.parametrize("check", ["partition", "entropy"])
+def test_underflowing_weights_are_budget_errors(monkeypatch, check):
+    """Each point of these balls weighs 0.0 in float64, and every point
+    outside a ball weighs less than every one inside: no radius certifies,
+    so the sum refuses the first ball with a point instead of growing it
+    to the point budget (lowered here, so that a sum which grows fails
+    fast with the budget's message).  partition sums in _gauss_sum, and
+    entropy on A2 in _support_stats."""
+    monkeypatch.setattr(lattice_mod, "POINT_CAP", 10_000)
+    with pytest.raises(BudgetExceeded, match="weights underflow"):
+        if check == "partition":
+            partition_sandwich_check(Z1, 1e-3, [0.5])
+        else:
+            entropy_deviation(A2, 1e-3, [0.3, 0.2])
+
+
 def test_flatness_budget_error_not_cached(fresh_lattice, monkeypatch):
     lat = fresh_lattice("E8")
     with monkeypatch.context() as patch:

@@ -671,6 +671,23 @@ def test_sample_past_draw_budget_is_exit_3(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n, sigma0", [(1, "1e-3"), (4, "0.02")])
+def test_sample_weights_underflow_is_exit_3(tmp_path, capsys, monkeypatch,
+                                            n, sigma0):
+    # every support weight underflows to 0.0: refused at the first ball
+    # with a point, not grown to the point budget (lowered here, so that a
+    # build which grows fails fast with the budget's message)
+    monkeypatch.setattr(lattice_mod, "POINT_CAP", 10_000)
+    cfg = _write_config(tmp_path, f"lattice = Zn:{n}\nsigma0 = {sigma0}\n"
+                                  f"shift = {', '.join(['0.5'] * n)}\n")
+    out = tmp_path / "x.csv"
+    assert main(["sample", "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("run: BudgetExceeded: ")
+    assert "weights underflow" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_unwritable_output_is_exit_3(tmp_path, capsys):
     cfg = _write_config(tmp_path, "mu = 2.0\n")
     rc = main(["exponent", "--config", cfg,

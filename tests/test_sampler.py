@@ -474,6 +474,23 @@ def test_axis_table_past_point_budget(monkeypatch):
     assert axis_spec(Z2, 1.0, np.zeros(2)).backend == "product"
 
 
+def test_table_weights_underflow_is_budget_error(monkeypatch):
+    """Every point of Zn - 0.5 lies at squared distance n/4 or more, whose
+    weight exp(-n / (8 sigma0^2)) is 0.0 in float64 at these sigma0.  No
+    radius certifies such a table, so its first ball with a point is
+    refused instead of grown to the point budget (lowered here, so that a
+    build which grows fails fast with the budget's message).  An empty
+    ball still grows: at sigma0 0.02 the first radius, 0.15, holds no
+    point, and the table certifies at 0.54."""
+    monkeypatch.setattr(lattice_mod, "POINT_CAP", 10_000)
+    for n, sigma0 in ((1, 1e-3), (4, 0.02)):
+        with pytest.raises(BudgetExceeded, match="weights underflow"):
+            build_spec(standard_lattice("Zn", n), sigma0, np.full(n, 0.5))
+    spec = build_spec(Z1, 0.02, np.array([0.5]))
+    assert spec.table_coeffs.ravel().tolist() == [0, 1]
+    assert spec.truncation_radius > 0.5
+
+
 def test_sample_count_validation(monkeypatch):
     spec = build_spec(Z1, 1.0, np.zeros(1))
     with pytest.raises(DimensionMismatch):
