@@ -775,8 +775,8 @@ def _ball_search(r: np.ndarray, tmat: np.ndarray, rad2: np.ndarray,
     slack = rad2 * (1.0 + 1e-12) + 1e-12
     # One center (enumerate_ball) keeps its radius a scalar and tracks no
     # root (it returns a read-only view of one 0).  On the large d2-only
-    # balls of the certified sums the per-prefix gathers would cost about
-    # 11 % of the throughput and 6 % of the peak memory of the lemma
+    # balls of the certified sums the two per-prefix gathers would cost
+    # about 11 % of the throughput and 6 % of the peak memory of the lemma
     # checks.
     per = m > 1
     lim = slack if per else slack[0]
