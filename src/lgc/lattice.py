@@ -715,12 +715,9 @@ def _blocks(ends: np.ndarray, chunk: int):
 
 
 def _below(kids: list):
-    """Yield, for levels k = 1 .. n-1, the running count of the points below
-    the level-k prefixes, after a leading 0.
-
-    kids[k] is the running count of the level-k children of the level-(k+1)
-    prefixes; one level's running counts index the next level's.
-    """
+    """Yield, for levels k = 1 .. n-1, 0 and then the running count of the
+    points below the level-k prefixes, from kids[k], the running count of
+    the level-k children of the level-(k+1) prefixes."""
     at = None
     for run in kids[:-1]:
         at = np.concatenate(([0], run if at is None else at[run]))
@@ -824,9 +821,7 @@ def _ball_search(r: np.ndarray, tmat: np.ndarray, rad2: np.ndarray,
 
         def expand(lo, a, b, s, e, cnt):
             # (d2, u, running count per prefix) of the survivors among the
-            # candidates s..e-1 of prefixes a..b-1 (lows lo, counts cnt);
-            # a prefix's candidates are contiguous, so its values spread by
-            # np.repeat
+            # candidates s..e-1 of prefixes a..b-1, whose lows are lo
             uk = np.repeat(lo - ends[a:b] + cnt, cnt)
             uk += np.arange(s, e)
             nd = rkk * uk
