@@ -19,6 +19,11 @@ the bit print the same lines.  The families:
   tail masses (plus D4 and a diagonal basis);
 - batch: closest_points_batch on seeded batches, ties included, over Z8,
   D4, E8, a diagonal basis and the lift;
+- certificate: closest_points_batch on rows at the edge of the untagged
+  decoder's nearest-plane certificate (half the certified minimum distance
+  of the reduced basis, and its 1e-9 margin, each times 1 +- 1e-10 and
+  1 +- 1e-15), over the lift, I + 3S on Z4 (S the upper shift) and A2 on
+  the skewed basis A2 @ [[2, 5], [1, 3]];
 - map: per-row MAP decodes and decode_agreement counts on structured specs;
 - map_batch: the batched MAP decoder's coefficients (scheme._map_batch) on
   the map family's four structured specs and on two table specs (Z2 at
@@ -229,7 +234,32 @@ def family_batch(lats: dict) -> str:
     return h.hexdigest()
 
 
-_MAP_SPECS = (("Z8", 2.0, 0.0), ("D4", 1.0, 0.25), ("E8", 1.2, 0.25),
+def _certificate_rows(lat, rng, m: int) -> np.ndarray:
+    """Rows in random directions from lattice points, at half the certified
+    minimum distance of lat's reduction and at the nearest-plane
+    certificate's 1e-9 margin inside it, each times 1 +- 1e-10 or
+    1 +- 1e-15."""
+    half = 0.5 * lat.reduced[0].lambda1_lb()
+    edges = np.outer([1.0, math.sqrt(1.0 - 1e-9)],
+                     [1 - 1e-10, 1 + 1e-10, 1 - 1e-15, 1 + 1e-15]).ravel()
+    v = rng.normal(size=(m, lat.n))
+    v *= (half * edges[rng.integers(edges.size, size=m)]
+          / np.linalg.norm(v, axis=1))[:, None]
+    return rng.integers(-3, 4, size=(m, lat.n)) @ lat.basis.T + v
+
+
+def family_certificate(lats: dict) -> str:
+    skew4 = make_lattice(np.eye(4) + 3.0 * np.eye(4, k=1), label="skew4")
+    skew_a2 = make_lattice(standard_lattice("A2").basis
+                           @ np.array([[2, 5], [1, 3]]), label="skewA2")
+    h = _Hash()
+    for lat in (lats["lift"], skew4, skew_a2):
+        rows = _certificate_rows(lat, np.random.default_rng(1710), 4000)
+        h.add(lat.label, closest_points_batch(lat, rows))
+    return h.hexdigest()
+
+
+_MAP_SPECS =(("Z8", 2.0, 0.0), ("D4", 1.0, 0.25), ("E8", 1.2, 0.25),
               ("diag", 1.5, 0.1))
 
 
@@ -373,7 +403,8 @@ def main() -> int:
         ("table_stats", lambda: family_table_stats(lats)),
         ("axes", lambda: family_axes(lats)),
         ("batch", lambda: family_batch(lats)),
-        ("map", lambda: family_map(lats)),
+        ("certificate", lambda: family_certificate(lats)),
+        ("map",lambda: family_map(lats)),
         ("map_batch", lambda: family_map_batch(lats)),
         ("lemmas", lambda: family_lemmas(lats)),
         ("sandwich_csv", family_sandwich_csv),
