@@ -467,12 +467,20 @@ def closest_points_batch(lat: Lattice, ys: np.ndarray) -> np.ndarray:
 
     A structured lattice decodes every row with its exact Conway-Sloane
     decoder and maps the points to coefficients in its own basis; the rows
-    whose decision margin falls inside the tie guard are near a tie, and
-    one _ball_nearest pass through the structured points searches them all
-    in the lattice's own frame.  Every row of an untagged basis goes
-    through _reduced_exact.  Output matches closest_point row by row, ties
-    included: every accepted row has a unique nearest point, and the exact
-    pass in the caller's basis resolves the rest lexicographically.
+    whose decision margin falls inside the tie guard are refused.  An
+    untagged basis walks Babai's nearest plane (_walk) on its LLL reduction
+    (Lattice.reduced) and keeps the rows it certifies inside half the
+    minimum distance; one _ball_nearest pass on the reduced basis searches
+    the rest, each inside the ball through its Babai point.  A searched
+    row keeps that pass's answer only when no other candidate lies inside
+    a band of _GUARD_REL * (1 + |y|) * (1 + best), so that its nearest
+    point is unique: in either frame each level's residual is off by some
+    ulps of |y|, so d2 by some ulps of 2 |y| sqrt(d2) <= |y| (1 + d2).  The
+    rows with more than one candidate are refused, and the unimodular
+    transform maps the reduced coefficients back to lat's basis.  Either
+    way one _ball_nearest pass in lat's own frame, through each refused
+    row's point, breaks its ties lexicographically in lat's coefficients,
+    so the output matches closest_point row by row, ties included.
     """
     ys = np.asarray(ys, dtype=float)
     if ys.ndim != 2 or ys.shape[1] != lat.n:
@@ -481,66 +489,52 @@ def closest_points_batch(lat: Lattice, ys: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(ys)):
         raise DimensionMismatch("point must be finite")
     if lat.structure is None:
-        return _reduced_exact(lat, ys)
-    u = np.empty((m, n), dtype=np.int64)
-    ok = np.empty(m, dtype=bool)
-    to_coeffs = lat.inv.T
-    for i in range(0, m, _DECODE_CHUNK):
-        pts, ok[i:i + _DECODE_CHUNK] = lat.structure.decode_batch(
-            ys[i:i + _DECODE_CHUNK])
-        u[i:i + _DECODE_CHUNK] = np.rint(pts @ to_coeffs)
-    refused = np.nonzero(~ok)[0]
+        red, t = lat.reduced
+        q, r = red.qr
+        u, d2 = _walk(r, ys @ q)
+        half = 0.5 * red.lambda1_lb()
+        hard = np.nonzero(d2 >= (half * half) * (1.0 - 1e-9))[0]
+        yh = ys[hard]
+        band = _GUARD_REL * (1.0 + np.linalg.norm(yh, axis=1))
+        u[hard], count = _ball_nearest(red, yh, u[hard], band)
+        u = u @ t.T
+        refused = hard[count > 1]
+    else:
+        u = np.empty((m, n), dtype=np.int64)
+        ok = np.empty(m, dtype=bool)
+        to_coeffs = lat.inv.T
+        for i in range(0, m, _DECODE_CHUNK):
+            pts, ok[i:i + _DECODE_CHUNK] = lat.structure.decode_batch(
+                ys[i:i + _DECODE_CHUNK])
+            u[i:i + _DECODE_CHUNK] = np.rint(pts @ to_coeffs)
+        refused = np.nonzero(~ok)[0]
     u[refused], _ = _ball_nearest(lat, ys[refused], u[refused], TIE_REL)
     return u
 
 
-def _babai(lat: Lattice, ys: np.ndarray) -> tuple:
-    """(u, hard) for the rows of ys on lat.
+def _walk(r: np.ndarray, tmat: np.ndarray,
+          u: np.ndarray | None = None) -> tuple:
+    """(u, d2): a nearest-plane walk from the rows of tmat (QR frame).
 
-    u holds Babai's nearest-plane coefficients and hard the rows whose
-    residual is not certified inside half the minimum distance.
+    Level k = n-1 down to 0 adds e * e to d2, e = r_kk u_k - tau_k, and
+    takes r[:k, k] u_k off tau[:k], tau starting at the row.  Without u,
+    u_k rounds tau_k / r_kk, which is Babai's nearest plane; with u, the
+    walk measures the squared distances to the given points.  d2 is
+    summed in _ball_search's own arithmetic, so a ball of this squared
+    radius around each row holds its point to the bit, however large its
+    coefficients.
     """
-    q, r = lat.qr
-    tmat = ys @ q
-    s = tmat.copy()
-    m, n = ys.shape
-    u = np.empty((m, n), dtype=np.int64)
-    for k in range(n - 1, -1, -1):
-        uk = np.floor(s[:, k] / r[k, k] + 0.5).astype(np.int64)
-        u[:, k] = uk
+    uf = np.empty(tmat.shape[::-1]) if u is None else u.T.astype(float)
+    tau = tmat.T.copy()
+    d2 = np.zeros(tmat.shape[0])
+    for k in range(r.shape[0] - 1, -1, -1):
+        if u is None:
+            np.floor(tau[k] / r[k, k] + 0.5, out=uf[k])
+        e = r[k, k] * uf[k] - tau[k]
+        d2 += e * e
         if k:
-            s[:, :k] -= uk[:, None] * r[:k, k]
-    resid = tmat - u @ r.T
-    d2 = np.einsum("ij,ij->i", resid, resid)
-    half = 0.5 * lat.lambda1_lb()
-    return u, np.nonzero(d2 >= (half * half) * (1.0 - 1e-9))[0]
-
-
-def _reduced_exact(lat: Lattice, ys: np.ndarray) -> np.ndarray:
-    """Exact nearest points for the rows of ys, coefficients in lat's basis.
-
-    The batch decoder of untagged bases.  Babai's rounding on lat's LLL
-    reduction (Lattice.reduced) keeps the rows it certifies inside half the
-    minimum distance; one _ball_nearest pass on the reduced basis searches
-    the rest, each inside the ball through its Babai point.  A searched
-    row keeps that pass's answer only when no other candidate lies inside
-    a band of _GUARD_REL * (1 + |y|) * (1 + best), so that its nearest
-    point is unique: in either frame each level's residual is off by some
-    ulps of |y|, so d2 by some ulps of 2 |y| sqrt(d2) <= |y| (1 + d2).
-    The rows with more than one candidate take a second pass in lat's own
-    frame, through the mapped-back candidate, which breaks the tie
-    lexicographically in lat's coefficients as closest_point does.  The
-    unimodular transform maps the reduced coefficients back to lat's basis.
-    """
-    red, t = lat.reduced
-    u_red, hard = _babai(red, ys)
-    yh = ys[hard]
-    band = _GUARD_REL * (1.0 + np.linalg.norm(yh, axis=1))
-    u_red[hard], count = _ball_nearest(red, yh, u_red[hard], band)
-    u = u_red @ t.T
-    tied = hard[count > 1]
-    u[tied], _ = _ball_nearest(lat, ys[tied], u[tied], TIE_REL)
-    return u
+            tau[:k] -= r[:k, k, None] * uf[k]
+    return uf.T.astype(np.int64) if u is None else u, d2
 
 
 def _ball_nearest(lat: Lattice, ys: np.ndarray, u: np.ndarray,
@@ -548,17 +542,16 @@ def _ball_nearest(lat: Lattice, ys: np.ndarray, u: np.ndarray,
     """(coeffs, count): the nearest points of lat to the rows of ys.
 
     u holds one lattice point per row, coefficients in lat's basis; its
-    squared distance `bound` (summed as _ball_search sums it, _path_d2)
+    squared distance `bound` (summed as _ball_search sums it, _walk)
     bounds the row's nearest one.  One _ball_search over the rows, each
     ball of squared radius bound + tie_rel * (1 + bound), holds every point
     inside the tie band of the row's best: without the band term a near-tie
     just outside the incumbent's ball would be missed.  Each row gets the
     lexicographically smallest coefficients among its points with d2 <=
     best + tie_rel * (1 + best), as _enum_nearest breaks ties, and the
-    count of those points.  tie_rel is a scalar or one value per row.
-    Rows go _DECODE_CHUNK at a time, so no level's prefix count nears
-    POINT_CAP.  The batch nearest-point decoders call it; the batched MAP
-    decoder (scheme._map_batch) keeps their answers and searches no ball.
+    count of those points; a row with none keeps its u.  tie_rel is a
+    scalar or one value per row.  Rows go _DECODE_CHUNK at a time, so no
+    level's prefix count nears POINT_CAP.
     """
     q, r = lat.qr
     m = ys.shape[0]
@@ -567,39 +560,24 @@ def _ball_nearest(lat: Lattice, ys: np.ndarray, u: np.ndarray,
     count = np.zeros(m, dtype=np.int64)
     for i in range(0, m, _DECODE_CHUNK):
         tmat = ys[i:i + _DECODE_CHUNK] @ q
-        bound = _path_d2(r, tmat, u[i:i + _DECODE_CHUNK])
+        _, bound = _walk(r, tmat, u[i:i + _DECODE_CHUNK])
         band = tie_rel[i:i + _DECODE_CHUNK]
         rad2 = bound + band * (1.0 + bound)
         root, cand, d2 = _ball_search(r, tmat, rad2,
                                       slop=_edge_slop(lat, tmat, rad2))
-        rows, best, count[i:i + _DECODE_CHUNK] = _lex_best(
-            tmat.shape[0], root, cand, d2, band)
-        out[i + rows] = best
+        # the ties of each row, grouped by row, lexicographically sorted
+        best = np.full(len(tmat), math.inf)
+        np.minimum.at(best, root, d2)
+        floor = best[root]
+        tie = d2 <= floor + band[root] * (1.0 + floor)
+        root, cand = root[tie], cand[tie]
+        order = np.lexsort((*cand.T[::-1], root))
+        root, cand = root[order], cand[order]
+        first = np.ones(root.size, dtype=bool)
+        first[1:] = root[1:] != root[:-1]
+        out[i + root[first]] = cand[first]
+        count[i:i + _DECODE_CHUNK] = np.bincount(root, minlength=len(tmat))
     return out, count
-
-
-def _lex_best(m: int, root: np.ndarray, u: np.ndarray, d2: np.ndarray,
-              tie_rel) -> tuple:
-    """(rows, coeffs, count): per center, the first of its nearest points.
-
-    root, u and d2 are _ball_search's points (center row, coefficients,
-    squared distance) over m centers.  A center's ties are its points with
-    d2 <= best + tie_rel * (1 + best), tie_rel being a scalar or one value
-    per center; rows lists the centers with a point, coeffs the
-    lexicographically smallest tie of each, and count the ties of every
-    center (0 without a point).
-    """
-    best = np.full(m, math.inf)
-    np.minimum.at(best, root, d2)
-    floor = best[root]
-    band = tie_rel[root] if np.ndim(tie_rel) else tie_rel
-    tie = d2 <= floor + band * (1.0 + floor)
-    root, u = root[tie], u[tie]
-    order = np.lexsort((*u.T[::-1], root))
-    root, u = root[order], u[order]
-    first = np.ones(root.size, dtype=bool)
-    first[1:] = root[1:] != root[:-1]
-    return root[first], u[first], np.bincount(root, minlength=m)
 
 
 def coset_decode(lat: Lattice, c, y) -> LatticePoint:
@@ -738,7 +716,7 @@ def _ball_search(r: np.ndarray, tmat: np.ndarray, rad2: np.ndarray,
     Level-by-level expansion over r (Fincke & Pohst), vectorized over the
     surviving prefixes of every center at once.  A prefix's children are
     contiguous, so a level keeps only its new coefficients and, over the
-    prefixes above, the running count of its children: no parent pointers.
+    prefixes above, the running count of its children.
     No temporary spans a whole level: the integer ranges are counted
     _LEVEL_CHUNK prefixes at a time, and the candidates expanded in blocks
     of whole prefixes holding about _LEVEL_CHUNK of them (each prefix's
@@ -906,24 +884,6 @@ def _ball_search(r: np.ndarray, tmat: np.ndarray, rad2: np.ndarray,
         for a, b, s, e, cnt in _blocks(at[1:], _LEVEL_CHUNK):
             cols[k, s:e] = np.repeat(ucol[k][a:b], cnt)
     return root, cols.T, d2
-
-
-def _path_d2(r: np.ndarray, tmat: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Squared distances from the rows of tmat (QR frame) to the points u.
-
-    Summed level by level in _ball_search's own arithmetic, so that a ball
-    of this squared radius around each row holds its point to the bit,
-    however large its coefficients.
-    """
-    uf = u.T.astype(float)
-    tau = tmat.T.copy()
-    d2 = np.zeros(tmat.shape[0])
-    for k in range(r.shape[0] - 1, -1, -1):
-        e = r[k, k] * uf[k] - tau[k]
-        d2 += e * e
-        if k:
-            tau[:k] -= r[:k, k, None] * uf[k]
-    return d2
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from lgc.lattice import (
     Lattice,
     _ball_search,
     _enum_nearest,
-    _path_d2,
+    _walk,
     closest_point,
     closest_points_batch,
     coset_decode,
@@ -636,7 +636,7 @@ def _box_ball(lat, tmat, rad2):
     tmat holds the centers in the QR frame, as _ball_search takes them.
     Scans a coefficient box that holds the ball around each center; d2 and
     membership (d2 <= rad2 * (1 + 1e-12) + 1e-12) are computed in
-    _ball_search's own arithmetic (_path_d2), so points on a ball's edge
+    _ball_search's own arithmetic (_walk), so points on a ball's edge
     count the same way.  Points come grouped by center, each group sorted
     by (u_{n-1}, ..., u_0).
     """
@@ -648,7 +648,7 @@ def _box_ball(lat, tmat, rad2):
         h = int(math.ceil(math.sqrt(r2) * stretch)) + 2
         u = np.stack(np.meshgrid(*[np.arange(v - h, v + h + 1) for v in mid],
                                  indexing="ij"), axis=-1).reshape(-1, lat.n)
-        d2 = _path_d2(r, np.tile(t, (u.shape[0], 1)), u)
+        _, d2 = _walk(r, np.tile(t, (u.shape[0], 1)), u)
         keep = d2 <= r2 * (1.0 + 1e-12) + 1e-12
         u, d2 = u[keep], d2[keep]
         order = np.lexsort(u.T)
@@ -665,8 +665,8 @@ def _skew_a2():
 @pytest.mark.parametrize("name", ["Z4", "D4", "A2", "skewA2"])
 def test_ball_search_order_matches_box(fresh_lattice, name):
     """Points come grouped by center and sorted by (u_{n-1}, ..., u_0)
-    within each; _lex_best and the sampler's table both rely on this
-    order.  Coefficients and d2 match a box scan exactly."""
+    within each; _ball_nearest's tie ranking and the sampler's table both
+    rely on this order.  Coefficients and d2 match a box scan exactly."""
     lat = _skew_a2() if name == "skewA2" else fresh_lattice(name)
     q, r = lat.qr
     rng = np.random.default_rng(31)
