@@ -251,10 +251,7 @@ class Lattice:
 
     def lambda1_lb(self) -> float:
         """Certified lower bound on the shortest nonzero vector norm."""
-        if self.lambda1 is not None:
-            return self.lambda1
-        self.lambda1 = self.sigma_min
-        return self.lambda1
+        return self.sigma_min if self.lambda1 is None else self.lambda1
 
     @cached_property
     def _dfs_tabs(self) -> tuple:
