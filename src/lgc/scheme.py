@@ -47,6 +47,7 @@ from .errors import (
 )
 from .analytics import (
     _check_positive,
+    _require_small_eps,
     _two_pi_var,
     eps_prime_formula,
     flatness,
@@ -591,10 +592,7 @@ def rate_lower_formula(n: int, snr: float, eps: float,
 def rate_budget(lat: Lattice, params: GaussianParams,
                 eps_dprime: float) -> RateBudget:
     """Rate guarantee of the scheme on this lattice at these parameters."""
-    eps = flatness(lat, params.sigma0 / 2.0).epsilon
-    if eps >= 1.0:
-        raise FlatnessTooLarge(
-            f"flatness factor at sigma0/2 is {eps:.3g} >= 1")
+    eps = _require_small_eps(lat, params.sigma0)
     return RateBudget(
         n=lat.n, eps=eps, eps_prime=eps_prime_formula(lat.n, eps),
         eps_dprime=eps_dprime,
