@@ -93,6 +93,20 @@ def test_scale_and_dual():
     assert int(np.sum(np.abs(d2 - 2.0) < 1e-9)) == 240
 
 
+def test_lambda1_lb_does_not_depend_on_call_history():
+    """An untagged lattice's bound is its sigma_min, read and not stored:
+    a scaled copy computes its own, whatever ran on the original first."""
+    b = np.array([[1.0, 0.3, 0.1], [0.0, 1.1, 0.45], [0.0, 0.0, 0.9]])
+    warm = make_lattice(b)
+    flatness(warm, 0.5)
+    assert warm.lambda1 is None
+    cold = make_lattice(b)
+    for a in np.linspace(0.3, 3.0, 200):
+        assert warm.scale(a).lambda1_lb() == cold.scale(a).lambda1_lb()
+    assert repr(flatness(warm.scale(2.56), 1.28)) \
+        == repr(flatness(make_lattice(b).scale(2.56), 1.28))
+
+
 def test_kissing_numbers():
     for name, n, kiss in (("E8", None, 240), ("Dn", 4, 24), ("A2", None, 6)):
         lat = standard_lattice(name, n)
@@ -373,6 +387,58 @@ def test_far_ties_take_the_guard_band(lo, hi, monkeypatch):
     assert np.array_equal(got, want)
     assert sum(tie_pass) > k // 2
     assert max(per_row) <= 4
+
+
+def _skew4():
+    """Z4 on the basis I + 3S, S the upper shift matrix."""
+    return make_lattice(np.eye(4) + 3.0 * np.eye(4, k=1), label="skew4")
+
+
+_WALKED = {
+    "lift": lambda: lift(random_code(7, 8, 4, RngSeed(2025, 0)), 0.6),
+    "skew4": _skew4,
+}
+
+
+@pytest.mark.parametrize("name", list(_WALKED))
+def test_walk_rounds_each_level_as_nearest_plane(name):
+    """_walk without points gives the coefficients of a per-row
+    nearest-plane loop, and its d2 has the bits of the walk that measures
+    those points."""
+    lat = _WALKED[name]()
+    q, r = lat.qr
+    rng = np.random.default_rng(8)
+    tmat = (5.0 * rng.normal(size=(300, lat.n))) @ lat.basis.T @ q
+    u, d2 = _walk(r, tmat)
+    want = np.empty_like(u)
+    for i, t in enumerate(tmat):
+        s = t.copy()
+        for k in range(lat.n - 1, -1, -1):
+            want[i, k] = math.floor(s[k] / r[k, k] + 0.5)
+            s[:k] -= want[i, k] * r[:k, k]
+    assert u.dtype == np.int64 and np.array_equal(u, want)
+    measured_u, measured = _walk(r, tmat, u)
+    assert measured_u is u and measured.tobytes() == d2.tobytes()
+
+
+@pytest.mark.parametrize("name", list(_WALKED))
+def test_batch_matches_closest_point_at_the_certificate_edge(name):
+    """Rows at half the reduced basis's certified minimum distance from
+    lattice points, times 1 +- 1e-10 and 1 +- 1e-15, and the same at the
+    certificate's 1e-9 margin inside it: whichever side of the certificate
+    the rounding puts a row, its answer is closest_point's."""
+    lat = _WALKED[name]()
+    half = 0.5 * lat.reduced[0].lambda1_lb()
+    edges = np.outer([1.0, math.sqrt(1.0 - 1e-9)],
+                     [1 - 1e-10, 1 + 1e-10, 1 - 1e-15, 1 + 1e-15]).ravel()
+    rng = np.random.default_rng(1710)
+    k = 400
+    v = rng.normal(size=(k, lat.n))
+    v *= (half * edges[np.arange(k) % edges.size]
+          / np.linalg.norm(v, axis=1))[:, None]
+    ys = rng.integers(-3, 4, size=(k, lat.n)) @ lat.basis.T + v
+    want = np.array([closest_point(lat, y).coeffs for y in ys])
+    assert np.array_equal(closest_points_batch(lat, ys), want)
 
 
 @pytest.mark.parametrize("mag", [1e4, 1e5, 1e6], ids=["1e4", "1e5", "1e6"])
