@@ -186,15 +186,22 @@ def _ball_d2(lat: Lattice, center: np.ndarray, radius: float) -> np.ndarray:
     in descending order.
 
     Bit for bit np.sort(enumerate_ball(lat, center, radius, coeffs=False)[1])
-    reversed.  A zero center (-0.0 too) enumerates only the origin and one
-    point of each +-u pair (enumerate_ball's half mode), whose d2 have the
-    bits of the other half's: each nonzero value is emitted twice and the
-    origin's 0.0 last.
+    reversed, sorted in place.  A zero center (-0.0 too) enumerates only the
+    origin and one point of each +-u pair (enumerate_ball's half mode),
+    whose d2 have the bits of the other half's: each nonzero value is
+    emitted twice and the origin's 0.0 last, interleaved into one array
+    that is the only allocation past the half ball.
     """
     half = not np.any(center) and 0.0 <= radius < math.inf
     _, d2 = enumerate_ball(lat, center, radius, coeffs=False, _half=half)
-    d2 = np.sort(d2)[::-1]
-    return np.append(np.repeat(d2[:-1], 2), d2[-1]) if half else d2
+    d2.sort()
+    d2 = d2[::-1]
+    if not half:
+        return d2
+    out = np.empty(2 * d2.size - 1)
+    out[0::2] = d2
+    out[1::2] = d2[:-1]
+    return out
 
 
 def _gauss_sum(lat: Lattice, center: np.ndarray, tau: float,
@@ -208,8 +215,10 @@ def _gauss_sum(lat: Lattice, center: np.ndarray, tau: float,
     the returned value, so tiny sums still terminate).  balls, when given,
     memoizes by (lattice, radius) the one descending-sorted d2 array of
     each ball (_ball_d2), so sums over one lattice around one center
-    enumerate and sort each radius once.  Returns (value, tail_bound,
-    radius).
+    enumerate and sort each radius once.  The weights of a ball fill one
+    buffer (scaled, then exponentiated in place); skip_zero keeps the
+    leading slice of d2 past the zero cut, since d2 descends.  Returns
+    (value, tail_bound, radius).
     """
     zero_cut = (0.5 * lat.lambda1_lb()) ** 2
 
@@ -219,10 +228,11 @@ def _gauss_sum(lat: Lattice, center: np.ndarray, tau: float,
             d2 = _ball_d2(lat, center, radius)
             if balls is not None:
                 balls[(lat, radius)] = d2
-        if skip_zero:
-            d2 = d2[d2 > zero_cut]
+        if skip_zero:  # descending, so the kept points lead
+            d2 = d2[:np.count_nonzero(d2 > zero_cut)]
         # ascending weights for a stable, order-fixed summation
-        w = np.exp(-math.pi * tau * d2)
+        w = np.multiply(d2, -math.pi * tau)
+        np.exp(w, out=w)
         value = float(np.sum(w)) if skip_zero else _weight_sum(w, "gaussian sum")
         return value, value + 1.0 if skip_zero else value
 
@@ -279,8 +289,9 @@ def flatness(lat: Lattice, sigma: float) -> FlatnessReport:
 
     epsilon comes from the dual-side series when gsnr < 1 (small-epsilon
     regime, cancellation-free) and from the primal product formula
-    otherwise; the two agree through Poisson summation.  The attached
-    theta value is always taken at tau = 1/(2 pi sigma^2).
+    otherwise; the two agree through Poisson summation.  epsilon is inf
+    where the product formula's gsnr^(n/2) overflows.  The attached theta
+    value is always taken at tau = 1/(2 pi sigma^2).
 
     Reports are cached on the lattice by float(sigma); a raised error is
     not.  The dual-side theta sum and the epsilon sum share one memo that
@@ -303,7 +314,10 @@ def flatness(lat: Lattice, sigma: float) -> FlatnessReport:
                                min_radius=lam1d * (1.0 + 1e-9) + 0.25,
                                balls=balls)
     else:
-        eps = g ** (n / 2.0) * tv.value - 1.0
+        try:
+            eps = g ** (n / 2.0) * tv.value - 1.0
+        except OverflowError:  # float ** raises where the power overflows
+            eps = math.inf
     rep = lat._flatness[key] = FlatnessReport(sigma=sigma, gsnr=g, theta=tv,
                                               epsilon=eps)
     return rep
@@ -425,7 +439,9 @@ def _support_stats(lat: Lattice, sigma0: float, c: np.ndarray) -> tuple:
 
     def weigh(radius):
         d2 = _ball_d2(lat, c, radius)
-        w = np.exp(-d2 / two_s2)
+        w = np.negative(d2)
+        w /= two_s2
+        np.exp(w, out=w)
         z = _weight_sum(w, "support")
         return (d2, w, z), z
 
@@ -434,7 +450,8 @@ def _support_stats(lat: Lattice, sigma0: float, c: np.ndarray) -> tuple:
                                     GROW, TAIL_REL, weigh, "support sum")
     mom = float(np.sum(w * d2)) / z
     q = d2 / two_s2
-    ent = math.log(z) + float(np.sum(w * q)) / z
+    q *= w
+    ent = math.log(z) + float(np.sum(q)) / z
     return mom, ent
 
 

@@ -139,10 +139,17 @@ def random_code(p: int, n: int, k: int, seed: RngSeed,
 
 
 def theorem1_bound(lat: Lattice, sigma: float, delta: float = 1.0) -> float:
-    """(1+delta) * gsnr^{n/2}: the ensemble flatness guarantee level."""
+    """(1+delta) * gsnr^{n/2}: the ensemble flatness guarantee level.
+
+    inf where the power overflows.
+    """
     if not 0.0 <= delta < math.inf:
         raise ConfigError(f"delta must be finite and >= 0, got {delta}")
-    return (1.0 + delta) * gsnr(lat, sigma) ** (lat.n / 2.0)
+    g = gsnr(lat, sigma)
+    try:
+        return (1.0 + delta) * g ** (lat.n / 2.0)
+    except OverflowError:  # float ** raises where the power overflows
+        return math.inf
 
 
 class EnsembleEntry(NamedTuple):

@@ -741,7 +741,9 @@ def _ball_search(r: np.ndarray, tmat: np.ndarray, rad2: np.ndarray,
     and its first candidate, 0, always survives.  The budget counts the
     full ball's candidates, 2 * total - 1, and prefixes, so the caps are
     the same.  POINT_CAP bounds each level's candidates and, since the
-    next levels' centers keep k floats per prefix, its prefixes times k.
+    next levels' centers keep k floats per prefix, its prefixes times k;
+    25 * POINT_CAP bounds those prefix coordinates summed over the levels,
+    the search's work.
     """
     m, n = tmat.shape
     slack = rad2 * (1.0 + 1e-12) + 1e-12
@@ -759,6 +761,7 @@ def _ball_search(r: np.ndarray, tmat: np.ndarray, rad2: np.ndarray,
     # level-(k+1) prefixes
     ucol: list = [None] * n
     kids: list = [None] * n
+    work = 0
     for k in range(n - 1, -1, -1):
         rkk = r[k, k]
 
@@ -837,9 +840,15 @@ def _ball_search(r: np.ndarray, tmat: np.ndarray, rad2: np.ndarray,
             ucol[k], kids[k] = uk, ends
         if k:
             # the prefix matrix: k floats for each surviving prefix
-            if (2 * nd.size - 1 if half else nd.size) * k > POINT_CAP:
+            coords = (2 * nd.size - 1 if half else nd.size) * k
+            if coords > POINT_CAP:
                 raise BudgetExceeded(
                     f"ball enumeration passed {POINT_CAP} prefix coordinates")
+            work += coords
+            if work > 25 * POINT_CAP:
+                raise BudgetExceeded(
+                    f"ball enumeration passed {25 * POINT_CAP} prefix "
+                    "coordinates over its levels")
             nxt = np.empty((nd.size, k))
             for a, b, s, e, cnt in _blocks(ends, _LEVEL_CHUNK):
                 np.subtract(np.repeat(tau[a:b, :k], cnt, axis=0),

@@ -146,13 +146,17 @@ def build_spec(lat: Lattice, sigma0: float, c) -> DiscreteGaussianSpec:
     Chooses the enumerated inverse-CDF table when the support inside the
     certified truncation radius stays under TABLE_CAP points (read at call
     time), otherwise a structured backend for diagonal or checkerboard
-    bases.
+    bases.  A shift whose basis coefficients reach 2^52 is refused.
     """
     var = _two_pi_var("sigma0", sigma0)
     n = lat.n
     c = _vector(c, n, "shift")
     if n > 12:
         raise DimensionTooLarge(f"support sampling limited to n <= 12, got {n}")
+    if not np.all(np.abs(lat.inv @ c) < 2.0 ** 52):
+        raise DimensionMismatch(
+            "shift has a basis coefficient of 2^52 or more, where float64 "
+            "cannot tell neighbouring lattice coordinates apart")
     tau = 1.0 / var
     vol = lat.volume
     partial_floor = max(1.0, 0.5 * var ** (n / 2.0) / vol)

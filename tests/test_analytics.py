@@ -339,6 +339,22 @@ def test_flatness_cached_matches_cold_and_pinned(fresh_lattice, name, sigma):
     assert got == tuple(float.fromhex(v) for v in FLATNESS_PINNED[name, sigma])
 
 
+def test_flatness_memory(fresh_lattice):
+    """A fresh flatness(E8, 0.42) peaks below 25 MiB under tracemalloc:
+    21.2 MiB with each ball's sort, doubling and weights in one array
+    apiece (the ball search alone peaks at 19.6 MiB), 35.5 MiB with their
+    copies."""
+    lat = fresh_lattice("E8")
+    tracemalloc.start()
+    try:
+        rep = flatness(lat, 0.42)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.epsilon == float.fromhex(FLATNESS_PINNED["E8", 0.42][4])
+    assert peak < 25 * 2**20
+
+
 def test_flatness_ball_estimate_past_float_range():
     # the primal ball estimate of Z^120 at sigma 100 (radius 1000) passes
     # 1e308; the dual side holds one point, the origin
@@ -354,6 +370,13 @@ def test_flatness_budget_counts_prefix_matrix():
     # prefix count, passes the budget
     with pytest.raises(BudgetExceeded):
         flatness(standard_lattice("Zn", 200), 0.5)
+
+
+def test_flatness_within_the_work_budget():
+    # the largest of the eight dual balls writes 1.33e8 prefix coordinates
+    # over its levels, under 25 * POINT_CAP = 5e8
+    rep = flatness(standard_lattice("Zn", 200), 3.0)
+    assert rep.epsilon == 2.8079854430552256e-75
 
 
 @pytest.mark.parametrize("check", ["partition", "entropy"])

@@ -118,6 +118,35 @@ def test_theta_past_the_float_range_exits_0(tmp_path, command, body, column,
     assert rows[0].split(",")[column] == value
 
 
+@pytest.mark.parametrize("command,body,code", [
+    ("flatness", "lattice = Zn:8\nsigma = 1e-40\n", 0),
+    ("flatness", "lattice = E8\nsigma = 1e-77\n", 0),
+    ("rate", "lattice = E8\nsnr = 1e-300\n", 3),
+    ("rate", "lattice = Zn:8\nsnr = 1e-200\n", 3),
+    ("sandwich", "lattice = E8\nsigma0 = 1e-100\nsigma = 1e-101\n", 3),
+    ("ensemble", "p = 3\nn = 4\nk = 1\nscale = 1\nsigma = 1e-100\n", 0),
+], ids=["flatness-Z8", "flatness-E8", "rate-E8", "rate-Z8", "sandwich",
+        "ensemble"])
+def test_gsnr_power_past_the_float_range(tmp_path, capsys, command, body,
+                                         code):
+    # gsnr^(n/2) overflows: epsilon (primal product formula) and the
+    # ensemble's theorem-1 bound are inf, and rate and sandwich refuse it
+    cfg = _write_config(tmp_path, body)
+    out = tmp_path / "x.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == code
+    if code == 3:
+        err = capsys.readouterr().err
+        assert err.startswith("run: FlatnessTooLarge") and err.count("\n") == 1
+        assert not out.exists()
+        return
+    header, rows = _rows(out)
+    names = header.split(",")
+    for row in rows:
+        got = dict(zip(names, row.split(",")))
+        assert got["epsilon"] == "inf"
+        assert got.get("bound", "inf") == "inf"
+
+
 def test_rate_sweep(tmp_path):
     cfg = _write_config(tmp_path, """
         lattice = Zn:8
@@ -656,6 +685,24 @@ def test_axis_table_past_point_budget_is_exit_3(tmp_path, capsys,
     assert main(["sample", "--config", cfg, "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("run: BudgetExceeded: axis tables")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,body", [
+    ("sample", "lattice = E8\nsigma0 = 1\nshift = 1e300\n"),
+    ("simulate", "lattice = E8\nsnr = 10\nshift = 1e300\ntrials = 64\n"),
+    ("sample", "lattice = Zn:8\nsigma0 = 1\nshift = 1e17\n"),
+], ids=["sample-E8", "simulate-E8", "sample-Z8"])
+def test_shift_past_float_resolution_is_exit_3(tmp_path, capsys, command,
+                                               body):
+    # basis coefficients past 2^52: float64 cannot tell neighbouring
+    # lattice coordinates apart, so no table is built
+    cfg = _write_config(tmp_path, body)
+    out = tmp_path / "x.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("run: DimensionMismatch: shift")
     assert err.count("\n") == 1
     assert not out.exists()
 

@@ -15,7 +15,7 @@ from lgc.errors import (
     SingularBasis,
     UnknownName,
 )
-from lgc.analytics import flatness
+from lgc.analytics import _ball_d2, flatness
 from lgc.construction_a import ensemble_search, lift, random_code
 import lgc
 import lgc.lattice as lattice_mod
@@ -557,6 +557,24 @@ def test_enumerate_ball_budget(monkeypatch):
     monkeypatch.setattr(lattice_mod, "POINT_CAP", 1000)
     with pytest.raises(BudgetExceeded):
         enumerate_ball(z8, np.zeros(8), 14.0)
+
+
+def test_ball_search_work_budget(monkeypatch):
+    """25 * POINT_CAP bounds the prefix coordinates summed over a search's
+    levels.  The unit ball of Z^60 keeps 1 + 2 (60 - k) prefixes of k
+    floats at level k: 1,830 coordinates at most, 73,750 in all.  A cap of
+    2,950 admits every level and the sum; 2,949 only every level.  The
+    half ball counts its full ball's prefixes, so it stops at the same
+    cap."""
+    z60 = standard_lattice("Zn", 60)  # built before the cap drops under n*n
+    zero = np.zeros(60)
+    monkeypatch.setattr(lattice_mod, "POINT_CAP", 2950)
+    assert enumerate_ball(z60, zero, 1.01)[0].shape == (121, 60)
+    assert _ball_d2(z60, zero, 1.01).size == 121
+    monkeypatch.setattr(lattice_mod, "POINT_CAP", 2949)
+    for ball in (enumerate_ball, _ball_d2):
+        with pytest.raises(BudgetExceeded, match="over its levels"):
+            ball(z60, zero, 1.01)
 
 
 def test_enumerate_ball_boundary_inclusive():

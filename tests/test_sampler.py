@@ -447,6 +447,18 @@ def test_rejects_bad_inputs():
         build_spec(standard_lattice("Zn", 13), 1.0, np.zeros(13))
 
 
+def test_shift_past_float_resolution_refused():
+    # DIAG4's first axis steps by 0.5, so coordinate 2^51 is coefficient
+    # 2^52, where float64 steps by 1; both backends refuse it
+    for build, backend in ((build_spec, "table"), (axis_spec, "product")):
+        near = build(DIAG4, 1.0, [2.0 ** 51 - 0.5, 0.0, 0.0, 0.0])
+        assert near.backend == backend
+        for far in ([2.0 ** 51, 0.0, 0.0, 0.0], [-(2.0 ** 51), 0.0, 0.0, 0.0],
+                    [0.0, 0.0, 0.0, 1e300]):
+            with pytest.raises(DimensionMismatch, match=r"2\^52"):
+                build(DIAG4, 1.0, far)
+
+
 def test_budget_without_structure():
     skew = make_lattice(np.array([[1.0, 0.3], [0.0, 1.0]]).T, label="skew")
     with pytest.raises(BudgetExceeded):
