@@ -33,6 +33,9 @@ the bit print the same lines.  The families:
 - lemmas: flatness_direct on Z2, A2 and D4; moment_check and
   entropy_deviation on Z4 (40-digit axis sums), D4 and A2 (enumerated
   support sums); partition_sandwich_check at fixed shifts;
+- sample_csv: the `lgc sample` CSVs of E8 at sigma0 0.4 (table) and at
+  sigma0 1 (parity), both at shift 0.25, of Zn:8 at sigma0 3 (product) and
+  of Zn:2 at sigma0 1, shift 0.5 (table), 20,000 draws each, seed 2026;
 - sandwich_csv: the `lgc sandwich` CSV of the criterion-4 configuration at
   2^16 trials, seed 2024;
 - sandwich_paired: sandwich_check on the same configuration, trials and
@@ -333,17 +336,40 @@ def family_lemmas(lats: dict) -> str:
     return h.hexdigest()
 
 
+def _cli_csv(tmp: str, argv: list) -> bytes:
+    """The CSV bytes `lgc <argv> --out <file in tmp>` writes."""
+    out = os.path.join(tmp, "out.csv")
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = lgc_main([*argv, "--out", out])
+    if code != 0:
+        raise SystemExit(f"lgc {argv[0]} exited with {code}")
+    with open(out, "rb") as fh:
+        return fh.read()
+
+
+_SAMPLE_CASES = (("E8", 0.4, 0.25), ("E8", 1.0, 0.25), ("Zn:8", 3.0, 0.0),
+                 ("Zn:2", 1.0, 0.5))
+
+
+def family_sample_csv() -> str:
+    h = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "sample.cfg")
+        for name, sigma0, shift in _SAMPLE_CASES:
+            with open(cfg, "w") as fh:
+                fh.write(f"lattice = {name}\nsigma0 = {sigma0}\n"
+                         f"shift = {shift}\n")
+            h.update(_cli_csv(tmp, ["sample", "--config", cfg, "--seed",
+                                    "2026", "--trials", "20000"]))
+    return h.hexdigest()
+
+
 def family_sandwich_csv() -> str:
     cfg = os.path.join(_ROOT, "perfbench", "sandwich_e8.cfg")
     with tempfile.TemporaryDirectory() as tmp:
-        out = os.path.join(tmp, "sandwich.csv")
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = lgc_main(["sandwich", "--config", cfg, "--seed", "2024",
-                             "--trials", str(1 << 16), "--out", out])
-        if code != 0:
-            raise SystemExit(f"lgc sandwich exited with {code}")
-        with open(out, "rb") as fh:
-            return hashlib.sha256(fh.read()).hexdigest()
+        csv = _cli_csv(tmp, ["sandwich", "--config", cfg, "--seed", "2024",
+                             "--trials", str(1 << 16)])
+    return hashlib.sha256(csv).hexdigest()
 
 
 def family_sandwich_paired() -> str:
@@ -407,6 +433,7 @@ def main() -> int:
         ("map",lambda: family_map(lats)),
         ("map_batch", lambda: family_map_batch(lats)),
         ("lemmas", lambda: family_lemmas(lats)),
+        ("sample_csv", family_sample_csv),
         ("sandwich_csv", family_sandwich_csv),
         ("sandwich_paired", family_sandwich_paired),
         ("simulate", lambda: family_simulate(lats)),
