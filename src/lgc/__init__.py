@@ -21,10 +21,8 @@ from .errors import (
 from .rng import RngSeed, stream
 from .lattice import (
     Lattice,
-    LatticePoint,
     closest_point,
     closest_points_batch,
-    coset_decode,
     enumerate_ball,
     load_basis,
     make_lattice,

@@ -110,19 +110,23 @@ def _tail_bound(n: int, lam1: float, tau: float, radius: float) -> float:
     exp(-pi tau (radius+k)^2); evaluated in log space to dodge overflow.
     The ratio of consecutive terms falls as k grows, so when 2000 shells
     do not settle the series, the rest is at most term * rho / (1 - rho),
-    rho being the ratio of the next term to the last one summed.
+    rho being the ratio of the next term to the last one summed.  A term
+    or ratio past float range leaves the tail uncertified: inf.
     """
     def ln_term(r):
         return n * math.log(2.0 * (r + 1.0) / lam1 + 1.0) - math.pi * tau * r * r
 
     acc = 0.0
-    for k in range(2000):
-        ln_t = ln_term(radius + k)
-        term = math.exp(ln_t) if ln_t > -745.0 else 0.0
-        acc += term
-        if term <= acc * 1e-17 or term == 0.0:
-            return acc
-    rho = math.exp(ln_term(radius + 2000) - ln_t)
+    try:
+        for k in range(2000):
+            ln_t = ln_term(radius + k)
+            term = math.exp(ln_t) if ln_t > -745.0 else 0.0
+            acc += term
+            if term <= acc * 1e-17 or term == 0.0:
+                return acc
+        rho = math.exp(ln_term(radius + 2000) - ln_t)
+    except OverflowError:  # a term past float range: uncertified
+        return math.inf
     if rho >= 1.0:
         raise BudgetExceeded("packing tail series does not converge")
     return acc + term * rho / (1.0 - rho)

@@ -239,7 +239,7 @@ def _run_sample(raw, points, seed, trials, threads):
         raise ConfigError("sample needs 'sigma0'")
     shift = _parse_shift(raw, lat.n)
     spec = build_spec(lat, sigma0, shift)
-    header, rows = sample_csv(sample(spec, seed, trials))
+    header, rows = sample_csv(spec, sample(spec, seed, trials))
     return header, rows, {"spec": spec.as_dict()}
 
 

@@ -1,7 +1,9 @@
 """Lattice construction, exact nearest-point search, and ball enumeration.
 
-A lattice is represented by a square basis matrix whose COLUMNS are the
-generator vectors.  All search routines are exact: the nearest-point solver
+A lattice is represented by a square basis matrix B whose COLUMNS are the
+generator vectors, and a lattice point by its int64 basis coefficients u:
+every decoder returns u, and the point is B u (a point of the coset L - c
+is B u - c).  All search routines are exact: the nearest-point solver
 is a depth-first sphere search with a node budget.  Zn, Dn, E8 and
 diagonal bases carry their axis layout as a structure tag (Axes: points
 steps * k plus one offset per coset, with an even-sum filter on k for Dn
@@ -57,18 +59,6 @@ _LEVEL_CHUNK = 65536
 # ---------------------------------------------------------------------------
 # types
 # ---------------------------------------------------------------------------
-
-
-@dataclass(eq=False)
-class LatticePoint:
-    """Integer coefficients plus the embedded vector they map to.
-
-    For coset outputs the embedding carries the shift (lambda - c), while
-    coeffs always index the underlying lattice point lambda.
-    """
-
-    coeffs: np.ndarray
-    embedding: np.ndarray
 
 
 # Squared distances within TIE_REL * (1 + best) of the best are ties,
@@ -437,8 +427,9 @@ def _vector(x, n: int, what: str) -> np.ndarray:
     return x
 
 
-def closest_point(lat: Lattice, y) -> LatticePoint:
-    """Exact nearest lattice point to y.
+def closest_point(lat: Lattice, y) -> np.ndarray:
+    """Basis coefficients u (int64, shape (n,)) of the exact nearest
+    lattice point B u to y.
 
     Ties (squared distances inside the TIE_REL band of the best) are broken
     toward the lexicographically smallest coefficient vector.
@@ -448,8 +439,7 @@ def closest_point(lat: Lattice, y) -> LatticePoint:
     t = (y @ q).tolist()
     diag, cols = lat._dfs_tabs
     ties, _, _ = _enum_nearest(diag, cols, t)
-    u = np.array(ties[0][0], dtype=np.int64)
-    return LatticePoint(u, lat.basis @ u)
+    return np.array(ties[0][0], dtype=np.int64)
 
 
 def _warm_decoder(lat: Lattice) -> None:
@@ -575,17 +565,6 @@ def _ball_nearest(lat: Lattice, ys: np.ndarray, u: np.ndarray,
         out[i + root[first]] = cand[first]
         count[i:i + _DECODE_CHUNK] = np.bincount(root, minlength=len(tmat))
     return out, count
-
-
-def coset_decode(lat: Lattice, c, y) -> LatticePoint:
-    """Nearest point of the shifted set L - c to y.
-
-    Equals closest_point(L, y + c) shifted back; the embedding field holds
-    lambda - c while coeffs index lambda.
-    """
-    c = _vector(c, lat.n, "shift")
-    p = closest_point(lat, _vector(y, lat.n, "point") + c)
-    return LatticePoint(p.coeffs, p.embedding - c)
 
 
 # ---------------------------------------------------------------------------

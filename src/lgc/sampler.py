@@ -38,7 +38,7 @@ from .analytics import (
     flatness,
 )
 from . import lattice
-from .lattice import Lattice, LatticePoint, PackedRows, _vector, enumerate_ball
+from .lattice import Lattice, PackedRows, _vector, enumerate_ball
 from .rng import RngSeed, stream
 
 TABLE_CAP = 4_000_000
@@ -313,8 +313,9 @@ def sample_coeffs(spec: DiscreteGaussianSpec, rng: np.random.Generator,
     return np.rint(coords @ spec.lattice.inv.T).astype(np.int64)
 
 
-def sample(spec: DiscreteGaussianSpec, seed: RngSeed, count: int) -> list:
-    """`count` i.i.d. LatticePoints of L - c, deterministic per seed.
+def sample(spec: DiscreteGaussianSpec, seed: RngSeed, count: int) -> np.ndarray:
+    """(count, n) int64 basis coefficients u of `count` i.i.d. draws B u - c
+    from the spec, deterministic per seed: sample_coeffs on stream(seed).
 
     count is capped at TABLE_CAP (read at call time), the most rows the
     library holds for one spec.
@@ -324,22 +325,22 @@ def sample(spec: DiscreteGaussianSpec, seed: RngSeed, count: int) -> list:
     if count > TABLE_CAP:
         raise BudgetExceeded(
             f"{count} draws pass the sample budget ({TABLE_CAP})")
-    rng = stream(seed)
-    coeffs = sample_coeffs(spec, rng, count)
-    emb = coeffs @ spec.lattice.basis.T - spec.shift
-    return [LatticePoint(coeffs[i].copy(), emb[i].copy()) for i in range(count)]
+    return sample_coeffs(spec, stream(seed), count)
 
 
-def sample_csv(points: list) -> tuple:
-    """(header, rows) of the sample CSV: coeffs0.., then embedding0.. columns."""
-    if not points:
+def sample_csv(spec: DiscreteGaussianSpec, coeffs: np.ndarray) -> tuple:
+    """(header, rows) of the sample CSV: the coefficient rows coeffs0..,
+    then embedding0.. columns holding their points B u - c of spec's coset."""
+    if not len(coeffs):
         raise DimensionMismatch("no points to write")
-    n = points[0].coeffs.size
+    n = coeffs.shape[1]
     header = ",".join([f"coeffs{i}" for i in range(n)]
                       + [f"embedding{i}" for i in range(n)])
-    rows = [",".join([str(int(v)) for v in pt.coeffs]
-                     + [repr(float(v)) for v in pt.embedding])
-            for pt in points]
+    emb = coeffs @ spec.lattice.basis.T - spec.shift
+    # one row's Python values at a time: whole-array lists would hold
+    # 2n Python objects per draw at once
+    rows = [",".join([*map(str, u.tolist()), *map(repr, x.tolist())])
+            for u, x in zip(coeffs, emb)]
     return header, rows
 
 

@@ -56,13 +56,11 @@ from .analytics import (
 from .lattice import (
     TIE_REL,
     Lattice,
-    LatticePoint,
     _enum_nearest,  # noqa: F401  bound here for perfbench/tracing.py
     _vector,
     _warm_decoder,
-    closest_point,  # noqa: F401  bound here for perfbench/tracing.py
+    closest_point,
     closest_points_batch,
-    coset_decode,
 )
 from .rng import RngSeed, stream
 from .sampler import (
@@ -95,7 +93,6 @@ class GaussianParams:
     alpha: float
     sigma_tilde: float
     snr: float
-    power: float
 
 
 def make_params(sigma0: float, sigma: float) -> GaussianParams:
@@ -112,7 +109,7 @@ def make_params(sigma0: float, sigma: float) -> GaussianParams:
     return GaussianParams(
         sigma0=sigma0, sigma=sigma, alpha=alpha,
         sigma_tilde=sigma0 * sigma / math.sqrt(s0sq + ssq),
-        snr=snr, power=s0sq)
+        snr=snr)
 
 
 # ---------------------------------------------------------------------------
@@ -120,13 +117,16 @@ def make_params(sigma0: float, sigma: float) -> GaussianParams:
 # ---------------------------------------------------------------------------
 
 
-def mmse_decode(lat: Lattice, c, params: GaussianParams, y) -> LatticePoint:
-    """Scaled lattice decoding: nearest point of L - c to alpha*y."""
-    return coset_decode(lat, c, params.alpha * np.asarray(y, dtype=float))
+def mmse_decode(lat: Lattice, c, params: GaussianParams, y) -> np.ndarray:
+    """Scaled lattice decoding: the coefficients u of the nearest point
+    B u - c of L - c to alpha*y, which is closest_point(lat, alpha*y + c)."""
+    c = _vector(c, lat.n, "shift")
+    return closest_point(lat, params.alpha * _vector(y, lat.n, "point") + c)
 
 
-def map_decode(spec: DiscreteGaussianSpec, params: GaussianParams, y) -> LatticePoint:
-    """Exact posterior argmax over the truncated signaling support.
+def map_decode(spec: DiscreteGaussianSpec, params: GaussianParams, y) -> np.ndarray:
+    """Coefficients u (int64, shape (n,)) of the exact posterior argmax
+    B u - c over the truncated signaling support.
 
     Table specs score every support point exhaustively.  Structured specs
     minimize the completed-square metric |B u - (c + alpha*y)|^2 over the
@@ -137,15 +137,11 @@ def map_decode(spec: DiscreteGaussianSpec, params: GaussianParams, y) -> Lattice
     (squared distance within TIE_REL * (1 + best)) break to the
     lexicographically smallest coefficient vector.
     """
-    lat = spec.lattice
-    y = _vector(y, lat.n, "y")
-    c = spec.shift
+    y = _vector(y, spec.lattice.n, "y")
     if spec.backend == "table":
-        coeffs = _map_table(spec, params, y)
-    else:
-        ties = _box_search(spec, c + params.alpha * y)
-        coeffs = ties[np.lexsort(ties.T[::-1])[0]]
-    return LatticePoint(coeffs, lat.basis @ coeffs.astype(float) - c)
+        return _map_table(spec, params, y)
+    ties = _box_search(spec, spec.shift + params.alpha * y)
+    return ties[np.lexsort(ties.T[::-1])[0]]
 
 
 def _axis_ranges(spec: DiscreteGaussianSpec) -> list:
@@ -261,7 +257,7 @@ def _map_batch(spec: DiscreteGaussianSpec, params: GaussianParams,
                         dtype=np.int64).reshape(mmse.shape)
     out = mmse.copy()
     for i in np.nonzero(~_in_support(spec, mmse))[0].tolist():
-        out[i] = map_decode(spec, params, ys[i]).coeffs
+        out[i] = map_decode(spec, params, ys[i])
     return out
 
 

@@ -155,6 +155,14 @@ def test_tail_bound_raises_while_terms_grow():
         _tail_bound(8, 1.0, 1e-12, 1.0)
 
 
+@pytest.mark.parametrize("lam1", [1e-40, 1e-300], ids=["1e-40", "1e-300"])
+def test_tail_bound_past_float_range_is_uncertified(lam1):
+    # the packing count (2 (r + 1) / lam1 + 1)^8 of the first shell passes
+    # float range: the tail is not certified, and the bound is inf
+    assert _tail_bound(8, lam1, 1.0 / (2.0 * math.pi * 1000.0), 1.0) \
+        == math.inf
+
+
 def _sorted_ball(lat, center, radius):
     return np.sort(enumerate_ball(lat, center, radius, coeffs=False)[1])[::-1]
 

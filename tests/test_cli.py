@@ -324,7 +324,7 @@ def test_cli_rows_match_library_writers(tmp_path):
     out = tmp_path / "draws.csv"
     assert main(["sample", "--config", cfg, "--out", str(out)]) == 0
     spec = build_spec(standard_lattice("E8"), 3.0, np.full(8, 0.25))
-    header, rows = sample_csv(sample(spec, RngSeed(9), 300))
+    header, rows = sample_csv(spec, sample(spec, RngSeed(9), 300))
     assert out.read_bytes() == _csv_bytes(header, rows)
 
     cfg = _write_config(tmp_path, """
@@ -683,6 +683,23 @@ def test_axis_table_past_point_budget_is_exit_3(tmp_path, capsys,
     monkeypatch.setattr(lattice_mod, "POINT_CAP", 687)
     cfg = _write_config(tmp_path, "lattice = E8\nsigma0 = 2.0\n")
     assert main(["sample", "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("run: BudgetExceeded: axis tables")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("lattice", ["E8", "Zn:12"])
+@pytest.mark.parametrize("command", ["simulate", "sandwich"])
+def test_tail_bound_past_float_range_is_exit_3(tmp_path, capsys, command,
+                                               lattice):
+    # volume 1e-300 puts lambda_1 near 1e-37 (E8) or 1e-25 (Zn:12): the
+    # packing count of the first tail shell passes float range, so the tail
+    # is uncertified and the radius grows until the axis budget refuses it
+    cfg = _write_config(tmp_path, f"lattice = {lattice}\nsnr = 1000\n"
+                                  "volume = 1e-300\ntrials = 64\n")
+    out = tmp_path / "x.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("run: BudgetExceeded: axis tables")
     assert err.count("\n") == 1

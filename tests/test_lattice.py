@@ -26,7 +26,6 @@ from lgc.lattice import (
     _walk,
     closest_point,
     closest_points_batch,
-    coset_decode,
     enumerate_ball,
     load_basis,
     make_lattice,
@@ -140,8 +139,7 @@ def test_cvp_matches_bruteforce_random_bases():
             b = rng.normal(size=(3, 3))
         lat = make_lattice(b)
         y = 4.0 * rng.normal(size=3)
-        pt = closest_point(lat, y)
-        d = np.linalg.norm(pt.embedding - y)
+        d = np.linalg.norm(lat.basis @ closest_point(lat, y) - y)
         assert abs(d * d - _brute_cvp(lat, y)) < 1e-9
 
 
@@ -164,7 +162,17 @@ def test_batch_matches_single():
     ys = 3.0 * rng.normal(size=(500, 8))
     dec = closest_points_batch(e8, ys)
     for i in range(0, 500, 41):
-        assert np.array_equal(dec[i], closest_point(e8, ys[i]).coeffs)
+        assert np.array_equal(dec[i], closest_point(e8, ys[i]))
+
+
+@pytest.mark.parametrize("name", ["Z4", "D4", "E8", "A2", "lift"])
+def test_closest_point_returns_the_batch_row(fresh_lattice, name):
+    lat = fresh_lattice(name)
+    rng = np.random.default_rng(26)
+    for y in 2.0 * lat.volume ** (1.0 / lat.n) * rng.normal(size=(20, lat.n)):
+        u = closest_point(lat, y)
+        assert u.dtype == np.int64 and u.shape == (lat.n,)
+        assert np.array_equal(u, closest_points_batch(lat, y[None])[0])
 
 
 def _face_rows(lat, holes, rng, k):
@@ -258,7 +266,7 @@ def test_batch_exact_ties_take_fallback(name, n, y):
     nearest = sorted(tuple(v) for v in u[d2 <= d2.min() + 1e-9].tolist())
     assert len(nearest) > 1
     assert tuple(got) == nearest[0]
-    assert np.array_equal(got, closest_point(lat, y).coeffs)
+    assert np.array_equal(got, closest_point(lat, y))
 
 
 def _skewed6():
@@ -337,7 +345,7 @@ def test_untagged_batch_matches_closest_point(name, monkeypatch):
     tie_pass = _watch_fallback(monkeypatch, lat)
     got = closest_points_batch(lat, ys)
     monkeypatch.undo()
-    want = np.array([closest_point(lat, y).coeffs for y in ys])
+    want = np.array([closest_point(lat, y) for y in ys])
     assert np.array_equal(got, want)
     assert sum(tie_pass) > 0  # the exact ties took the caller's-basis pass
     assert lat.lambda1 == lam_before
@@ -383,7 +391,7 @@ def test_far_ties_take_the_guard_band(lo, hi, monkeypatch):
     monkeypatch.setattr(lattice_mod, "_ball_search", counting)
     got = closest_points_batch(lat, ys)
     monkeypatch.undo()
-    want = np.array([closest_point(lat, y).coeffs for y in ys])
+    want = np.array([closest_point(lat, y) for y in ys])
     assert np.array_equal(got, want)
     assert sum(tie_pass) > k // 2
     assert max(per_row) <= 4
@@ -437,7 +445,7 @@ def test_batch_matches_closest_point_at_the_certificate_edge(name):
     v *= (half * edges[np.arange(k) % edges.size]
           / np.linalg.norm(v, axis=1))[:, None]
     ys = rng.integers(-3, 4, size=(k, lat.n)) @ lat.basis.T + v
-    want = np.array([closest_point(lat, y).coeffs for y in ys])
+    want = np.array([closest_point(lat, y) for y in ys])
     assert np.array_equal(closest_points_batch(lat, ys), want)
 
 
@@ -456,7 +464,7 @@ def test_structured_guard_accepts_far_rows(name, mag):
     ys = u @ lat.basis.T + 0.3 * rng.normal(size=(m, lat.n))
     _, ok = lat.structure.decode_batch(ys)
     assert np.count_nonzero(~ok) <= m // 40
-    want = np.array([closest_point(lat, y).coeffs for y in ys])
+    want = np.array([closest_point(lat, y) for y in ys])
     assert np.array_equal(closest_points_batch(lat, ys), want)
 
 
@@ -470,15 +478,15 @@ def test_batch_matches_closest_point_on_benchmark_lattice():
     noise = math.sqrt(lat.volume ** (2.0 / n) / (2.0 * math.pi * math.e * 2.2))
     ys = noise * np.random.default_rng(22).normal(size=(3000, n))
     got = closest_points_batch(lat, ys)
-    want = np.array([closest_point(lat, y).coeffs for y in ys])
+    want = np.array([closest_point(lat, y) for y in ys])
     assert np.array_equal(got, want)
     assert np.any(got != 0)  # some rows decode to another point than 0
 
 
 def test_cvp_tie_lexicographic():
     z1 = standard_lattice("Zn", 1)
-    pt = closest_point(z1, np.array([0.5]))
-    assert pt.coeffs[0] == 0  # tie between 0 and 1 breaks to the smaller
+    u = closest_point(z1, np.array([0.5]))
+    assert u[0] == 0  # tie between 0 and 1 breaks to the smaller
 
 
 def test_cvp_validations(monkeypatch):
@@ -501,16 +509,15 @@ def test_cvp_validations(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def test_coset_decode_and_mod():
+def test_coset_point_and_mod():
     d4 = standard_lattice("Dn", 4)
     c = np.array([0.2, -0.3, 0.1, 0.4])
     y = np.array([1.9, 0.1, -2.2, 0.6])
-    pt = coset_decode(d4, c, y)
-    # embedding is the coset point lambda - c for the lattice point lambda
-    assert np.allclose(pt.embedding, d4.basis @ pt.coeffs - c)
-    r = y - closest_point(d4, y).embedding
-    # residual lies in the Voronoi cell: zero is its nearest lattice point
-    assert np.all(closest_point(d4, r).coeffs == 0)
+    # the nearest point of L - c to y is B u - c, u nearest to y + c
+    x = d4.basis @ closest_point(d4, y + c) - c
+    # each residual lies in the Voronoi cell: zero is its nearest point
+    for r in (y - x, y - d4.basis @ closest_point(d4, y)):
+        assert np.all(closest_point(d4, r) == 0)
 
 
 # ---------------------------------------------------------------------------

@@ -253,18 +253,25 @@ def test_shift_moves_support():
 def test_sampling_determinism():
     spec = build_spec(D4, 0.9, np.zeros(4))
     seed = RngSeed(11, 7)
-    a = np.array([pt.coeffs for pt in sample(spec, seed, 256)])
-    b = np.array([pt.coeffs for pt in sample(spec, seed, 256)])
-    assert np.array_equal(a, b)
-    c = np.array([pt.coeffs for pt in sample(spec, RngSeed(11, 8), 256)])
-    assert not np.array_equal(a, c)
+    a = sample(spec, seed, 256)
+    assert np.array_equal(a, sample(spec, seed, 256))
+    assert not np.array_equal(a, sample(spec, RngSeed(11, 8), 256))
+
+
+@pytest.mark.parametrize("axis", [False, True], ids=["table", "parity"])
+def test_sample_is_sample_coeffs_on_the_seed_stream(axis):
+    spec = (axis_spec if axis else build_spec)(D4, 0.9, np.full(4, 0.25))
+    assert spec.backend == ("parity" if axis else "table")
+    got = sample(spec, RngSeed(11, 7), 300)
+    assert got.dtype == np.int64 and got.shape == (300, 4)
+    assert np.array_equal(got,
+                          sample_coeffs(spec, stream(RngSeed(11, 7)), 300))
 
 
 def test_empirical_frequencies_z1():
     spec = build_spec(Z1, 1.0, np.zeros(1))
     pmf = _support_pmf(spec)
-    pts = sample(spec, RngSeed(5, 0), 20000)
-    vals = np.array([int(pt.coeffs[0]) for pt in pts])
+    vals = sample(spec, RngSeed(5, 0), 20000)[:, 0]
     assert abs(np.mean(vals == 0) - P_ZERO_Z1) < 0.01
     # chi-square goodness of fit against the exact table, pooling bins
     # with tiny expectation
@@ -353,8 +360,7 @@ def test_parity_matches_table(lat, s):
 
 def test_parity_sampling_hits_both_cosets():
     spec = axis_spec(E8, 0.45, np.zeros(8))
-    pts = sample(spec, RngSeed(3, 1), 4000)
-    emb = np.array([pt.embedding for pt in pts])
+    emb = sample(spec, RngSeed(3, 1), 4000) @ E8.basis.T
     frac = np.abs(emb - np.rint(emb))
     half = np.all(np.abs(frac - 0.5) < 1e-9, axis=1)
     whole = np.all(frac < 1e-9, axis=1)
@@ -367,8 +373,7 @@ def test_parity_sampling_hits_both_cosets():
 def test_parity_empirical_frequencies_d4():
     table = build_spec(D4, 0.9, np.zeros(4))
     spec = axis_spec(D4, 0.9, np.zeros(4))
-    pts = sample(spec, RngSeed(17, 0), 30000)
-    emb = np.array([pt.embedding for pt in pts])
+    emb = sample(spec, RngSeed(17, 0), 30000) @ D4.basis.T
     support = np.rint(table.table_coeffs @ D4.basis.T).astype(int)
     pmf = dict(zip(map(tuple, support.tolist()), table.table_probs))
     keys = sorted(pmf)
@@ -528,15 +533,15 @@ def test_spec_dict_round_trip():
 
 def test_sample_csv():
     spec = build_spec(Z2, 1.0, np.full(2, 0.25))
-    pts = sample(spec, RngSeed(9, 0), 50)
-    header, lines = sample_csv(pts)
+    coeffs = sample(spec, RngSeed(9, 0), 50)
+    header, lines = sample_csv(spec, coeffs)
     rows = list(csv.reader([header, *lines]))
     assert rows[0] == ["coeffs0", "coeffs1", "embedding0", "embedding1"]
     assert len(rows) == 51
-    for row, pt in zip(rows[1:], pts):
+    for row, want in zip(rows[1:], coeffs):
         u = np.array([int(v) for v in row[:2]])
         x = np.array([float(v) for v in row[2:]])
-        assert np.array_equal(u, pt.coeffs)
+        assert np.array_equal(u, want)
         assert np.allclose(x, u @ Z2.basis.T - 0.25, atol=0)
     with pytest.raises(DimensionMismatch):
-        sample_csv([])
+        sample_csv(spec, coeffs[:0])

@@ -26,7 +26,6 @@ from lgc.construction_a import lift, random_code, theorem1_bound
 from lgc.lattice import (
     closest_point,
     closest_points_batch,
-    coset_decode,
     enumerate_ball,
     standard_lattice,
 )
@@ -82,7 +81,6 @@ def test_params_values():
     assert p.alpha == pytest.approx(0.8, rel=1e-15)
     assert p.sigma_tilde ** 2 == pytest.approx(0.8, rel=1e-12)
     assert p.snr == pytest.approx(4.0, rel=1e-15)
-    assert p.power == pytest.approx(4.0, rel=1e-15)
     q = make_params(1.0, 1.0)
     assert q.alpha == pytest.approx(0.5, rel=1e-15)
     assert q.sigma_tilde == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-15)
@@ -182,8 +180,8 @@ _NAN2 = [math.nan, 0.0]
     (lambda: entropy_deviation(Z2, 3.0, _NAN2), DimensionMismatch),
     (lambda: closest_point(Z2, [0.0, 0.0, 1.0]), DimensionMismatch),
     (lambda: closest_point(Z2, [math.inf, 0.0]), DimensionMismatch),
-    (lambda: coset_decode(Z2, np.zeros(2), [0.0, 0.0, 1.0]),
-     DimensionMismatch),
+    (lambda: mmse_decode(Z2, np.zeros(2), make_params(3.0, 1.0),
+                         [0.0, 0.0, 1.0]), DimensionMismatch),
     (lambda: closest_points_batch(Z2, np.zeros(2)), DimensionMismatch),
 ], ids=["ball-center-nan", "ball-radius-nan", "partition-shift-nan",
         "moment-shift-nan", "entropy-shift-nan", "closest-point-shape",
@@ -204,19 +202,25 @@ def test_mmse_decode_fixed_points():
     # a y that alpha maps exactly onto a coset point decodes to it
     target = np.array([2.0, -1.0]) - c
     y = target / p.alpha
-    out = mmse_decode(Z2, c, p, y)
-    assert np.array_equal(out.coeffs, [2, -1])
-    assert np.allclose(out.embedding, target, atol=1e-12)
+    u = mmse_decode(Z2, c, p, y)
+    assert u.dtype == np.int64 and u.shape == (2,)
+    assert np.array_equal(u, [2, -1])
+    assert np.allclose(Z2.basis @ u - c, target, atol=1e-12)
+    assert np.array_equal(u, closest_point(Z2, p.alpha * y + c))
 
 
 def test_mmse_decode_rejects_bad_shapes():
     # a one-element y does not broadcast to a point, and a shift of the
     # wrong length is a dimension error, not numpy's
     p = make_params(3.0, 1.0)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DimensionMismatch, match="point has shape"):
         mmse_decode(Z2, np.zeros(2), p, np.ones(1))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DimensionMismatch, match="shift has shape"):
         mmse_decode(Z2, np.zeros(3), p, np.ones(2))
+    with pytest.raises(DimensionMismatch, match="shift must be finite"):
+        mmse_decode(Z2, np.array([0.0, math.nan]), p, np.ones(2))
+    with pytest.raises(DimensionMismatch, match="point must be finite"):
+        mmse_decode(Z2, np.zeros(2), p, np.array([0.0, math.inf]))
 
 
 def test_map_matches_exhaustive_posterior():
@@ -233,7 +237,8 @@ def test_map_matches_exhaustive_posterior():
                  - np.einsum("ij,ij->i", diff, diff) / (2 * p.sigma ** 2))
         want = spec.table_coeffs[int(np.argmax(score))]
         got = map_decode(spec, p, y)
-        assert np.array_equal(got.coeffs, want)
+        assert got.dtype == np.int64 and got.shape == (2,)
+        assert np.array_equal(got, want)
 
 
 def test_hot_paths_never_unpack_the_whole_table(monkeypatch):
@@ -283,9 +288,9 @@ def test_branch_and_bound_matches_table_map(shift):
     for y in 1.5 * rng.standard_normal((60, 4)):
         a = map_decode(table, p, y)
         b = map_decode(struct, p, y)
-        if not np.array_equal(a.coeffs, b.coeffs):
-            da = a.embedding - p.alpha * y
-            db = b.embedding - p.alpha * y
+        if not np.array_equal(a, b):
+            da = D4.basis @ a - c - p.alpha * y
+            db = D4.basis @ b - c - p.alpha * y
             assert abs(float(da @ da) - float(db @ db)) < tie_gap
 
 
@@ -298,7 +303,7 @@ def test_map_table_forced_tie_takes_lowest_index(chunk, monkeypatch):
     spec = build_spec(Z1, 1.0, np.array([0.5]))
     assert spec.backend == "table"
     got = map_decode(spec, make_params(1.0, 1.0), np.zeros(1))
-    assert got.coeffs.tolist() == [0]
+    assert got.tolist() == [0]
 
 
 @pytest.mark.parametrize("chunk", [1, 7])
@@ -307,9 +312,9 @@ def test_map_table_chunking_does_not_change_output(chunk, monkeypatch):
     spec = build_spec(Z2, 1.5, np.full(2, 0.5))
     ys = [np.zeros(2), np.array([0.0, 0.7]), *(2.0 * np.random.default_rng(3)
                                                .standard_normal((40, 2)))]
-    whole = [map_decode(spec, p, y).coeffs.tolist() for y in ys]
+    whole = [map_decode(spec, p, y).tolist() for y in ys]
     monkeypatch.setattr(sampler_mod, "_TABLE_CHUNK", chunk)
-    assert [map_decode(spec, p, y).coeffs.tolist() for y in ys] == whole
+    assert [map_decode(spec, p, y).tolist() for y in ys] == whole
 
 
 # lattice, sigma0, sigma, shift, axis (True: the axis backend, not the table)
@@ -369,7 +374,7 @@ def test_map_batch_matches_map_decode(case, monkeypatch):
     monkeypatch.setattr(scheme_mod, "map_decode", counting)
     mmse = closest_points_batch(lat, p.alpha * ys + c)
     got = scheme_mod._map_batch(spec, p, ys, mmse)
-    want = np.array([map_decode(spec, p, y).coeffs for y in ys])
+    want = np.array([map_decode(spec, p, y) for y in ys])
     assert got.dtype == np.int64
     assert np.array_equal(got, want)
     if lat.n == 1:
@@ -410,7 +415,7 @@ def test_map_decode_searches_no_ball(case, monkeypatch):
     for mod, name in ((lattice_mod, "_ball_search"), (scheme_mod, "closest_point"),
                       (scheme_mod, "closest_points_batch")):
         monkeypatch.setattr(mod, name, refuse)
-    got = np.array([map_decode(spec, p, y).coeffs for y in ys])
+    got = np.array([map_decode(spec, p, y) for y in ys])
     assert np.array_equal(got, want)
     assert np.array_equal(scheme_mod._map_batch(spec, p, ys, mmse), want)
 
@@ -426,7 +431,7 @@ def test_map_stays_in_the_support_box():
     y = np.zeros(8)
     y[0] = 60.0 / p.alpha
     want = [31] + [0] * 7
-    assert map_decode(spec, p, y).coeffs.tolist() == want
+    assert map_decode(spec, p, y).tolist() == want
     mmse = closest_points_batch(Z8, p.alpha * y[None, :])
     assert scheme_mod._map_batch(spec, p, y[None, :], mmse).tolist() == [want]
 
@@ -441,7 +446,7 @@ def test_map_far_targets_match_round_then_clamp():
     v = rng.choice([-1.0, 1.0], (10, 8)) * rng.uniform(0.9, 1.1, (10, 8))
     v *= (spec.truncation_radius + 1.5) / np.linalg.norm(v, axis=1,
                                                           keepdims=True)
-    got = np.array([map_decode(spec, p, x / p.alpha).coeffs for x in v])
+    got = np.array([map_decode(spec, p, x / p.alpha) for x in v])
     assert np.array_equal(got, np.clip(np.rint(v), -31, 31))
 
 
@@ -469,7 +474,7 @@ def test_map_parity_matches_exhaustive_box(shift):
         tied = coeffs[d2 <= d2.min() * (1 + 1e-12) + 1e-12]
         want = tied[np.lexsort(tied.T[::-1])[0]]
         got = map_decode(spec, p, (target - c) / p.alpha)
-        assert np.array_equal(got.coeffs, want)
+        assert np.array_equal(got, want)
 
 
 def test_map_rejects_bad_shape():

@@ -190,7 +190,7 @@ def family_table_stats(lats: dict) -> str:
         ys = spec.truncation_radius / math.sqrt(lat.n) \
             * rng.normal(size=(4, lat.n))
         params = make_params(sigma0, sigma)
-        h.add(np.array([map_decode(spec, params, y).coeffs for y in ys]))
+        h.add(np.array([map_decode(spec, params, y) for y in ys]))
     return h.hexdigest()
 
 
@@ -276,7 +276,7 @@ def family_map(lats: dict) -> str:
         rng = np.random.default_rng(44)
         ys = 2.0 * spec.truncation_radius / math.sqrt(lat.n) \
             * rng.normal(size=(200, lat.n))
-        h.add(name, np.array([map_decode(spec, params, y).coeffs for y in ys]))
+        h.add(name, np.array([map_decode(spec, params, y) for y in ys]))
         h.add(tuple(decode_agreement(lat, c, params, 3000, RngSeed(303, 0),
                                      spec=spec)))
     return h.hexdigest()
