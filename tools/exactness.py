@@ -15,8 +15,9 @@ the bit print the same lines.  The families:
 - table_stats: on the criterion-4 table, a D4 table and a table whose
   coefficient spans pass 63 bits (the lexsort fallback), the tail masses
   (not on the fallback), 4,096 draws and a few per-row MAP decodes;
-- axes: the structured samplers' axis tables on Z8 and E8, with draws and
-  tail masses (plus D4 and a diagonal basis);
+- axes: the structured samplers' axis tables (k values, probabilities and
+  cdf of each) on Z8 and E8, with draws and tail masses (plus D4 and a
+  diagonal basis);
 - batch: closest_points_batch on seeded batches, ties included, over Z8,
   D4, E8, a diagonal basis and the lift;
 - certificate: closest_points_batch on rows at the edge of the untagged
@@ -205,8 +206,8 @@ def family_axes(lats: dict) -> str:
                 h.add(name, spec.backend, spec.deficit, spec.truncation_radius,
                       spec.coset_probs)
                 for tables in spec.axis_tables:
-                    for ks, xs, probs, cdf in tables:
-                        h.add(ks, xs, probs, cdf)
+                    for tab in tables:
+                        h.add(tab[0], *tab[-2:])  # ks, probs, cdf
                 h.add(sample_coeffs(spec, stream(RngSeed(7, 0)), 1 << 14))
                 if spec.backend == "product" and not shift.any() \
                         and np.all(np.diag(lat.basis) == lat.basis[0, 0]):
