@@ -69,7 +69,7 @@ class DiscreteGaussianSpec:
     table_probs: np.ndarray | None = None
     table_cdf: np.ndarray | None = None
     # product / parity backends: per-coset, per-axis tables over the layout
-    # lattice.structure; axis_tables[t][i] = (k values, x values, probs, cdf)
+    # lattice.structure; axis_tables[t][i] = (k values, probs, cdf)
     axis_tables: tuple | None = None
     coset_probs: np.ndarray | None = None  # exact relative coset masses
 
@@ -94,50 +94,41 @@ class DiscreteGaussianSpec:
 
 
 def _start_span(step: float, sigma0: float) -> int:
-    """Half-width in steps of the first range _axis_table tries."""
+    """Half-width in steps of the range _axis_table builds."""
     return int(math.ceil(9.5 * sigma0 / step)) + 2
 
 
-def _axis_table(step: float, offset: float, ci: float, sigma0: float,
-                held: int) -> tuple:
+def _axis_table(step: float, offset: float, ci: float, sigma0: float) -> tuple:
     """1-D table over points x = step*k + offset - ci, k integer.
 
-    Extends the range until both edge weights certify a relative tail
-    below 1e-16 via a geometric-series bound.  Returns (ks, xs, probs,
-    cdf, rel_tail, z), z being the unnormalized sum of the weights
-    exp(-x^2 / (2 sigma0^2)).  held counts the points of the spec's other
-    tables: with this one's range they must stay within lattice.POINT_CAP.
+    One range, k = floor((ci - offset) / step) +- _start_span: its edge
+    weights are at most e^-45.1 of the largest, so a geometric-series
+    bound certifies a relative tail below 1e-16, or the table is refused.
+    Returns (ks, probs, cdf, rel_tail, z, x2_max): z sums the weights
+    exp(-x^2 / (2 sigma0^2)), and x2_max is the largest x^2.
     """
     two_s2 = 2.0 * sigma0 * sigma0
-    center = (ci - offset) / step
-    span = _start_span(step, sigma0)
-    for _ in range(60):
-        if held + 2 * span + 1 > lattice.POINT_CAP:
-            raise BudgetExceeded(
-                f"axis tables at step {step:.3g}, sigma0 {sigma0:.3g} pass "
-                f"the point budget ({lattice.POINT_CAP})")
-        ks = np.arange(math.floor(center) - span, math.floor(center) + span + 1)
-        xs = step * ks + offset - ci
-        logmax = float(np.max(-(xs * xs) / two_s2))
-        w = np.exp(-(xs * xs) / two_s2 - logmax)
-        z = float(w.sum())
-        # geometric bound on the mass past each edge: successive weight
-        # ratios only shrink as |x| grows, so the first outside ratio caps
-        # the whole series
-        tails = 0.0
-        for x_next in (xs[0] - step, xs[-1] + step):
-            lw = -(x_next * x_next) / two_s2 - logmax
-            w_next = math.exp(lw) if lw > -745.0 else 0.0
-            q = math.exp(-(abs(x_next) * step) / (sigma0 * sigma0))
-            tails += w_next / max(1.0 - q, 1e-12)
-        rel_tail = tails / z
-        if rel_tail < 1e-16:
-            probs = w / z
-            cdf = np.cumsum(probs)
-            cdf[-1] = 1.0
-            return ks, xs, probs, cdf, rel_tail, z * math.exp(logmax)
-        span = int(span * 1.5) + 2
-    raise BudgetExceeded("axis table did not certify its tail")
+    k0, span = math.floor((ci - offset) / step), _start_span(step, sigma0)
+    ks = np.arange(k0 - span, k0 + span + 1)
+    xs = step * ks + offset - ci
+    logmax = float(np.max(-(xs * xs) / two_s2))
+    w = np.exp(-(xs * xs) / two_s2 - logmax)
+    z = float(w.sum())
+    # geometric bound on the mass past each edge: successive weight ratios
+    # only shrink as |x| grows, so the first outside ratio caps the series
+    tails = 0.0
+    for x_next in (xs[0] - step, xs[-1] + step):
+        lw = -(x_next * x_next) / two_s2 - logmax
+        w_next = math.exp(lw) if lw > -745.0 else 0.0
+        q = math.exp(-(abs(x_next) * step) / (sigma0 * sigma0))
+        tails += w_next / max(1.0 - q, 1e-12)
+    rel_tail = tails / z
+    if not rel_tail < 1e-16:
+        raise BudgetExceeded("axis table did not certify its tail")
+    probs = w / z
+    cdf = np.cumsum(probs)
+    cdf[-1] = 1.0
+    return ks, probs, cdf, rel_tail, z * math.exp(logmax), float(np.max(xs * xs))
 
 
 def build_spec(lat: Lattice, sigma0: float, c) -> DiscreteGaussianSpec:
@@ -207,36 +198,33 @@ def _build_table(lat, sigma0, c, tau, radius):
 
 
 def _build_axes(lat, sigma0, c):
+    """The product or parity spec: per coset, one _axis_table per axis,
+    each stored as (ks, probs, cdf).  No table grows past its one range, so
+    lattice.POINT_CAP (read at call time) refuses them all up front."""
     ax = lat.structure
-    # every table counts from its starting range, so the budget refuses
-    # before the first one is built; a table that grows adds its growth
-    starts = [2 * _start_span(step, sigma0) + 1 for step in ax.steps]
-    held = len(ax.offsets) * sum(starts)
+    held = len(ax.offsets) * sum(2 * _start_span(step, sigma0) + 1
+                                 for step in ax.steps)
+    if held > lattice.POINT_CAP:
+        raise BudgetExceeded(
+            f"axis tables at step {ax.steps[0]:.3g}, sigma0 {sigma0:.3g} pass "
+            f"the point budget ({lattice.POINT_CAP})")
     all_tables = []
     masses = []
     even_fracs = []
     rel = 0.0
     corner = 0.0
     for off in ax.offsets:
-        tables = []
-        z_prod = 1.0
-        b_prod = 1.0
-        reach = 0.0
-        for i in range(lat.n):
-            ks, xs, probs, cdf, rtail, z_abs = _axis_table(
-                ax.steps[i], off, c[i], sigma0, held - starts[i])
-            held += ks.size - starts[i]
-            tables.append((ks, xs, probs, cdf))
-            rel += rtail
-            z_prod *= z_abs
-            b_prod *= float(np.sum(np.where(ks % 2 == 0, probs, -probs)))
-            reach += float(np.max(xs * xs))
-        all_tables.append(tuple(tables))
+        ks, probs, cdfs, tails, zs, x2_max = zip(*(
+            _axis_table(step, off, ci, sigma0) for step, ci in zip(ax.steps, c)))
+        all_tables.append(tuple(zip(ks, probs, cdfs)))
+        rel = sum(tails, rel)
         # the even-sum filter keeps mass (1 + prod of alternating sums) / 2
+        b_prod = math.prod(float(np.sum(np.where(k % 2 == 0, p, -p)))
+                           for k, p in zip(ks, probs))
         even_frac = 0.5 * (1.0 + b_prod) if ax.even_sum else 1.0
         even_fracs.append(even_frac)
-        masses.append(z_prod * even_frac)
-        corner = max(corner, reach)
+        masses.append(math.prod(zs) * even_frac)
+        corner = max(corner, sum(x2_max))
     masses = np.asarray(masses)
     return DiscreteGaussianSpec(
         lattice=lat, sigma0=sigma0, shift=c,
@@ -255,7 +243,7 @@ def _draw_axes(tables, rng, m: int) -> np.ndarray:
     n = len(tables)
     u = rng.random((m, n))
     ks = np.empty((m, n), dtype=np.int64)
-    for i, (kvals, _, _, cdf) in enumerate(tables):
+    for i, (kvals, _, cdf) in enumerate(tables):
         idx = np.searchsorted(cdf, u[:, i], side="right")
         ks[:, i] = kvals[np.minimum(idx, kvals.size - 1)]
     return ks
@@ -264,13 +252,13 @@ def _draw_axes(tables, rng, m: int) -> np.ndarray:
 def _draw_coset(tables, rng, m: int, even_sum: bool) -> np.ndarray:
     """m rows of per-axis k values from one coset's tables.
 
-    Under the even-sum filter, rows with an odd sum are drawn again.
+    Under the even-sum filter, the first round's odd-sum rows are drawn again.
     """
+    ks = _draw_axes(tables, rng, m)
     if not even_sum:
-        return _draw_axes(tables, rng, m)
-    ks = np.empty((m, len(tables)), dtype=np.int64)
-    pending = np.arange(m)
-    for _ in range(MAX_REJECTION_ROUNDS):
+        return ks
+    pending = np.nonzero(ks.sum(axis=1) % 2)[0]
+    for _ in range(MAX_REJECTION_ROUNDS - 1):
         if pending.size == 0:
             break
         cand = _draw_axes(tables, rng, pending.size)
@@ -299,7 +287,7 @@ def sample_coeffs(spec: DiscreteGaussianSpec, rng: np.random.Generator,
     # coset needs no per-coset split of the rows (and no copy through it)
     ax = spec.lattice.structure
     if len(spec.axis_tables) == 1:
-        coset = np.zeros(count, dtype=np.int64)
+        coset = 0
         ks = _draw_coset(spec.axis_tables[0], rng, count, ax.even_sum)
     else:
         coset = (rng.random(count) < spec.coset_probs[1]).astype(np.int64)
@@ -309,8 +297,13 @@ def sample_coeffs(spec: DiscreteGaussianSpec, rng: np.random.Generator,
             ks[rows] = _draw_coset(tables, rng, rows.size, ax.even_sum)
     if not ax.even_sum:
         return ks  # no filter: a diagonal basis, whose coefficients are k
-    coords = ax.steps * ks + np.asarray(ax.offsets)[coset][:, None]
-    return np.rint(coords @ spec.lattice.inv.T).astype(np.int64)
+    # steps * k + offset, then the coefficients, each input dropped once read
+    coords = ax.steps * ks
+    del ks
+    coords += np.asarray(ax.offsets)[coset, None]
+    u = coords @ spec.lattice.inv.T
+    del coords
+    return np.rint(u, out=u).astype(np.int64)
 
 
 def sample(spec: DiscreteGaussianSpec, seed: RngSeed, count: int) -> np.ndarray:
@@ -380,7 +373,7 @@ def tail_event_rate(spec: DiscreteGaussianSpec) -> tuple:
         # no filter: one coset at 0, and the axes are independent
         step = float(steps[0])
         dist = None
-        for ks, _, probs, _ in spec.axis_tables[0]:
+        for ks, probs, _ in spec.axis_tables[0]:
             k2 = ks * ks
             axis = np.zeros(int(k2.max()) + 1)
             np.add.at(axis, k2, probs)

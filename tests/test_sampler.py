@@ -92,7 +92,7 @@ def _structured_pmf_at(spec, coeffs):
         sel = np.all(np.abs(k_real - k) < 1e-9, axis=1)
         prod = np.ones(coeffs.shape[0])
         b = 1.0
-        for i, (ks, _, probs, _) in enumerate(spec.axis_tables[t]):
+        for i, (ks, probs, _) in enumerate(spec.axis_tables[t]):
             prod *= _axis_lookup(ks, probs, k[:, i])
             b *= float(np.sum(np.where(ks % 2 == 0, probs, -probs)))
         mass = 1.0
@@ -489,6 +489,44 @@ def test_axis_table_past_point_budget(monkeypatch):
         axis_spec(Z2, 1.0, np.zeros(2))
     monkeypatch.setattr(lattice_mod, "POINT_CAP", 50)
     assert axis_spec(Z2, 1.0, np.zeros(2)).backend == "product"
+
+
+def test_axis_table_one_range_certifies_its_tail():
+    """_axis_table builds the one range floor(center) +- _start_span and
+    refuses the table unless that range's tail bound is below 1e-16.  Its
+    9.5 sigma0 + 2 steps must certify from sigma0 far below a step up to
+    1e4 steps, for any offset and shift."""
+    rng = np.random.default_rng(27)
+    for ratio in np.logspace(-6, 4, 31):
+        for _ in range(4):
+            step = float(np.exp(rng.uniform(-3.0, 3.0)))
+            offset = step * rng.random()
+            ci = step * rng.uniform(-1e3, 1e3)
+            ks, probs, cdf, rel_tail, _, _ = sampler_mod._axis_table(
+                step, offset, ci, ratio * step)
+            assert rel_tail < 1e-16
+            assert ks.size == 2 * sampler_mod._start_span(
+                step, ratio * step) + 1
+            assert probs.size == ks.size and cdf[-1] == 1.0
+
+
+def test_parity_draws_peak_under_three_outputs():
+    """The parity draws keep their first round in the output array and turn
+    axis values into coefficients in place: under tracemalloc, 10^5 draws
+    on E8 peak under three times the bytes of their output (2.38x; 4.19x
+    when each round was scattered into an empty array and each conversion
+    step allocated its own array)."""
+    spec = build_spec(E8, 1.0, np.full(8, 0.25))
+    assert spec.backend == "parity"
+    rng = stream(RngSeed(1))
+    tracemalloc.start()
+    try:
+        out = sample_coeffs(spec, rng, 10 ** 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (10 ** 5, 8) and out.dtype == np.int64
+    assert peak < 3 * out.nbytes
 
 
 def test_table_weights_underflow_is_budget_error(monkeypatch):
