@@ -638,11 +638,19 @@ def _edge_slop(lat: Lattice, tmat: np.ndarray, rad2: np.ndarray) -> float:
 
     Every level's center c is a coordinate of a real vector v with
     |r v - t| <= radius, so |c| <= (|t| + radius) / sigma_min; far from the
-    origin some 20 ulps of that outgrow the usual 1e-12.
+    origin some 20 ulps of that outgrow the usual 1e-12.  The ends of the
+    level's range, c +- w, are such coordinates too, at the radius that
+    _ball_search's slack widens by at most 1e-6: a search whose ranges
+    could pass 2^62, and so int64, is refused before any cast.
     """
     reach = math.sqrt(np.max(np.einsum("ij,ij->i", tmat, tmat), initial=0.0)) \
         + math.sqrt(np.max(rad2, initial=0.0))
-    return max(1e-12, 4e-15 * reach / lat.sigma_min)
+    slop = max(1e-12, 4e-15 * reach / lat.sigma_min)
+    edge = (reach * (1.0 + 1e-12) + 1e-6) / lat.sigma_min + slop
+    if not edge < 2.0 ** 62:
+        raise BudgetExceeded(f"ball enumeration reaches coefficients near "
+                             f"{edge:.3g}, past 2^62")
+    return slop
 
 
 def _counts(run: np.ndarray, s: int) -> np.ndarray:
@@ -839,7 +847,7 @@ def _ball_search(r: np.ndarray, tmat: np.ndarray, rad2: np.ndarray,
         root = np.broadcast_to(np.intp(0), d2.size)
     if not coeffs:
         return root, None, d2
-    if packed:
+    if packed and d2.size:
         # a column's span over the points is its span over the prefixes
         # with a point below them
         lows = [int(ucol[0].min())]

@@ -150,7 +150,10 @@ def build_spec(lat: Lattice, sigma0: float, c) -> DiscreteGaussianSpec:
             "cannot tell neighbouring lattice coordinates apart")
     tau = 1.0 / var
     vol = lat.volume
-    partial_floor = max(1.0, 0.5 * var ** (n / 2.0) / vol)
+    try:
+        partial_floor = max(1.0, 0.5 * var ** (n / 2.0) / vol)
+    except OverflowError:  # float ** raises where the power overflows
+        partial_floor = math.inf
     _, _, radius = _grow_radius(lat, tau, math.sqrt(2.0 * math.pi * n) * sigma0,
                                 1.15, DEFICIT_TARGET,
                                 lambda _: (None, partial_floor), "support radius")

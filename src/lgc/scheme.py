@@ -547,8 +547,11 @@ def design_volume(sigma_tilde: float, eps_dprime: float, n: int) -> float:
     if not (0.0 <= eps_dprime < math.inf and n >= 1):
         raise DimensionMismatch(
             f"need eps_dprime >= 0 and n >= 1, got {eps_dprime}, {n}")
-    return (2.0 * math.pi * math.e * sigma_tilde ** 2
-            * (1.0 + eps_dprime)) ** (n / 2.0)
+    try:
+        return (2.0 * math.pi * math.e * sigma_tilde ** 2
+                * (1.0 + eps_dprime)) ** (n / 2.0)
+    except OverflowError:  # float ** raises where the power overflows
+        return math.inf
 
 
 def feasible_volume_interval(params: GaussianParams) -> tuple:

@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -702,6 +703,67 @@ def test_tail_bound_past_float_range_is_exit_3(tmp_path, capsys, command,
     assert main([command, "--config", cfg, "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("run: BudgetExceeded: axis tables")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+_E8_DESIGN_1E150 = ("lattice = E8\nsigma0 = 1e150\nsigma = 1e150\n"
+                    "volume = design\ntrials = 64\n")
+
+
+@pytest.mark.parametrize("command,body,error", [
+    ("sample", "lattice = E8\nsigma0 = 1e40\n", "BudgetExceeded"),
+    ("sample", "lattice = Zn:3\nsigma0 = 1e150\n", "BudgetExceeded"),
+    ("simulate", "lattice = E8\nsnr = 1e300\ntrials = 64\n", "BudgetExceeded"),
+    ("sandwich", "lattice = E8\nsnr = 1e300\ntrials = 64\n", "BudgetExceeded"),
+    ("simulate", _E8_DESIGN_1E150, "SingularBasis"),
+    ("sandwich", _E8_DESIGN_1E150, "SingularBasis"),
+], ids=["sample-E8", "sample-Z3", "simulate-snr", "sandwich-snr",
+        "simulate-design", "sandwich-design"])
+def test_float_power_past_float_range_is_exit_3(tmp_path, capsys, command,
+                                                body, error):
+    # build_spec's support floor var^(n/2) / vol, and design_volume's power,
+    # pass float range: each is inf, and the support radius's packing tail
+    # series, which does not converge at such sigma0, refuses the run, or
+    # the design volume scales the lattice by inf
+    cfg = _write_config(tmp_path, body)
+    out = tmp_path / "x.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"run: {error}")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_packed_ball_with_an_empty_last_level_is_exit_3(tmp_path, capsys):
+    # far from the origin at sigma0 0.01 the first support balls of D3 - c
+    # find no point, their last level's candidates all outside; the balls
+    # grow until one holds a point, whose weight underflows
+    cfg = _write_config(tmp_path, "lattice = Dn:3\nsigma0 = 0.01\n"
+                                  "shift = 1e15\n")
+    out = tmp_path / "x.csv"
+    assert main(["sample", "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == "run: BudgetExceeded: support weights underflow to 0.0\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,body", [
+    ("ensemble", "p = 2\nn = 1\nk = 1\nscale = 1e-150\nsigma = 1e-150\n"),
+    ("sandwich", "lattice = Zn:1\nsnr = 1e-300\nvolume = design\n"
+                 "trials = 64\n"),
+], ids=["ensemble", "sandwich"])
+def test_ball_ranges_past_int64_are_exit_3(tmp_path, capsys, command, body):
+    # a ball search whose integer ranges could pass 2^62 is refused before
+    # any int64 cast, so no cast warns
+    cfg = _write_config(tmp_path, body)
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, "--config", cfg, "--out", str(out)]) == 3
+    assert not caught
+    err = capsys.readouterr().err
+    assert err.startswith("run: BudgetExceeded: ball enumeration reaches")
     assert err.count("\n") == 1
     assert not out.exists()
 

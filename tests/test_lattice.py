@@ -805,6 +805,30 @@ def test_enumerate_ball_far_center_keeps_edge_points():
     assert want_u.shape[0] > k
 
 
+def test_packed_ball_with_an_empty_last_level():
+    """Around 1e15 * (1, 1, 1) the ball of radius 0.5 on D3 keeps prefixes
+    down to the last level, where every candidate falls outside it: the
+    packed search returns no rows, as the unpacked one does."""
+    d3 = standard_lattice("Dn", 3)
+    center = np.full(3, 1e15)
+    for packed in (False, True):
+        u, d2 = enumerate_ball(d3, center, 0.5, _packed=packed)
+        assert u.shape == (0, 3) and d2.size == 0
+
+
+def test_ball_ranges_past_int64_are_refused():
+    """A level's integer range lies within (|t| + radius + 1e-6) / sigma_min
+    of 0 (1e-6 bounds the squared radius's absolute slack), and a search
+    whose ranges could pass 2^62 is refused before any int64 cast: on Z at
+    step 1e-150 the slack alone reaches 1e144 steps, and on Z itself a
+    center at 2^62 does."""
+    tiny = standard_lattice("Zn", 1).scale(1e-150)
+    with pytest.raises(BudgetExceeded, match=r"past 2\^62"):
+        enumerate_ball(tiny, np.zeros(1), 1e-149)
+    with pytest.raises(BudgetExceeded, match=r"past 2\^62"):
+        enumerate_ball(standard_lattice("Zn", 1), np.array([2.0 ** 62]), 0.5)
+
+
 # ---------------------------------------------------------------------------
 # basis files
 # ---------------------------------------------------------------------------
