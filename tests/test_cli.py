@@ -709,6 +709,7 @@ def test_tail_bound_past_float_range_is_exit_3(tmp_path, capsys, command,
 
 _E8_DESIGN_1E150 = ("lattice = E8\nsigma0 = 1e150\nsigma = 1e150\n"
                     "volume = design\ntrials = 64\n")
+_BALL_PAST_INT64 = "BudgetExceeded: ball enumeration reaches"
 
 
 @pytest.mark.parametrize("command,body,error", [
@@ -718,44 +719,26 @@ _E8_DESIGN_1E150 = ("lattice = E8\nsigma0 = 1e150\nsigma = 1e150\n"
     ("sandwich", "lattice = E8\nsnr = 1e300\ntrials = 64\n", "BudgetExceeded"),
     ("simulate", _E8_DESIGN_1E150, "SingularBasis"),
     ("sandwich", _E8_DESIGN_1E150, "SingularBasis"),
-], ids=["sample-E8", "sample-Z3", "simulate-snr", "sandwich-snr",
-        "simulate-design", "sandwich-design"])
-def test_float_power_past_float_range_is_exit_3(tmp_path, capsys, command,
-                                                body, error):
-    # build_spec's support floor var^(n/2) / vol, and design_volume's power,
-    # pass float range: each is inf, and the support radius's packing tail
-    # series, which does not converge at such sigma0, refuses the run, or
-    # the design volume scales the lattice by inf
-    cfg = _write_config(tmp_path, body)
-    out = tmp_path / "x.csv"
-    assert main([command, "--config", cfg, "--out", str(out)]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith(f"run: {error}")
-    assert err.count("\n") == 1
-    assert not out.exists()
-
-
-def test_packed_ball_with_an_empty_last_level_is_exit_3(tmp_path, capsys):
-    # far from the origin at sigma0 0.01 the first support balls of D3 - c
-    # find no point, their last level's candidates all outside; the balls
-    # grow until one holds a point, whose weight underflows
-    cfg = _write_config(tmp_path, "lattice = Dn:3\nsigma0 = 0.01\n"
-                                  "shift = 1e15\n")
-    out = tmp_path / "x.csv"
-    assert main(["sample", "--config", cfg, "--out", str(out)]) == 3
-    err = capsys.readouterr().err
-    assert err == "run: BudgetExceeded: support weights underflow to 0.0\n"
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("command,body", [
-    ("ensemble", "p = 2\nn = 1\nk = 1\nscale = 1e-150\nsigma = 1e-150\n"),
+    ("sample", "lattice = Dn:3\nsigma0 = 0.01\nshift = 1e15\n",
+     "BudgetExceeded: support weights underflow to 0.0"),
+    ("ensemble", "p = 2\nn = 1\nk = 1\nscale = 1e-150\nsigma = 1e-150\n",
+     _BALL_PAST_INT64),
     ("sandwich", "lattice = Zn:1\nsnr = 1e-300\nvolume = design\n"
-                 "trials = 64\n"),
-], ids=["ensemble", "sandwich"])
-def test_ball_ranges_past_int64_are_exit_3(tmp_path, capsys, command, body):
-    # a ball search whose integer ranges could pass 2^62 is refused before
-    # any int64 cast, so no cast warns
+                 "trials = 64\n", _BALL_PAST_INT64),
+], ids=["sample-E8", "sample-Z3", "simulate-snr", "sandwich-snr",
+        "simulate-design", "sandwich-design", "sample-D3-far",
+        "ensemble-tiny", "sandwich-tiny"])
+def test_float_or_int64_overflow_is_exit_3(tmp_path, capsys, command, body,
+                                           error):
+    # The first six pass float range in build_spec's support floor
+    # var^(n/2) / vol or design_volume's power: each is inf, and the
+    # support radius's packing tail series, which does not converge at
+    # such sigma0, refuses the run, or the design volume scales the lattice
+    # by inf.  On D3 far from the origin at sigma0 0.01 the first support
+    # balls' last level has no candidate inside the ball, so the packed
+    # search returns no rows; the balls grow until one holds a point, whose
+    # weight underflows.  The last two are ball searches whose integer
+    # ranges could pass 2^62, refused before any int64 cast warns.
     cfg = _write_config(tmp_path, body)
     out = tmp_path / "x.csv"
     with warnings.catch_warnings(record=True) as caught:
@@ -763,7 +746,7 @@ def test_ball_ranges_past_int64_are_exit_3(tmp_path, capsys, command, body):
         assert main([command, "--config", cfg, "--out", str(out)]) == 3
     assert not caught
     err = capsys.readouterr().err
-    assert err.startswith("run: BudgetExceeded: ball enumeration reaches")
+    assert err.startswith(f"run: {error}")
     assert err.count("\n") == 1
     assert not out.exists()
 
