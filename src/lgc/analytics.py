@@ -250,6 +250,25 @@ def _gauss_sum(lat: Lattice, center: np.ndarray, tau: float,
 # ---------------------------------------------------------------------------
 
 
+def _on_lll_basis(lat: Lattice, total):
+    """total(lat), a sum over the points of lat; where its ball search
+    raises BudgetExceeded, total once more on lat's LLL basis.
+
+    The sum does not depend on the basis, but a skewed one's level ranges
+    hold far more candidates than the ball holds points (I + 2S, S the
+    upper shift matrix, passes POINT_CAP at sigma 0.4), and its lambda1
+    bound is weaker.  Where the LLL basis is the given one, the error
+    stands.
+    """
+    try:
+        return total(lat)
+    except BudgetExceeded:
+        red, t = lat.reduced
+        if np.array_equal(t, np.eye(lat.n, dtype=t.dtype)):
+            raise
+    return total(red)
+
+
 def theta(lat: Lattice, tau: float, *, balls: dict | None = None) -> ThetaValue:
     """Theta series sum of exp(-pi tau |v|^2) with certified truncation.
 
@@ -257,8 +276,10 @@ def theta(lat: Lattice, tau: float, *, balls: dict | None = None) -> ThetaValue:
         Theta_L(tau) = tau^{-n/2} / V * Theta_dual(1/tau)
     needs fewer points, preferring the primal side while it stays under
     PRIMAL_PREF points.  Raises BudgetExceeded when the chosen side's
-    estimate passes lattice.POINT_CAP.  balls is passed to _gauss_sum.
-    On the dual side, value and tail are inf where tau^{-n/2} overflows.
+    estimate passes lattice.POINT_CAP; where the given basis's ball search
+    raises it, the sum is taken on the LLL basis (_on_lll_basis).  balls
+    is passed to _gauss_sum.  On the dual side, value and tail are inf
+    where tau^{-n/2} overflows.
     """
     _check_positive("tau", tau)
     n = lat.n
@@ -272,10 +293,10 @@ def theta(lat: Lattice, tau: float, *, balls: dict | None = None) -> ThetaValue:
             f"points, cap {lattice.POINT_CAP:.0e}")
     zero = np.zeros(n)
     if side_primal:
-        value, tail, radius = _gauss_sum(lat, zero, tau, balls=balls)
-        return ThetaValue(value, tail, radius)
-    dual = lat.dual
-    value, tail, radius = _gauss_sum(dual, zero, 1.0 / tau, balls=balls)
+        return ThetaValue(*_on_lll_basis(
+            lat, lambda b: _gauss_sum(b, zero, tau, balls=balls)))
+    value, tail, radius = _on_lll_basis(
+        lat, lambda b: _gauss_sum(b.dual, zero, 1.0 / tau, balls=balls))
     try:
         factor = tau ** (-n / 2.0) / vol
     except OverflowError:  # float ** raises where the power overflows
@@ -312,11 +333,12 @@ def flatness(lat: Lattice, sigma: float) -> FlatnessReport:
     balls: dict = {}
     tv = theta(lat, tau, balls=balls)
     if g < 1.0:
-        dual = lat.dual
-        lam1d = dual.lambda1_lb()
-        eps, _, _ = _gauss_sum(dual, np.zeros(n), 1.0 / tau, skip_zero=True,
-                               min_radius=lam1d * (1.0 + 1e-9) + 0.25,
-                               balls=balls)
+        def eps_sum(b):
+            dual = b.dual
+            return _gauss_sum(dual, np.zeros(n), 1.0 / tau, skip_zero=True,
+                              min_radius=dual.lambda1_lb() * (1.0 + 1e-9)
+                              + 0.25, balls=balls)[0]
+        eps = _on_lll_basis(lat, eps_sum)
     else:
         try:
             eps = g ** (n / 2.0) * tv.value - 1.0

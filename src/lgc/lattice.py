@@ -257,25 +257,33 @@ def _lll(basis: np.ndarray) -> np.ndarray:
     """Unimodular int64 T such that the columns of basis @ T are LLL-reduced.
 
     Textbook size reduction and Lovasz swaps over the triangular factor of
-    basis @ T, which is QR-factored afresh from the exact integer T at every
-    step, so no rounding accumulates in the basis.
+    basis @ T, which is QR-factored afresh from the exact integer T after
+    every step that changes T, so no rounding accumulates in the basis.  A
+    step that leaves T as it was keeps the factor, which a new QR of the
+    same matrix would repeat: a reduced basis costs one QR, not n - 1.
     """
     n = basis.shape[1]
     t = np.eye(n, dtype=np.int64)
-    k = 1
+    k, r = 1, None
     while k < n:
-        r = np.linalg.qr(basis @ t, mode="r")
+        if r is None:
+            r = np.linalg.qr(basis @ t, mode="r")
+        keep = True
         for j in range(k - 1, -1, -1):
             q = round(r[j, k] / r[j, j])
             if q:
                 t[:, k] -= q * t[:, j]
                 r[:j + 1, k] -= q * r[:j + 1, j]
+                keep = False
         mu = r[k - 1, k] / r[k - 1, k - 1]
         if r[k, k] ** 2 >= (_LLL_DELTA - mu * mu) * r[k - 1, k - 1] ** 2:
             k += 1
         else:
             t[:, [k - 1, k]] = t[:, [k, k - 1]]
             k = max(k - 1, 1)
+            keep = False
+        if not keep:
+            r = None
     return t
 
 
@@ -676,6 +684,14 @@ def _blocks(ends: np.ndarray, chunk: int):
         a, s = b, e
 
 
+def _int_type(reach: float) -> type:
+    """The narrowest signed integer type that holds -reach .. reach."""
+    for t in (np.int8, np.int16, np.int32):
+        if reach <= np.iinfo(t).max:
+            return t
+    return np.int64
+
+
 def _below(kids: list):
     """Yield, for levels k = 1 .. n-1, 0 and then the running count of the
     points below the level-k prefixes, from kids[k], the running count of
@@ -707,7 +723,12 @@ def _ball_search(r: np.ndarray, tmat: np.ndarray, rad2: np.ndarray,
     range computed again), whose survivors fill arrays sized for the
     level.  A level of at most _LEVEL_CHUNK prefixes and candidates is one
     block, whose arrays it keeps.  A candidate's arithmetic is the same in
-    any block, so no output depends on the block size.  Column k of U
+    any block, so no output depends on the block size.  A level of several
+    blocks stores its coefficients in the narrowest signed integer type
+    that holds (max |tau_k| + sqrt(max lim)) / r_kk + slop + 2, a bound on
+    every candidate; they are exact integers, so u * r[:k, k] keeps its
+    bits, and they are widened to int64 only where the packed keys or the
+    columns of U are formed.  Column k of U
     repeats each level-k coefficient once per point below it, counted by
     differences of running counts (_below), in an (n, N) C-order array
     whose transpose is U, so U[:, k] is contiguous.  packed=True fills no
@@ -807,7 +828,10 @@ def _ball_search(r: np.ndarray, tmat: np.ndarray, rad2: np.ndarray,
             nd, uk, ends = expand(lo, 0, ends.size, 0, total, cnt)
         else:
             nd = np.empty(total)
-            uk = np.empty(total, dtype=np.int64) if need else None
+            # every candidate lies within |c| + w + slop of 0, rounded out
+            reach = (np.max(np.abs(tau[:, k])) + math.sqrt(np.max(lim))) / rkk
+            uk = np.empty(total, dtype=_int_type(reach + slop + 2.0)) \
+                if need else None
             j = 0
             for a, b, s, e, cnt in _blocks(ends, _LEVEL_CHUNK):
                 nd_b, uk_b, run = expand(ranges(a, b)[0], a, b, s, e, cnt)
@@ -843,6 +867,8 @@ def _ball_search(r: np.ndarray, tmat: np.ndarray, rad2: np.ndarray,
             tau = nxt
         d2 = nd
         del ends, ranges
+    # the level-1 prefix matrix, and a second reference to ucol[0]
+    tau = nxt = uk = None
     if not per:
         root = np.broadcast_to(np.intp(0), d2.size)
     if not coeffs:
@@ -854,14 +880,14 @@ def _ball_search(r: np.ndarray, tmat: np.ndarray, rad2: np.ndarray,
         tops = [int(ucol[0].max())]
         for u, at in zip(ucol[1:], _below(kids)):
             live = at[1:] > at[:-1]
-            lows.append(int(u.min(where=live, initial=np.iinfo(np.int64).max)))
-            tops.append(int(u.max(where=live, initial=np.iinfo(np.int64).min)))
+            lows.append(int(u.min(where=live, initial=np.iinfo(u.dtype).max)))
+            tops.append(int(u.max(where=live, initial=np.iinfo(u.dtype).min)))
         bits = [(top - low).bit_length() for top, low in zip(tops, lows)]
         if sum(bits) <= 63:
             shift = 0
             key = None
             for k in range(n - 1, -1, -1):
-                col, ucol[k] = ucol[k], None
+                col, ucol[k] = ucol[k].astype(np.int64), None
                 col -= lows[k]
                 col <<= shift
                 shift += bits[k]

@@ -180,17 +180,8 @@ def _build_table(lat, sigma0, c, tau, radius):
 
     (rows, w, z), tail, radius = _grow_radius(
         lat, tau, radius, 1.15, DEFICIT_TARGET, weigh, "support enumeration")
-    # the points are distinct, so their packed keys are too and one argsort
-    # gives np.lexsort's order; a ball holds at most lattice.POINT_CAP < 2^31
-    # points, so int32 indexes it
-    if isinstance(rows, PackedRows):
-        order = np.argsort(rows.key).astype(np.int32)
-        rows = PackedRows(rows.key[order], rows.bits, rows.lows)
-    else:
-        order = np.lexsort(rows.T[::-1]).astype(np.int32)
-        rows = np.ascontiguousarray(rows[order])
-    probs = w[order]
-    del w, order  # before the division and the cdf
+    rows, probs = _sort_table(rows, w)
+    del w  # before the division and the cdf
     probs /= z
     cdf = np.cumsum(probs)
     cdf[-1] = 1.0
@@ -198,6 +189,50 @@ def _build_table(lat, sigma0, c, tau, radius):
         lattice=lat, sigma0=sigma0, shift=c, truncation_radius=radius,
         deficit=tail / z, backend="table",
         table_rows=rows, table_probs=probs, table_cdf=cdf)
+
+
+def _sort_table(rows, w):
+    """(rows, w) of enumerate_ball's one center in lexicographic row order.
+
+    The points are distinct, so their packed keys are too, and key order
+    is np.lexsort's.  The keys are sorted in place, each carrying its row
+    index: comp = (key >> bits[-1]) << ib | row, ib the bit length of
+    N - 1, drops the last column's field and keeps a copy of it.  This is
+    the order of np.argsort(key): _ball_search emits the points sorted by
+    (u_{n-1}, ..., u_0), so among rows equal in u_0 .. u_{n-2}, whose
+    composites tie in their high parts, row order is u_{n-1} order.  Then
+    each block of sorted composites gathers its weights and rebuilds its
+    keys from the high part and the saved field.  Where comp would pass 63
+    bits the keys are argsorted instead, and unpacked rows (spans past 63
+    bits) are lexsorted; a ball holds at most lattice.POINT_CAP < 2^31
+    points, so int32 indexes it.  rows' keys are sorted in place.
+    """
+    if not isinstance(rows, PackedRows):
+        order = np.lexsort(rows.T[::-1]).astype(np.int32)
+        return np.ascontiguousarray(rows[order]), w[order]
+    key, last = rows.key, rows.bits[-1]
+    ib = (key.size - 1).bit_length()
+    if sum(rows.bits) - last + ib > 63:
+        order = np.argsort(key).astype(np.int32)
+        return PackedRows(key[order], rows.bits, rows.lows), w[order]
+    chunk, field = lattice._LEVEL_CHUNK, (1 << last) - 1
+    low = np.empty(key.size, dtype=lattice._int_type(field))
+    for s in range(0, key.size, chunk):
+        part = key[s:s + chunk]
+        low[s:s + chunk] = part & field
+        part >>= last
+        part <<= ib
+        part |= np.arange(s, s + part.size)
+    key.sort()
+    probs = np.empty(key.size)
+    for s in range(0, key.size, chunk):
+        part = key[s:s + chunk]
+        row = part & ((1 << ib) - 1)
+        probs[s:s + chunk] = w[row]
+        part >>= ib
+        part <<= last
+        part |= low[row]
+    return rows, probs
 
 
 def _build_axes(lat, sigma0, c):

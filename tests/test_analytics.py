@@ -387,6 +387,20 @@ def test_flatness_within_the_work_budget():
     assert rep.epsilon == 2.8079854430552256e-75
 
 
+@pytest.mark.parametrize("a", [2, 3])
+def test_flatness_on_a_skewed_basis_retries_on_the_lll_basis(a):
+    """I + aS (S the upper shift matrix) is a basis of Z^8.  At sigma 0.4
+    its theta and epsilon ball searches pass the point budget (a = 2) or
+    the prefix budget (a = 3); each sum is taken again on the LLL basis
+    and gives Z8's values, and the report is cached on the given lattice."""
+    lat = make_lattice(np.eye(8) + a * np.eye(8, k=1))
+    rep = flatness(lat, 0.4)
+    want = flatness(standard_lattice("Zn", 8), 0.4)
+    assert rep.epsilon == pytest.approx(want.epsilon, rel=1e-12)
+    assert rep.theta.value == pytest.approx(want.theta.value, rel=1e-12)
+    assert flatness(lat, 0.4) is rep
+
+
 @pytest.mark.parametrize("check", ["partition", "entropy"])
 def test_underflowing_weights_are_budget_errors(monkeypatch, check):
     """Each point of these balls weighs 0.0 in float64, and every point

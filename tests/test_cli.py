@@ -104,6 +104,21 @@ def test_flatness_of_skewed_basis_file(tmp_path):
         8.2357602951942425e-19, rel=1e-9)
 
 
+def test_flatness_of_skewed_basis_file_past_the_budget(tmp_path):
+    # at sigma 0.4 the given basis's ball searches pass the prefix budget;
+    # the sums are taken on its LLL basis, a basis of Z8
+    basis = tmp_path / "skew.txt"
+    rows = np.eye(8) + 3.0 * np.eye(8, k=1)
+    basis.write_text("8\n" + "".join(" ".join(repr(float(v)) for v in row)
+                                      + "\n" for row in rows))
+    cfg = _write_config(tmp_path, f"lattice = basis:{basis}\nsigma = 0.4\n")
+    out = tmp_path / "flat.csv"
+    assert main(["flatness", "--config", cfg, "--out", str(out)]) == 0
+    _, rows = _rows(out)
+    assert float(rows[0].split(",")[5]) == pytest.approx(
+        0.9206700052714013, rel=1e-12)
+
+
 @pytest.mark.parametrize("command,body,column,value", [
     ("flatness", "lattice = E8\nsigma = 1e100\n", 4, "inf"),
     ("rate", "lattice = E8\nsnr = 1e300\n", 3, "0.0"),

@@ -805,6 +805,44 @@ def test_enumerate_ball_far_center_keeps_edge_points():
     assert want_u.shape[0] > k
 
 
+@pytest.mark.parametrize("far, dtype", [(200, np.int16), (40_000, np.int32),
+                                        (3e9, np.int64)])
+@pytest.mark.parametrize("name", ["Z4", "D4", "A2", "skewA2"])
+def test_ball_search_far_centers_match_box(fresh_lattice, monkeypatch, name,
+                                           far, dtype):
+    """A level of several blocks stores its coefficients in the narrowest
+    integer type that holds its candidates.  Centers whose coefficients
+    pass the int8, int16 and int32 limits take the next type, and give the
+    box scan's int64 coefficients and d2, unpacked and packed."""
+    lat = _skew_a2() if name == "skewA2" else fresh_lattice(name)
+    q, r = lat.qr
+    rng = np.random.default_rng(37)
+    m = far * rng.choice([-1.0, 1.0], (4, lat.n))
+    centers = (rng.uniform(-1.0, 1.0, (4, lat.n)) + m) @ lat.basis.T
+    rad2 = np.array([4.5, 2.0, 5.0, 1.0])
+    tmat = centers @ q
+    want = _box_ball(lat, tmat, rad2)
+    assert want[0].size > 40
+    types = []
+    int_type = lattice_mod._int_type
+    monkeypatch.setattr(lattice_mod, "_int_type",
+                        lambda reach: types.append(int_type(reach)) or types[-1])
+    monkeypatch.setattr(lattice_mod, "_LEVEL_CHUNK", 7)
+    slop = lattice_mod._edge_slop(lat, tmat, rad2)
+    root, u, d2 = _ball_search(r, tmat, rad2, slop=slop)
+    assert np.array_equal(root, want[0])
+    assert u.dtype == np.int64 and np.array_equal(u, want[1])
+    assert d2.tobytes() == want[2].tobytes()
+    assert set(types) == {dtype}
+    for i in range(4):  # packed, one center at a time
+        mine = want[0] == i
+        rows, d2 = _ball_search(r, tmat[i:i + 1], rad2[i:i + 1], slop=slop,
+                                packed=True)[1:]
+        assert isinstance(rows, lattice_mod.PackedRows)
+        assert np.array_equal(rows[:], want[1][mine])
+        assert d2.tobytes() == want[2][mine].tobytes()
+
+
 def test_packed_ball_with_an_empty_last_level():
     """Around 1e15 * (1, 1, 1) the ball of radius 0.5 on D3 keeps prefixes
     down to the last level, where every candidate falls outside it: the

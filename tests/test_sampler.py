@@ -161,10 +161,25 @@ _TABLE_CASES = {
 def test_table_matches_lexsort_reference(case):
     """build_spec's table equals, to the bit, enumerate_ball at the spec's
     radius followed by np.lexsort; the sorted packed keys and their lexsort
-    fallback (spans over 63 bits) both run."""
+    fallback (spans over 63 bits) both run.
+
+    The criterion-4 build holds sorted packed keys, not the 2.65M x 8
+    coefficient table, and under tracemalloc peaks below 1.2 times the
+    bytes of its keys, probabilities and cdf: 1.06 times (64.3 MiB), and
+    1.41 times with int64 ball-search columns and an argsort order."""
     lat, sigma0, c = _TABLE_CASES[case]()
-    spec = build_spec(lat, sigma0, c)
+    tracemalloc.start()
+    try:
+        spec = build_spec(lat, sigma0, c)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert spec.backend == "table"
+    if case == "sandwich_e8":
+        nbytes = (spec.table_rows.key.nbytes + spec.table_probs.nbytes
+                  + spec.table_cdf.nbytes)
+        assert len(spec.table_rows) == 2_654_137
+        assert held < 1.05 * nbytes and peak < 1.2 * nbytes
     radius = spec.truncation_radius
     coeffs, d2 = enumerate_ball(lat, c, radius)
     w = np.exp(-d2 / (2.0 * sigma0 * sigma0))
@@ -221,23 +236,31 @@ def test_table_draws_match_unsorted_search(case):
     assert len(set(map(tuple, got))) > 1000
 
 
-def test_table_build_memory():
-    """The criterion-4 build holds sorted packed keys, not the 2.65M x 8
-    coefficient table, and its ball search keeps no temporary that spans
-    a whole level: under tracemalloc it peaks below 112 MiB and keeps
-    below 64 MiB (85.7 and 60.8 MiB; 130.7 and 60.8 MiB with parent
-    pointers and level-sized temporaries, 267.0 and 202.5 MiB when the
-    rows were unpacked)."""
-    lat, sigma0, c = _sandwich_e8_case()
-    tracemalloc.start()
-    try:
-        spec = build_spec(lat, sigma0, c)
-        held, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(spec.table_rows) == 2_654_137
-    assert peak < 112 * 2**20
-    assert held < 64 * 2**20
+@pytest.mark.parametrize("wide", [False, True], ids=["composite", "argsort"])
+@pytest.mark.parametrize("name", ["Z4", "D4", "E8", "A2", "lift"])
+def test_sort_table_matches_argsort(fresh_lattice, name, wide):
+    """_sort_table's in-place sort of keys that carry their row index gives
+    np.argsort's order of enumerate_ball's packed keys, and the weights
+    follow.  With column 0's field widened until the keys take 63 bits,
+    the composite would pass 63 bits and the keys are argsorted."""
+    lat = fresh_lattice(name)
+    n = lat.n
+    c = np.random.default_rng(17).uniform(-1.0, 1.0, n) @ lat.basis.T
+    unit = math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
+    # a ball of about 3,000 points
+    rows, d2 = enumerate_ball(lat, c, (3000.0 * lat.volume / unit) ** (1.0 / n),
+                              _packed=True)
+    assert isinstance(rows, PackedRows) and len(rows) > 1000
+    bits = rows.bits
+    if wide:
+        bits = (bits[0] + 63 - sum(bits),) + bits[1:]
+    assert (sum(bits) - bits[-1] + (len(rows) - 1).bit_length() > 63) == wide
+    order = np.argsort(rows.key)
+    got, w = sampler_mod._sort_table(
+        PackedRows(rows.key.copy(), bits, rows.lows), d2)
+    assert (got.bits, got.lows) == (bits, rows.lows)
+    assert got.key.tobytes() == rows.key[order].tobytes()
+    assert w.tobytes() == d2[order].tobytes()
 
 
 def test_shift_moves_support():
