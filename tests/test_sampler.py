@@ -161,25 +161,10 @@ _TABLE_CASES = {
 def test_table_matches_lexsort_reference(case):
     """build_spec's table equals, to the bit, enumerate_ball at the spec's
     radius followed by np.lexsort; the sorted packed keys and their lexsort
-    fallback (spans over 63 bits) both run.
-
-    The criterion-4 build holds sorted packed keys, not the 2.65M x 8
-    coefficient table, and under tracemalloc peaks below 1.2 times the
-    bytes of its keys, probabilities and cdf: 1.06 times (64.3 MiB), and
-    1.41 times with int64 ball-search columns and an argsort order."""
+    fallback (spans over 63 bits) both run."""
     lat, sigma0, c = _TABLE_CASES[case]()
-    tracemalloc.start()
-    try:
-        spec = build_spec(lat, sigma0, c)
-        held, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    spec = build_spec(lat, sigma0, c)
     assert spec.backend == "table"
-    if case == "sandwich_e8":
-        nbytes = (spec.table_rows.key.nbytes + spec.table_probs.nbytes
-                  + spec.table_cdf.nbytes)
-        assert len(spec.table_rows) == 2_654_137
-        assert held < 1.05 * nbytes and peak < 1.2 * nbytes
     radius = spec.truncation_radius
     coeffs, d2 = enumerate_ball(lat, c, radius)
     w = np.exp(-d2 / (2.0 * sigma0 * sigma0))
@@ -234,6 +219,25 @@ def test_table_draws_match_unsorted_search(case):
     assert got.dtype == want.dtype == np.int64
     assert np.array_equal(got, want)
     assert len(set(map(tuple, got))) > 1000
+
+
+def test_table_build_memory():
+    """The criterion-4 build holds sorted packed keys, not the 2.65M x 8
+    coefficient table, and under tracemalloc peaks below 1.2 times the
+    bytes of its keys, probabilities and cdf and holds below 1.05 times
+    them: 1.06 times (64.3 MiB) and 1.00 times (60.8 MiB), and a 1.41 times
+    peak with int64 ball-search columns and an argsort order."""
+    lat, sigma0, c = _sandwich_e8_case()
+    tracemalloc.start()
+    try:
+        spec = build_spec(lat, sigma0, c)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    nbytes = (spec.table_rows.key.nbytes + spec.table_probs.nbytes
+              + spec.table_cdf.nbytes)
+    assert len(spec.table_rows) == 2_654_137
+    assert held < 1.05 * nbytes and peak < 1.2 * nbytes
 
 
 @pytest.mark.parametrize("wide", [False, True], ids=["composite", "argsort"])
